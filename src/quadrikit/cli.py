@@ -16,8 +16,7 @@ from quadrikit.quadform import QuadFormError, Subbundle, load_qf
 from quadrikit import clifford as cl
 from quadrikit import cliffmod
 from quadrikit import geometry
-
-DEFAULT_SEED = 24237
+from quadrikit.cliffmod import DEFAULT_SEED
 
 SUITES = (
     "multiplication-iso",
@@ -27,6 +26,17 @@ SUITES = (
     "matrix-factorization",
     "all",
 )
+
+
+def _positive_int(text):
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_fraction(text):
@@ -225,7 +235,10 @@ def cmd_fiber(args):
             name, _, value = chunk.partition("=")
             if not value:
                 raise ParseError(f"bad point entry {chunk!r}")
-            assignment[name.strip()] = _parse_fraction(value.strip())
+            name = name.strip()
+            if name not in q.base.variables:
+                raise ParseError(f"{name!r} is not a base variable")
+            assignment[name] = _parse_fraction(value.strip())
     point = cliffmod.Specialization(assignment)
     report = geometry.fiber_report(q, point)
     payload = {"command": "fiber", "report": report}
@@ -266,7 +279,7 @@ def _pick_isotropic_generator(q):
     return None
 
 
-def _run_suites(q, suite, seed, samples, jobs):
+def _run_suites(q, suite, seed, samples):
     ctx = cl.CliffordContext(q)
     w = _pick_isotropic_generator(q)
     empty = Subbundle.empty(q.base, q.n)
@@ -278,7 +291,7 @@ def _run_suites(q, suite, seed, samples, jobs):
         for m, n in ((1, 0), (1, 1), (2, 0)):
             reports.append(
                 cliffmod.verify_multiplication_iso(
-                    ctx, target, m, n, samples=samples, seed=seed, jobs=jobs
+                    ctx, target, m, n, samples=samples, seed=seed
                 )
             )
     if "cokernel" in wanted:
@@ -286,7 +299,7 @@ def _run_suites(q, suite, seed, samples, jobs):
         for n in (0, 1):
             reports.append(
                 cliffmod.verify_cokernel_sequence(
-                    ctx, target, n, samples=samples, seed=seed, jobs=jobs
+                    ctx, target, n, samples=samples, seed=seed
                 )
             )
     if "flag" in wanted:
@@ -304,7 +317,7 @@ def _run_suites(q, suite, seed, samples, jobs):
             for n in (0, 1):
                 reports.append(
                     cliffmod.verify_flag_sequence(
-                        ctx, empty, w, n, samples=samples, seed=seed, jobs=jobs
+                        ctx, empty, w, n, samples=samples, seed=seed
                     )
                 )
     if "duality" in wanted:
@@ -312,7 +325,7 @@ def _run_suites(q, suite, seed, samples, jobs):
         for k in range(target.r + 1):
             reports.append(
                 cliffmod.verify_duality(
-                    ctx, target, k, samples=samples, seed=seed, jobs=jobs
+                    ctx, target, k, samples=samples, seed=seed
                 )
             )
     if "matrix-factorization" in wanted:
@@ -324,7 +337,7 @@ def _run_suites(q, suite, seed, samples, jobs):
 
 def cmd_verify(args):
     q = load_qf(args.input)
-    reports = _run_suites(q, args.suite, args.seed, args.samples, args.jobs)
+    reports = _run_suites(q, args.suite, args.seed, args.samples)
     ok = all(r.ok for r in reports)
     payload = {
         "command": "verify",
@@ -352,8 +365,9 @@ def build_parser():
     def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--samples", type=int, default=5)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--samples", type=_positive_int, default=5)
+        # accepted for compatibility; samples always run in this process
+        p.add_argument("--jobs", type=_positive_int, default=1, help="no-op")
 
     p = sub.add_parser("degeneration", help="degeneration locus ideal")
     p.add_argument("input")

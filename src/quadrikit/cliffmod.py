@@ -10,12 +10,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from quadrikit.polyalg import PolyError, PolyMatrix, Ring
+from quadrikit.polyalg import PolyError, PolyMatrix, Ring, exact_div, fraction_free_rref
 from quadrikit import linalg
 from quadrikit.clifford import CliffordError, cl_mul, graded_basis, trace
 from quadrikit.quadform import QuadFormError, fiber_names, is_isotropic
 
-DEFAULT_SEED = 0x5EED
+DEFAULT_SEED = 24237
 CERT_SAMPLES = 5
 _MAX_TRIES = 100
 
@@ -130,16 +130,11 @@ class Report:
         return "\n".join(lines)
 
 
-def _run_samples(draw, count, worker, jobs=1):
+def _run_samples(draw, count, worker):
+    if count < 1:
+        raise CliffModError(f"need at least one sample point, got {count}")
     points = [draw() for _ in range(count)]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, points))
-    else:
-        results = [worker(p) for p in points]
-    return results
+    return [worker(p) for p in points]
 
 
 class IdealBasis:
@@ -255,7 +250,7 @@ def check_l_periodicity(ctx, w, n, side="left", seed=DEFAULT_SEED):
     ]
 
 
-def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED, jobs=1):
+def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED):
     """At off-locus points, multiplication by the degree-m component maps
     the degree-n ideal onto the degree-(m+n) ideal with the expected rank."""
     basis_m = graded_basis(ctx, m)
@@ -286,7 +281,7 @@ def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_S
             {"product_rank": r_prod, "ideal_rank": r_ideal, "stacked_rank": r_stack},
         )
 
-    results = _run_samples(draw, samples, worker, jobs)
+    results = _run_samples(draw, samples, worker)
     notes = []
     ok = all(r.ok for r in results)
     if m == 2:
@@ -302,7 +297,7 @@ def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_S
     )
 
 
-def verify_cokernel_sequence(ctx, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED, jobs=1):
+def verify_cokernel_sequence(ctx, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED):
     """Rank bookkeeping of the presentation of the degree n + r ideal as a
     quotient of the degree-n component by the image of multiplication from
     the subbundle."""
@@ -343,7 +338,7 @@ def verify_cokernel_sequence(ctx, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED,
             {"dim": dim, "image_rank": r_img, "quotient_rank": r_quot},
         )
 
-    results = _run_samples(draw, samples, worker, jobs)
+    results = _run_samples(draw, samples, worker)
     notes = [f"composite with w_top vanishes identically: {composite_zero}"]
     if degenerate:
         notes.append("degenerate base: sample points are not off the locus")
@@ -356,7 +351,7 @@ def verify_cokernel_sequence(ctx, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED,
     )
 
 
-def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED, jobs=1):
+def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED):
     """For nested isotropic subbundles of corank one, the degree-n ideal of
     the larger sits inside that of the smaller with quotient the degree
     n+1 ideal of the larger, realized by multiplication with the added
@@ -410,7 +405,7 @@ def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SE
             },
         )
 
-    results = _run_samples(draw, samples, worker, jobs)
+    results = _run_samples(draw, samples, worker)
     notes = []
     if degenerate:
         notes.append("degenerate base: sample points are not off the locus")
@@ -438,7 +433,7 @@ def duality_pairing(ctx, w, k, seed=DEFAULT_SEED):
     return PolyMatrix(ctx.base, rows)
 
 
-def verify_duality(ctx, w, k, samples=CERT_SAMPLES, seed=DEFAULT_SEED, jobs=1):
+def verify_duality(ctx, w, k, samples=CERT_SAMPLES, seed=DEFAULT_SEED):
     """Pairing determinant is nonzero at every off-locus sample."""
     from quadrikit.polyalg import det
 
@@ -450,7 +445,7 @@ def verify_duality(ctx, w, k, samples=CERT_SAMPLES, seed=DEFAULT_SEED, jobs=1):
         value = d.evaluate(point.assignment)
         return SampleResult(point.as_strings(), value != 0, {"det": str(value)})
 
-    results = _run_samples(draw, samples, worker, jobs)
+    results = _run_samples(draw, samples, worker)
     return Report(
         operation="duality",
         configuration={"w_rank": w.r, "k": k, "size": pairing.rows},
@@ -492,34 +487,40 @@ def spinor_phi(ctx, w, n, seed=DEFAULT_SEED, source=None, target=None):
     basis_n = graded_basis(ctx, n)
     ring = fiber_ring(ctx)
     d = len(dst.generators)
-    coords_t = [
-        [dst.coord_matrix.entries[j][c] for j in range(d)]
+    images = [
+        cl_mul(ctx.generator(i), g).coordinates(basis_n)
+        for g in src.generators
+        for i in range(1, ctx.rank + 1)
+    ]
+    # one elimination of [target coordinates | every image]; image column
+    # d + j*rank + i-1 holds x_i g_j
+    rows = [
+        [dst.coord_matrix.entries[k][c] for k in range(d)] + [img[c] for img in images]
         for c in range(len(basis_n))
     ]
+    reduced, pivots, _ = fraction_free_rref(rows)
     phi_entries = [[ring.zero() for _ in range(d)] for _ in range(d)]
-    for j, g in enumerate(src.generators):
-        for i in range(1, ctx.rank + 1):
-            image = cl_mul(ctx.generator(i), g)
-            target_vec = image.coordinates(basis_n)
-            sol = linalg.pf_solve(coords_t, target_vec, ctx.base)
-            if sol is None:
+    for col in range(d, d + len(images)):
+        j, i = divmod(col - d, ctx.rank)
+        i += 1
+        if col in pivots:
+            raise CliffModError(
+                "image is not expressible in the target generators "
+                f"(generator {j}, fiber index {i})"
+            )
+        xi = ring.var(f"x{i}")
+        for row, kk in zip(reduced, pivots):
+            entry = row[col]
+            if entry.is_zero():
+                continue
+            try:
+                coeff = exact_div(entry, row[kk])
+            except PolyError:
                 raise CliffModError(
-                    "image is not expressible in the target generators "
-                    f"(generator {j}, fiber index {i})"
-                )
-            xi = ring.var(f"x{i}")
-            for kk in range(d):
-                entry = sol[kk]
-                if entry.is_zero():
-                    continue
-                try:
-                    coeff = entry.to_poly()
-                except PolyError:
-                    raise CliffModError(
-                        "presentation coefficients are not polynomial; "
-                        "inconsistent generator bases"
-                    ) from None
-                phi_entries[kk][j] = phi_entries[kk][j] + ctx.base.embed(coeff, ring) * xi
+                    "presentation coefficients are not polynomial; "
+                    "inconsistent generator bases"
+                ) from None
+            phi_entries[kk][j] = phi_entries[kk][j] + ctx.base.embed(coeff, ring) * xi
     return SpinorPresentation(ctx, w, n, PolyMatrix(ring, phi_entries), ring)
 
 
@@ -586,5 +587,5 @@ def phi_invertible_off_quadric(pres, seed=DEFAULT_SEED, tries=_MAX_TRIES):
         assignment = {v: Fraction(rng.randint(-9, 9)) for v in ring.variables}
         if q_poly.evaluate(assignment) != 0:
             matrix = pres.phi.evaluate(assignment)
-            return linalg.q_det(matrix) != 0
+            return linalg.q_rank(matrix) == len(matrix)
     raise CliffModError("could not find a point off the quadric")

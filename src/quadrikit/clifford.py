@@ -15,7 +15,7 @@ from itertools import combinations
 
 from quadrikit.polyalg import ParseError, Poly, PolyError
 from quadrikit import linalg
-from quadrikit.polyalg import exact_div
+from quadrikit.polyalg import exact_div, fraction_free_rref
 from quadrikit.quadform import QuadraticForm
 
 
@@ -412,20 +412,25 @@ def _solve_center_constant(ctx, rows, dim, unit_pos, top_pos):
 
 
 def _solve_center_fraction(ctx, rows, dim, unit_pos, top_pos):
-    kernel = linalg.pf_nullspace(rows, ctx.base)
-    for vec in kernel:
-        if vec[top_pos].is_zero():
+    reduced, pivots, _ = fraction_free_rref(rows)
+    zero = ctx.base.zero()
+    denom = reduced[0][pivots[0]] if pivots else ctx.base.one()
+    for f in range(dim):
+        if f in pivots:
             continue
-        scaled = [entry / vec[top_pos] for entry in vec]
+        # kernel vector over the common denominator of the elimination
+        vec = [zero] * dim
+        vec[f] = denom
+        for row, c in zip(reduced, pivots):
+            vec[c] = -row[f]
+        top = vec[top_pos]
+        if top.is_zero():
+            continue
         try:
-            polys = [entry.to_poly() for k, entry in enumerate(scaled) if k != unit_pos]
+            polys = [zero if k == unit_pos else exact_div(p, top) for k, p in enumerate(vec)]
         except PolyError:
             continue
-        full = []
-        it = iter(polys)
-        for k in range(dim):
-            full.append(ctx.base.zero() if k == unit_pos else next(it))
-        normalized = _normalize_center_vector(ctx, full, dim, unit_pos, top_pos)
+        normalized = _normalize_center_vector(ctx, polys, dim, unit_pos, top_pos)
         if normalized is not None:
             return normalized
     return None

@@ -1,9 +1,9 @@
-"""Exact linear algebra helpers: Gaussian elimination over Q and over the
-fraction field of a polynomial ring (formal fractions, no gcd reduction)."""
+"""Exact linear algebra over Q: Gaussian elimination on rows of Fractions.
+
+Systems over the fraction field of the base ring are solved fraction-free
+by `polyalg.fraction_free_rref`."""
 
 from fractions import Fraction
-
-from quadrikit.polyalg import exact_div
 
 
 # -- rational matrices (lists of lists of Fraction) ----------------------
@@ -69,156 +69,3 @@ def q_nullspace(rows):
             v[c] = -rref[r][f]
         basis.append(v)
     return basis
-
-
-def q_det(rows):
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    sign = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if mat[i][k]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            mat[k], mat[pivot] = mat[pivot], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            f = mat[i][k] / mat[k][k]
-            if f:
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[k])]
-    prod = sign
-    for k in range(n):
-        prod *= mat[k][k]
-    return prod
-
-
-# -- formal fractions of polynomials --------------------------------------
-
-
-class PolyFrac:
-    """num/den with Poly parts.  Fractions are kept unreduced (no gcd);
-    denominators are normalized monic for determinism."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = num.ring.one()
-        if den.is_zero():
-            raise ZeroDivisionError("PolyFrac with zero denominator")
-        lc = den.leading_coeff()
-        if lc != 1:
-            num = num / lc
-            den = den / lc
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def of(cls, poly):
-        return cls(poly)
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        if self.den == other.den:
-            return PolyFrac(self.num + other.num, self.den)
-        return PolyFrac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        if self.den == other.den:
-            return PolyFrac(self.num - other.num, self.den)
-        return PolyFrac(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self):
-        return PolyFrac(-self.num, self.den)
-
-    def __mul__(self, other):
-        return PolyFrac(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero PolyFrac")
-        return PolyFrac(self.num * other.den, self.den * other.num)
-
-    def __eq__(self, other):
-        return isinstance(other, PolyFrac) and (self.num * other.den) == (
-            other.num * self.den
-        )
-
-    def to_poly(self):
-        """Exact reduction to a Poly; raises PolyError when not polynomial."""
-        if self.num.is_zero():
-            return self.num
-        return exact_div(self.num, self.den)
-
-    def __repr__(self):
-        return f"({self.num})/({self.den})"
-
-
-def pf_rref(rows, ring):
-    """RREF over the fraction field; rows are lists of Poly or PolyFrac."""
-    mat = []
-    for row in rows:
-        mat.append([x if isinstance(x, PolyFrac) else PolyFrac(x) for x in row])
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    one = PolyFrac(ring.one())
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if not mat[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = one / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
-
-
-def pf_nullspace(rows, ring):
-    """Right-kernel basis over the fraction field, entries PolyFrac."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rref, pivots = pf_rref(rows, ring)
-    zero = PolyFrac(ring.zero())
-    one = PolyFrac(ring.one())
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [zero] * ncols
-        v[f] = one
-        for r, c in enumerate(pivots):
-            v[c] = -rref[r][f]
-        basis.append(v)
-    return basis
-
-
-def pf_solve(a_rows, b, ring):
-    """One fraction-field solution of A x = b (free variables 0), or None."""
-    if not a_rows:
-        return None
-    ncols = len(a_rows[0])
-    aug = []
-    for row, bv in zip(a_rows, b):
-        cells = [x if isinstance(x, PolyFrac) else PolyFrac(x) for x in row]
-        cells.append(bv if isinstance(bv, PolyFrac) else PolyFrac(bv))
-        aug.append(cells)
-    rref, pivots = pf_rref(aug, ring)
-    if ncols in pivots:
-        return None
-    zero = PolyFrac(ring.zero())
-    x = [zero] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = rref[r][ncols]
-    return x

@@ -567,28 +567,65 @@ def _det_cofactor(m):
     return total
 
 
-def _det_bareiss(m):
-    # Fraction-free elimination; exact divisions by the previous pivot are
-    # guaranteed by the Bareiss identity (row swaps only flip the sign).
-    n = m.rows
-    a = [row[:] for row in m.entries]
-    ring = m.ring
+def fraction_free_rref(rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of Poly rows.
+
+    Returns (rows, pivot columns, sign).  Every pivot entry equals the
+    common denominator D, the last pivot taken, and every other entry is
+    D times the reduced row echelon entry over the fraction field; rows
+    past the rank are zero and sign is (-1)^(row swaps).  Each update
+    (D_new x - f y) / D_old is a minor of the input (Sylvester's identity),
+    so its division is exact.  The pivot in a column is the candidate
+    with the fewest terms, ties broken by row index, which keeps D small.
+    """
+    a = [list(row) for row in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    pivots = []
     sign = 1
-    prev = ring.one()
-    for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if not a[r][k].is_zero()), None)
-        if pivot_row is None:
-            return ring.zero()
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
+    prev = None  # D before the first pivot is 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        candidates = [i for i in range(r, nrows) if a[i][c]]
+        if not candidates:
+            continue
+        p = min(candidates, key=lambda i: len(a[i][c].terms))
+        if p != r:
+            a[r], a[p] = a[p], a[r]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = exact_div(num, prev)
-            a[i][k] = ring.zero()
-        prev = a[k][k]
-    return a[n - 1][n - 1] * sign
+        pivot_row = a[r]
+        d = pivot_row[c]
+        zero = d.ring.zero()
+        for i in range(nrows):
+            if i == r:
+                continue
+            row = a[i]
+            f = row[c]
+            if not f and d == prev:
+                continue  # (d x - 0 y) / d leaves the row as it is
+            # rows below r are zero left of c; rows above are not
+            for j in range(0 if i < r else c + 1, ncols):
+                x = row[j]
+                if f:
+                    num = d * x - f * pivot_row[j]
+                elif x:
+                    num = d * x
+                else:
+                    continue
+                row[j] = num if prev is None else exact_div(num, prev)
+            row[c] = zero
+        pivots.append(c)
+        prev = d
+    return a, pivots, sign
+
+
+def _det_bareiss(m):
+    a, pivots, sign = fraction_free_rref(m.entries)
+    if len(pivots) < m.rows:
+        return m.ring.zero()
+    return a[-1][-1] * sign
 
 
 def det(m):

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from quadrikit.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -110,6 +112,11 @@ def test_fiber_command(capsys):
     assert "corank 2: two planes meeting at a point" in out
 
 
+def test_fiber_unknown_point_variable_exit_2(capsys):
+    assert main(["fiber", UNIVERSAL, "--point", "z=1"]) == 2
+    assert "'z' is not a base variable" in capsys.readouterr().err
+
+
 def test_net_command(tmp_path, capsys):
     paths = []
     for i, coeffs in enumerate(
@@ -165,6 +172,14 @@ def test_verify_jobs_parallel_matches_serial(capsys):
     assert main(["verify", UNIVERSAL, "--suite", "duality", "--json", "--jobs", "4"]) == 0
     parallel = capsys.readouterr().out
     assert serial == parallel
+
+
+@pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-3"), ("--jobs", "0")])
+def test_verify_rejects_nonpositive_counts(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", UNIVERSAL, "--suite", "duality", flag, value])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_byte_determinism_subprocess():

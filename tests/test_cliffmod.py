@@ -217,6 +217,12 @@ def test_duality_universal_nonzero_off_locus():
         assert report.configuration["size"] == 4
 
 
+def test_verifiers_refuse_zero_samples():
+    ctx = universal_ctx()
+    with pytest.raises(CliffModError, match="at least one sample"):
+        verify_duality(ctx, span_e1(ctx), 0, samples=0)
+
+
 def test_duality_rank2_pairing_matrix():
     ctx = CliffordContext(QuadraticForm.from_expression([], 2, "x1*x2"))
     pairing = duality_pairing(ctx, Subbundle.empty(ctx.base, 2), 0)

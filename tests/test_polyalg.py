@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadrikit.polyalg import (
     Ideal,
@@ -12,6 +14,7 @@ from quadrikit.polyalg import (
     Ring,
     det,
     exact_div,
+    fraction_free_rref,
     ideal_membership,
     ideals_equal,
     is_unit_ideal,
@@ -165,6 +168,98 @@ def test_bareiss_agrees_with_cofactor():
     from quadrikit.polyalg import _det_bareiss, _det_cofactor
 
     assert _det_bareiss(m) == _det_cofactor(m)
+    # further sizes, sparse entries that force row swaps, and singular
+    # matrices with a repeated row
+    for n in (1, 2, 3, 4, 5):
+        for nterms in (1, 2):
+            m = PolyMatrix(
+                XY, [[random_poly(rng, XY, nterms, 2, -3, 3) for _ in range(n)] for _ in range(n)]
+            )
+            assert _det_bareiss(m) == _det_cofactor(m)
+            if n > 1:
+                singular = PolyMatrix(XY, m.entries[:-1] + [m.entries[0]])
+                assert _det_bareiss(singular) == _det_cofactor(singular) == XY.zero()
+
+
+# -- fraction-free elimination (hypothesis) ------------------------------------
+
+_polys = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)), max_size=3
+).map(lambda terms: Poly(XY, {(i, j): Fraction(c) for i, j, c in terms if c}))
+
+
+@st.composite
+def _poly_systems(draw):
+    """(A, x0): a small polynomial matrix and a polynomial vector."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    a = [[draw(_polys) for _ in range(cols)] for _ in range(rows)]
+    x0 = [draw(_polys) for _ in range(cols)]
+    return a, x0
+
+
+_settings = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _apply(a, x):
+    return [sum((p * v for p, v in zip(row, x)), XY.zero()) for row in a]
+
+
+def _check_form(reduced, pivots):
+    if pivots:
+        d = reduced[0][pivots[0]]
+        for r, c in enumerate(pivots):
+            assert reduced[r][c] == d
+            assert all(row[c].is_zero() for i, row in enumerate(reduced) if i != r)
+    assert all(p.is_zero() for row in reduced[len(pivots):] for p in row)
+
+
+@_settings
+@given(_poly_systems())
+def test_fraction_free_solution_satisfies_system(system):
+    a, x0 = system
+    b = _apply(a, x0)
+    cols = len(a[0])
+    reduced, pivots, _ = fraction_free_rref([row + [bv] for row, bv in zip(a, b)])
+    _check_form(reduced, pivots)
+    assert cols not in pivots
+    # free variables 0; the solution is (D x) / D with D the common pivot
+    scaled = [XY.zero()] * cols
+    for row, c in zip(reduced, pivots):
+        scaled[c] = row[cols]
+    d = reduced[0][pivots[0]] if pivots else XY.one()
+    assert _apply(a, scaled) == [bv * d for bv in b]
+
+
+@_settings
+@given(_poly_systems())
+def test_fraction_free_kernel_annihilates_rows(system):
+    a, _ = system
+    cols = len(a[0])
+    reduced, pivots, _ = fraction_free_rref(a)
+    _check_form(reduced, pivots)
+    d = reduced[0][pivots[0]] if pivots else XY.one()
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [XY.zero()] * cols
+        v[f] = d
+        for row, c in zip(reduced, pivots):
+            v[c] = -row[f]
+        assert all(p.is_zero() for p in _apply(a, v))
+
+
+@_settings
+@given(_poly_systems(), _polys)
+def test_fraction_free_reports_inconsistent_system(system, g):
+    a, x0 = system
+    b = _apply(a, x0)
+    # a new row g * row_0 whose right-hand side is off by one
+    a = a + [[g * p for p in a[0]]]
+    b = b + [g * b[0] + 1]
+    reduced, pivots, _ = fraction_free_rref([row + [bv] for row, bv in zip(a, b)])
+    _check_form(reduced, pivots)
+    assert len(a[0]) in pivots
 
 
 def test_det_rejects_nonsquare():
