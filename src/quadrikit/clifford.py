@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from quadrikit.polyalg import ParseError, Poly, PolyError
+from quadrikit.polyalg import ParseError, Poly, PolyError, check_exponent
 from quadrikit import linalg
 from quadrikit.polyalg import exact_div, fraction_free_rref
 from quadrikit.quadform import QuadraticForm
@@ -515,7 +515,7 @@ def _parse_el_factor(tokens, ctx):
             tokens.next()
             negative = True
         tok = tokens.expect("num")
-        n = int(tok[1])
+        n = check_exponent(int(tok[1]))
         if negative:
             if not is_l:
                 raise ParseError("negative powers are only allowed on l")

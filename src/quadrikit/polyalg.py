@@ -10,10 +10,13 @@ Expression grammar (EBNF, whitespace insignificant):
     atom     = rational | identifier | "(" expr ")" ;
     rational = natural [ "/" natural ] ;
 
+Exponents are capped at MAX_EXPONENT; a larger one is a ParseError.
+
 Canonical printing lists terms in descending monomial order with explicit
 "*" between factors and "^" for powers >= 2; parse(print(p)) == p.
 """
 
+import heapq
 from fractions import Fraction
 
 from quadrikit import _kernel as K
@@ -27,6 +30,18 @@ class ParseError(PolyError):
     pass
 
 
+# Largest exponent the expression parsers accept (here and in
+# clifford.parse_element).  It bounds one "^" only: without it "(a+b)^N"
+# grows without limit and "e1^N" costs N Clifford products.
+MAX_EXPONENT = 64
+
+
+def check_exponent(n):
+    if n > MAX_EXPONENT:
+        raise ParseError(f"exponent {n} exceeds the maximum {MAX_EXPONENT}")
+    return n
+
+
 def _as_fraction(c):
     if isinstance(c, Fraction):
         return c
@@ -35,10 +50,19 @@ def _as_fraction(c):
     raise PolyError(f"not a rational scalar: {c!r}")
 
 
+def _grevlex_key(m):
+    # larger degree first, then the smaller last differing exponent
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def _lex_key(m):
+    return m
+
+
 class Ring:
     """A polynomial ring Q[variables] with a fixed monomial order."""
 
-    __slots__ = ("variables", "order", "_index", "_lex")
+    __slots__ = ("variables", "order", "_index", "_lex", "monomial_key")
 
     def __init__(self, variables, order="grevlex"):
         variables = tuple(variables)
@@ -50,6 +74,8 @@ class Ring:
         self.order = order
         self._index = {v: i for i, v in enumerate(variables)}
         self._lex = order == "lex"
+        # sort key: m1 > m2 in the ring order iff key(m1) > key(m2)
+        self.monomial_key = _lex_key if self._lex else _grevlex_key
 
     @property
     def arity(self):
@@ -91,21 +117,9 @@ class Ring:
     def gens(self):
         return [self.var(v) for v in self.variables]
 
-    def monomial_gt(self, m1, m2):
-        if m1 == m2:
-            return False
-        return K.leading_monomial({m1: 1, m2: 1}, self._lex) == m1
-
     def sort_monomials(self, monos):
         """Monomials in descending ring order."""
-        import functools
-
-        def cmp(m1, m2):
-            if m1 == m2:
-                return 0
-            return -1 if self.monomial_gt(m1, m2) else 1
-
-        return sorted(monos, key=functools.cmp_to_key(cmp))
+        return sorted(monos, key=self.monomial_key, reverse=True)
 
     def embed(self, poly, target):
         """Rename-based coefficient embedding into a ring with a superset
@@ -391,7 +405,7 @@ def _parse_factor(tokens, ring):
         tok = tokens.next()
         if tok[0] != "num":
             raise ParseError("exponent must be a nonnegative integer")
-        base = base ** int(tok[1])
+        base = base ** check_exponent(int(tok[1]))
     return base
 
 
@@ -659,10 +673,17 @@ def _mono_lcm(m1, m2):
     return tuple(max(a, b) for a, b in zip(m1, m2))
 
 
-def normal_form(f, basis):
-    """Remainder of f under multivariate division by `basis`."""
+def _lead_data(g):
+    """(leading monomial, leading coefficient, term map) of a nonzero g."""
+    lm = K.leading_monomial(g.terms, g.ring._lex)
+    return lm, g.terms[lm], g.terms
+
+
+def normal_form(f, basis, *, _lead=None):
+    """Remainder of f under multivariate division by `basis`.  `_lead`, if
+    given, is the list of _lead_data of the basis elements."""
     ring = f.ring
-    lead = [(g.leading_monomial(), g.leading_coeff(), g.terms) for g in basis]
+    lead = [_lead_data(g) for g in basis] if _lead is None else _lead
     remainder = {}
     rest = f.terms
     while rest:
@@ -680,82 +701,73 @@ def normal_form(f, basis):
     return Poly(ring, remainder)
 
 
-def _s_poly(f, g):
-    lm_f, lm_g = f.leading_monomial(), g.leading_monomial()
+def _s_poly(ring, lead_f, lead_g):
+    lm_f, lc_f, terms_f = lead_f
+    lm_g, lc_g, terms_g = lead_g
     lcm = _mono_lcm(lm_f, lm_g)
     qf = tuple(a - b for a, b in zip(lcm, lm_f))
     qg = tuple(a - b for a, b in zip(lcm, lm_g))
-    left = K.shift_terms(f.terms, qf, 1 / f.leading_coeff())
-    right = K.shift_terms(g.terms, qg, 1 / g.leading_coeff())
-    return Poly(f.ring, K.sub_terms(left, right))
+    left = K.shift_terms(terms_f, qf, 1 / lc_f)
+    right = K.shift_terms(terms_g, qg, 1 / lc_g)
+    return Poly(ring, K.sub_terms(left, right))
 
 
 def _buchberger(gens, ring):
-    basis = [g.monic() for g in gens if not g.is_zero()]
+    # monic generators, duplicates dropped in first-occurrence order (a
+    # symmetric matrix repeats its minors)
+    basis = list(dict.fromkeys(g.monic() for g in gens if not g.is_zero()))
     if not basis:
         return []
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    lead = [_lead_data(g) for g in basis]
+    # normal selection: pairs (i, j), i > j, popped by smallest lcm degree,
+    # ties by index
+    pairs = []
+
+    def push(i, j):
+        heapq.heappush(pairs, (sum(_mono_lcm(lead[i][0], lead[j][0])), i, j))
+
+    for i in range(len(basis)):
+        for j in range(i):
+            push(i, j)
     while pairs:
-        # normal selection: smallest lcm degree first, ties by index
-        i, j = min(
-            pairs,
-            key=lambda p: (
-                sum(
-                    _mono_lcm(
-                        basis[p[0]].leading_monomial(), basis[p[1]].leading_monomial()
-                    )
-                ),
-                p,
-            ),
-        )
-        pairs.discard((i, j))
-        lm_i, lm_j = basis[i].leading_monomial(), basis[j].leading_monomial()
+        _, i, j = heapq.heappop(pairs)
+        lm_i, lm_j = lead[i][0], lead[j][0]
         if _mono_lcm(lm_i, lm_j) == tuple(a + b for a, b in zip(lm_i, lm_j)):
             continue  # coprime leading monomials
-        h = normal_form(_s_poly(basis[i], basis[j]), basis)
+        h = normal_form(_s_poly(ring, lead[i], lead[j]), basis, _lead=lead)
         if not h.is_zero():
             basis.append(h.monic())
-            pairs.update((len(basis) - 1, t) for t in range(len(basis) - 1))
-    return _reduce_basis(basis, ring)
+            lead.append(_lead_data(basis[-1]))
+            n = len(basis) - 1
+            for t in range(n):
+                push(n, t)
+    return _reduce_basis(basis, lead, ring)
 
 
-def _reduce_basis(basis, ring):
+def _reduce_basis(basis, lead, ring):
     # minimalize: drop elements whose leading monomial is divisible by
     # another's, then fully inter-reduce and sort descending
+    lms = [data[0] for data in lead]
     minimal = []
-    for i, g in enumerate(basis):
-        lm = g.leading_monomial()
+    for i, lm in enumerate(lms):
         if any(
-            _mono_div(lm, h.leading_monomial()) is not None
-            for j, h in enumerate(basis)
-            if j != i and (j < i or h.leading_monomial() != lm)
+            _mono_div(lm, other) is not None
+            for j, other in enumerate(lms)
+            if j != i and (j < i or other != lm)
         ):
             continue
-        minimal.append(g)
+        minimal.append(i)
+    minimal.sort(key=lambda i: ring.monomial_key(lms[i]), reverse=True)
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        h = normal_form(g, others) if others else g
-        if not h.is_zero():
-            reduced.append(h.monic())
-    reduced.sort(
-        key=lambda g: _MonoKey(ring, g.leading_monomial()), reverse=True
-    )
+    for i in minimal:
+        others = [k for k in minimal if k != i]
+        g = basis[i]
+        if others:
+            # g is monic and no other leading monomial divides lms[i], so
+            # the remainder keeps the leading term (lms[i], 1)
+            g = normal_form(g, [basis[k] for k in others], _lead=[lead[k] for k in others])
+        reduced.append(g)
     return reduced
-
-
-class _MonoKey:
-    __slots__ = ("ring", "mono")
-
-    def __init__(self, ring, mono):
-        self.ring = ring
-        self.mono = mono
-
-    def __lt__(self, other):
-        return self.ring.monomial_gt(other.mono, self.mono)
-
-    def __eq__(self, other):
-        return self.mono == other.mono
 
 
 class Ideal:

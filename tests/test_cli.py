@@ -47,6 +47,15 @@ def test_malformed_qf_exit_2(tmp_path):
     assert main(["degeneration", str(bad), "--k", "1"]) == 2
 
 
+def test_exponent_over_cap_exit_2(tmp_path, capsys):
+    from quadrikit.polyalg import MAX_EXPONENT
+
+    big = tmp_path / "big.qf"
+    big.write_text(f'base_vars = [a]\nfiber_rank = 2\nq = "(a + 1)^{MAX_EXPONENT + 1}*x1*x2"\n')
+    assert main(["degeneration", str(big), "--k", "1"]) == 2
+    assert "exceeds" in capsys.readouterr().err
+
+
 def test_clifford_table_lists_basis(capsys):
     assert main(["clifford", UNIVERSAL, "--table", "0"]) == 0
     out = capsys.readouterr().out

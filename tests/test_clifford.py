@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadrikit.polyalg import parse_poly
+from quadrikit.polyalg import MAX_EXPONENT, ParseError, parse_poly
 from quadrikit.quadform import QuadraticForm, hyperbolic_reduce
 from quadrikit.clifford import (
     CliffordContext,
@@ -298,3 +298,11 @@ def test_parse_element_rewrites_products():
 def test_parse_element_rejects_negative_generator_power():
     with pytest.raises(Exception):
         parse_element("e1^-1", universal_ctx())
+
+
+def test_parse_element_exponent_cap():
+    ctx = universal_ctx()
+    with pytest.raises(ParseError, match="exceeds"):
+        parse_element(f"e1^{MAX_EXPONENT + 1}", ctx)
+    with pytest.raises(ParseError, match="exceeds"):
+        parse_element(f"l^-{MAX_EXPONENT + 1}", ctx)

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadrikit import _kernel as K
 from quadrikit.polyalg import (
+    MAX_EXPONENT,
     Ideal,
     ParseError,
     Poly,
@@ -53,6 +56,13 @@ def univ_bq():
 
 
 # -- parsing ---------------------------------------------------------------
+
+
+def test_parse_exponent_cap():
+    x = XY.var("x")
+    assert parse_poly(f"x^{MAX_EXPONENT}", XY) == x**MAX_EXPONENT
+    with pytest.raises(ParseError, match="exceeds"):
+        parse_poly(f"(x + y)^{MAX_EXPONENT + 1}", XY)
 
 
 def test_parse_two_term_poly():
@@ -279,6 +289,24 @@ def test_exact_div_roundtrip():
         exact_div(parse_poly("x + 1", XY), parse_poly("y", XY))
 
 
+# -- monomial order keys (hypothesis) -----------------------------------------
+
+_monos = st.tuples(*[st.integers(0, 3)] * 4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(["grevlex", "lex"]), _monos, _monos)
+def test_monomial_key_agrees_with_kernel(order, m1, m2):
+    # the kernel's leading_monomial is the reference order
+    ring = Ring(("w", "x", "y", "z"), order)
+    key = ring.monomial_key
+    if m1 == m2:
+        assert key(m1) == key(m2)
+    else:
+        assert K.leading_monomial({m1: 1, m2: 1}, ring._lex) == max(m1, m2, key=key)
+        assert ring.sort_monomials([m2, m1])[0] == max(m1, m2, key=key)
+
+
 # -- minors -------------------------------------------------------------------
 
 
@@ -375,3 +403,48 @@ def test_groebner_is_reduced():
 def test_ring_mismatch_raises():
     with pytest.raises(PolyError):
         Ideal(XY, [XY.var("x")]).contains(ABC.var("a"))
+
+
+# -- reduced basis invariance (hypothesis) --------------------------------------
+
+# the non-homogeneous ideal of benchmarks/bench_kernel.py: its S-polynomials
+# leave nonzero remainders, so new pairs are pushed while the basis grows
+XYZW = Ring(("x", "y", "z", "w"))
+BENCH_GENS = [
+    parse_poly(g, XYZW)
+    for g in (
+        "x^2*y - z*w + 3*x",
+        "y^2*z - x*w + 2*y",
+        "z^2*w - x*y + z",
+        "x*y*z*w - 1",
+    )
+]
+
+
+@functools.cache
+def _bench_basis():
+    return tuple(Ideal(XYZW, BENCH_GENS).groebner())
+
+
+_scalars = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+
+
+@st.composite
+def _variants(draw, gens):
+    """gens permuted, some repeated, each copy scaled by a nonzero rational."""
+    picks = draw(st.permutations(range(len(gens))))
+    picks = picks + draw(st.lists(st.sampled_from(picks), max_size=3))
+    return [gens[i] * draw(_scalars) for i in picks]
+
+
+@_settings
+@given(st.lists(_polys.filter(bool), min_size=1, max_size=3), st.data())
+def test_groebner_invariant_under_generator_variants(gens, data):
+    variant = data.draw(_variants(gens))
+    assert Ideal(XY, variant).groebner() == Ideal(XY, gens).groebner()
+
+
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(_variants(BENCH_GENS))
+def test_groebner_invariant_on_growing_basis(variant):
+    assert tuple(Ideal(XYZW, variant).groebner()) == _bench_basis()
