@@ -10,7 +10,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from quadrikit.polyalg import PolyError, PolyMatrix, Ring, exact_div, fraction_free_rref
+from quadrikit.polyalg import (
+    PolyError,
+    PolyMatrix,
+    Ring,
+    evaluate_rows,
+    exact_div,
+    fraction_free_rref,
+)
 from quadrikit import linalg
 from quadrikit.clifford import CliffordError, cl_mul, graded_basis, trace
 from quadrikit.quadform import QuadFormError, fiber_names, is_isotropic
@@ -84,10 +91,6 @@ def _generic_sampler(ctx, seed):
         return Specialization.generic(ctx.base, rng, avoid=avoid, seed=seed)
 
     return draw, avoid is None
-
-
-def _eval_rows(rows, assignment):
-    return [[p.evaluate(assignment) for p in row] for row in rows]
 
 
 @dataclass
@@ -200,15 +203,11 @@ def clifford_ideal(ctx, w, n, side="left", seed=DEFAULT_SEED):
 
     draw, degenerate_base = _generic_sampler(ctx, seed)
     point = draw()
-    numeric = _eval_rows(coord_rows, point.assignment)
+    numeric = evaluate_rows(ctx.base, coord_rows, point.assignment)
     expected = expected_ideal_rank(ctx, w)
 
-    selected = []
-    sel_rows = []
-    for idx, row in enumerate(numeric):
-        if linalg.q_rank(sel_rows + [row]) > len(selected):
-            selected.append(idx)
-            sel_rows.append(row)
+    echelon = linalg.Echelon()
+    selected = [idx for idx, row in enumerate(numeric) if echelon.add(row)]
     if len(selected) != expected:
         raise CliffModError(
             f"ideal rank {len(selected)} != expected {expected} at generic "
@@ -224,7 +223,9 @@ def clifford_ideal(ctx, w, n, side="left", seed=DEFAULT_SEED):
     if not degenerate_base:
         for _ in range(CERT_SAMPLES):
             extra = draw()
-            rows = _eval_rows([coord_rows[i] for i in selected], extra.assignment)
+            rows = evaluate_rows(
+                ctx.base, [coord_rows[i] for i in selected], extra.assignment
+            )
             ok = linalg.q_rank(rows) == expected
             certification["extra_points"].append(
                 {"point": extra.as_strings(), "full_rank": ok}
@@ -269,8 +270,8 @@ def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_S
     draw = _off_locus_sampler(ctx, seed)
 
     def worker(point):
-        prod = _eval_rows(product_rows, point.assignment)
-        ideal = _eval_rows(ideal_rows, point.assignment)
+        prod = evaluate_rows(ctx.base, product_rows, point.assignment)
+        ideal = evaluate_rows(ctx.base, ideal_rows, point.assignment)
         r_prod = linalg.q_rank(prod)
         r_ideal = linalg.q_rank(ideal)
         r_stack = linalg.q_rank(prod + ideal)
@@ -327,9 +328,9 @@ def verify_cokernel_sequence(ctx, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED)
     draw, degenerate = _generic_sampler(ctx, seed)
 
     def worker(point):
-        img = _eval_rows(image_rows, point.assignment) if image_rows else []
-        quot = _eval_rows(quotient_rows, point.assignment)
-        r_img = linalg.q_rank(img) if img else 0
+        img = evaluate_rows(ctx.base, image_rows, point.assignment)
+        quot = evaluate_rows(ctx.base, quotient_rows, point.assignment)
+        r_img = linalg.q_rank(img)
         r_quot = linalg.q_rank(quot)
         ok = (dim - r_img == expected) and (r_quot == expected)
         return SampleResult(
@@ -378,13 +379,13 @@ def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SE
     draw, degenerate = _generic_sampler(ctx, seed)
 
     def worker(point):
-        a = _eval_rows(w_rows, point.assignment)
-        b = _eval_rows(sub_rows, point.assignment)
+        a = evaluate_rows(ctx.base, w_rows, point.assignment)
+        b = evaluate_rows(ctx.base, sub_rows, point.assignment)
         r_w = linalg.q_rank(a)
         r_sub = linalg.q_rank(b)
         contained = linalg.q_rank(a + b) == r_sub
-        mult = _eval_rows(mult_rows, point.assignment)
-        nxt = _eval_rows(next_rows, point.assignment)
+        mult = evaluate_rows(ctx.base, mult_rows, point.assignment)
+        nxt = evaluate_rows(ctx.base, next_rows, point.assignment)
         r_mult = linalg.q_rank(mult)
         r_next = linalg.q_rank(nxt)
         surjective = r_mult == r_next == linalg.q_rank(mult + nxt)

@@ -328,15 +328,17 @@ def center_element(ctx):
     unit_pos, top_pos = _unit_and_top(ctx, basis0)
     monos = [ctx.monomial(idx, m) for idx, m in basis0]
 
-    # rows of the commutator system, entries Poly over the base
-    rows = []
+    # rows of the commutator system, entries Poly over the base; zero rows
+    # and repeats of an earlier row are dropped (same solution space)
+    rows = {}
     for mj in monos:
         columns = [cl_mul(bk, mj) - cl_mul(mj, bk) for bk in monos]
         for pos in range(dim):
             key = basis0[pos]
-            row = [col.terms.get(key, ctx.base.zero()) for col in columns]
+            row = tuple(col.terms.get(key, ctx.base.zero()) for col in columns)
             if any(not p.is_zero() for p in row):
-                rows.append(row)
+                rows.setdefault(row, None)
+    rows = [list(row) for row in rows]
 
     vec = _solve_center_constant(ctx, rows, dim, unit_pos, top_pos)
     if vec is None:

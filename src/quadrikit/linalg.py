@@ -1,9 +1,24 @@
-"""Exact linear algebra over Q: Gaussian elimination on rows of Fractions.
+"""Exact linear algebra over Q.
+
+`q_rref` is Gauss–Jordan elimination on rows of Fractions; `q_solve` and
+`q_nullspace` read their answers off its reduced rows.
+
+`q_rank` needs no reduced rows and has its own kernel, `Echelon`: a
+fraction-free forward elimination (cf. Bareiss 1968, here with content
+removal instead of exact division) on sparse integer rows.
+Each input row is scaled by the lcm of its denominators, which leaves the
+rank unchanged, and kept as `{column: int}` without its zero entries.  A
+row is reduced against the pivot rows keyed by their leading column with
+`a*v - b*p` (`a`, `b` divided by their gcd) and then divided by its
+content, so every stored row is a primitive integer row.  The sample-point
+matrices of the verifiers are mostly zero, and their entries are small
+integers, so this avoids both Fraction arithmetic and arithmetic on zeros.
 
 Systems over the fraction field of the base ring are solved fraction-free
 by `polyalg.fraction_free_rref`."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 # -- rational matrices (lists of lists of Fraction) ----------------------
@@ -35,8 +50,83 @@ def q_rref(rows):
     return mat, pivots
 
 
+def _integer_row(row):
+    """The nonzero entries of a row of ints and Fractions as a primitive
+    integer row {column: int}, a positive rational multiple of the row."""
+    entries = [(c, x) for c, x in enumerate(row) if x]
+    if not entries:
+        return {}
+    scale = lcm(*[x.denominator for _, x in entries])
+    if scale == 1:
+        ints = {c: x.numerator for c, x in entries}
+    else:
+        ints = {c: x.numerator * (scale // x.denominator) for c, x in entries}
+    content = gcd(*ints.values())
+    if content != 1:
+        ints = {c: x // content for c, x in ints.items()}
+    return ints
+
+
+def _eliminate(v, p, lead):
+    """a*v - b*p divided by its content, with a, b chosen so the entry in
+    column `lead` cancels."""
+    a, b = p[lead], v[lead]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a == 1:
+        out = {c: x for c, x in v.items() if c != lead}
+    else:
+        out = {c: a * x for c, x in v.items() if c != lead}
+    for c, y in p.items():
+        if c != lead:
+            s = out.get(c, 0) - b * y
+            if s:
+                out[c] = s
+            else:
+                del out[c]
+    if out:
+        content = gcd(*out.values())
+        if content != 1:
+            out = {c: x // content for c, x in out.items()}
+    return out
+
+
+class Echelon:
+    """A row echelon form over Q grown one row at a time.
+
+    `add(row)` reduces a rational row against the pivot rows and keeps it
+    as a new pivot row when it is independent of them; `rank` counts the
+    rows kept."""
+
+    __slots__ = ("_pivots",)
+
+    def __init__(self):
+        self._pivots = {}  # leading column -> primitive sparse integer row
+
+    @property
+    def rank(self):
+        return len(self._pivots)
+
+    def add(self, row):
+        """Return True and keep `row` when it raises the rank, else False."""
+        v = _integer_row(row)
+        pivots = self._pivots
+        while v:
+            lead = min(v)
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = v
+                return True
+            v = _eliminate(v, p, lead)
+        return False
+
+
 def q_rank(rows):
-    return len(q_rref(rows)[1])
+    """Rank over Q of a list of rows of ints and Fractions."""
+    echelon = Echelon()
+    for row in rows:
+        echelon.add(row)
+    return echelon.rank
 
 
 def q_solve(a_rows, b):

@@ -117,6 +117,17 @@ class Ring:
     def gens(self):
         return [self.var(v) for v in self.variables]
 
+    def point(self, assignment):
+        """A variable name -> rational assignment as {variable index:
+        Fraction}; a name that is not a variable of the ring raises."""
+        vals = {}
+        for name, v in assignment.items():
+            i = self._index.get(name)
+            if i is None:
+                raise PolyError(f"unknown variable {name!r} in {self!r}")
+            vals[i] = _as_fraction(v)
+        return vals
+
     def sort_monomials(self, monos):
         """Monomials in descending ring order."""
         return sorted(monos, key=self.monomial_key, reverse=True)
@@ -254,21 +265,7 @@ class Poly:
     def evaluate(self, assignment):
         """Evaluate at a dict variable name -> Fraction/int; must cover every
         variable that occurs."""
-        vals = {}
-        for name, v in assignment.items():
-            vals[self.ring._index[name]] = _as_fraction(v)
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            term = c
-            for i, e in enumerate(m):
-                if e:
-                    if i not in vals:
-                        raise PolyError(
-                            f"no value for variable {self.ring.variables[i]!r}"
-                        )
-                    term *= vals[i] ** e
-            total += term
-        return total
+        return _evaluate_terms(self.ring, self.terms, self.ring.point(assignment), {})
 
     def substitute(self, mapping, target=None):
         """Substitute polynomials for variables.  `mapping` sends variable
@@ -324,6 +321,45 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+# -- evaluation at a point ---------------------------------------------
+
+
+_ZERO = Fraction(0)
+
+
+def _evaluate_terms(ring, terms, vals, mono_vals):
+    """Value of a term map at the resolved point `vals`; `mono_vals`
+    caches monomial values across calls at the same point."""
+    total = _ZERO
+    for m, c in terms.items():
+        v = mono_vals.get(m)
+        if v is None:
+            v = Fraction(1)
+            for i, e in enumerate(m):
+                if e:
+                    if i not in vals:
+                        raise PolyError(f"no value for variable {ring.variables[i]!r}")
+                    v *= vals[i] ** e
+            mono_vals[m] = v
+        total += c * v
+    return total
+
+
+def evaluate_rows(ring, rows, assignment):
+    """Evaluate rows of Poly over `ring` at one point, entry by entry equal
+    to `Poly.evaluate`.  The assignment is resolved once, each monomial is
+    evaluated once, and zero entries cost nothing."""
+    vals = ring.point(assignment)
+    mono_vals = {}
+    return [
+        [
+            _evaluate_terms(ring, p.terms, vals, mono_vals) if p.terms else _ZERO
+            for p in row
+        ]
+        for row in rows
+    ]
 
 
 # -- parsing -----------------------------------------------------------
@@ -553,7 +589,7 @@ class PolyMatrix:
         return [[fn(p) for p in row] for row in self.entries]
 
     def evaluate(self, assignment):
-        return [[p.evaluate(assignment) for p in row] for row in self.entries]
+        return evaluate_rows(self.ring, self.entries, assignment)
 
     def __str__(self):
         cells = [[str(p) for p in row] for row in self.entries]

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadrikit.polyalg import MAX_EXPONENT, ParseError, parse_poly
+from quadrikit.polyalg import MAX_EXPONENT, ParseError, Poly, parse_poly
 from quadrikit.quadform import QuadraticForm, hyperbolic_reduce
 from quadrikit.clifford import (
     CliffordContext,
@@ -89,6 +91,43 @@ def test_associativity_seeded():
         y = random_homogeneous(ctx, rng, rng.choice([-1, 0, 1, 2]))
         z = random_homogeneous(ctx, rng, rng.choice([0, 1]))
         assert cl_mul(cl_mul(x, y), z) == cl_mul(x, cl_mul(y, z))
+
+
+_UNIVERSAL = universal_ctx()
+_clifford_settings = settings(max_examples=40, deadline=None, derandomize=True)
+_base_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 1)] * 3),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)).filter(bool),
+    min_size=1,
+    max_size=2,
+).map(lambda terms: Poly(_UNIVERSAL.base, terms))
+
+
+@st.composite
+def _elements(draw, degrees=(-1, 0, 1, 2)):
+    """A nonzero homogeneous element of the universal algebra with
+    coefficients in Q[a, b, c] on a few basis monomials of one degree."""
+    basis = graded_basis(_UNIVERSAL, draw(st.sampled_from(degrees)))
+    keys = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=3, unique=True))
+    elem = _UNIVERSAL.zero()
+    for key in keys:
+        elem = elem + _UNIVERSAL.monomial(*key).scale(draw(_base_polys))
+    return elem
+
+
+@_clifford_settings
+@given(st.lists(_base_polys, min_size=4, max_size=4))
+def test_defining_relation(coords):
+    # v v = q(v) l for vectors with coefficients in the base ring
+    v = _UNIVERSAL.from_vector(coords)
+    expected = _UNIVERSAL.scalar(_UNIVERSAL.q.apply(coords)).l_shift(1)
+    assert cl_mul(v, v) == expected
+
+
+@_clifford_settings
+@given(_elements(), _elements(), _elements(degrees=(-1, 0, 1)))
+def test_associativity(x, y, z):
+    assert cl_mul(cl_mul(x, y), z) == cl_mul(x, cl_mul(y, z))
 
 
 def test_anticommutator_matches_bilinear_matrix():

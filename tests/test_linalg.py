@@ -1,0 +1,131 @@
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quadrikit import linalg
+from quadrikit.polyalg import Poly, PolyError, PolyMatrix, Ring, evaluate_rows
+
+_settings = settings(max_examples=60, deadline=None, derandomize=True)
+
+_rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+# mostly zero, as the verifiers' sample-point matrices are; some plain ints
+_entries = st.one_of(st.just(Fraction(0)), st.just(0), st.integers(-9, 9), _rationals)
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """0-40 rational rows of 1-12 columns, with zero rows, repeated rows and
+    rational combinations of earlier rows mixed in."""
+    ncols = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "combination"]))
+        if kind == "zero":
+            row = [Fraction(0)] * ncols
+        elif kind == "repeat" and rows:
+            row = list(draw(st.sampled_from(rows)))
+        elif kind == "combination" and rows:
+            picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3))
+            coeffs = [draw(_rationals) for _ in picks]
+            row = [
+                sum(c * Fraction(rows[i][j]) for c, i in zip(coeffs, picks))
+                for j in range(ncols)
+            ]
+        else:
+            row = [draw(_entries) for _ in range(ncols)]
+        rows.append(row)
+    return rows
+
+
+def _greedy_rows(rows):
+    """Indices a rank-from-scratch greedy loop keeps: each row that raises
+    the rank of the rows kept before it."""
+    kept, kept_rows = [], []
+    for idx, row in enumerate(rows):
+        if len(linalg.q_rref(kept_rows + [row])[1]) > len(kept):
+            kept.append(idx)
+            kept_rows.append(row)
+    return kept
+
+
+def _sympy_rank(rows):
+    sympy = pytest.importorskip("sympy")
+    fractions = [[Fraction(x) for x in row] for row in rows]
+    return sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in fractions]
+    ).rank()
+
+
+@_settings
+@given(_sparse_matrices())
+def test_q_rank_matches_rref_and_transpose(rows):
+    rank = linalg.q_rank(rows)
+    assert rank == len(linalg.q_rref(rows)[1])
+    if rows:
+        assert rank == linalg.q_rank([list(col) for col in zip(*rows)])
+
+
+@_settings
+@given(_sparse_matrices().filter(bool))
+def test_q_rank_matches_sympy(rows):
+    assert linalg.q_rank(rows) == _sympy_rank(rows)
+
+
+def test_q_rank_empty_and_zero():
+    assert linalg.q_rank([]) == 0
+    assert linalg.q_rank([[0, Fraction(0)], [Fraction(0), 0]]) == 0
+    assert linalg.q_rank([[Fraction(1, 3), Fraction(2, 3)], [1, 2], [2, 4]]) == 1
+
+
+@_settings
+@given(_sparse_matrices())
+def test_echelon_keeps_the_greedy_rows(rows):
+    echelon = linalg.Echelon()
+    kept = [idx for idx, row in enumerate(rows) if echelon.add(row)]
+    assert kept == _greedy_rows(rows)
+    assert echelon.rank == len(kept) == linalg.q_rank(rows)
+
+
+def test_q_rref_solve_nullspace_unchanged():
+    rows = [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(2), Fraction(4), Fraction(7)]]
+    rref, pivots = linalg.q_rref(rows)
+    assert pivots == [0, 2]
+    assert rref == [[1, 2, 0], [0, 0, 1]]
+    assert linalg.q_solve(rows, [Fraction(1), Fraction(3)]) == [-2, 0, 1]
+    assert linalg.q_nullspace(rows) == [[-2, 1, 0]]
+
+
+# -- one-pass evaluation of a row set ------------------------------------------
+
+ABC = Ring(("a", "b", "c"))
+
+_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), _rationals.filter(bool), max_size=3
+).map(lambda terms: Poly(ABC, terms))
+_points = st.fixed_dictionaries(
+    {v: st.one_of(st.integers(-9, 9), _rationals) for v in ABC.variables}
+)
+
+
+@_settings
+@given(st.lists(st.lists(_polys, min_size=0, max_size=5), max_size=6), _points)
+def test_evaluate_rows_matches_poly_evaluate(rows, point):
+    values = evaluate_rows(ABC, rows, point)
+    assert values == [[p.evaluate(point) for p in row] for row in rows]
+    assert all(isinstance(x, Fraction) for row in values for x in row)
+    if rows and rows[0]:
+        assert PolyMatrix(ABC, [rows[0]]).evaluate(point) == [values[0]]
+
+
+def test_evaluate_rows_rejects_unknown_and_missing_variables():
+    a = Poly(ABC, {(1, 0, 0): Fraction(1)})
+    with pytest.raises(PolyError):
+        evaluate_rows(ABC, [[ABC.zero()]], {"a": 1, "b": 1, "c": 1, "z": 1})
+    with pytest.raises(PolyError):
+        a.evaluate({"a": 1, "z": 1})
+    # a variable without a value raises only where it occurs
+    assert evaluate_rows(ABC, [[a, ABC.zero()]], {"a": 2}) == [[2, 0]]
+    with pytest.raises(PolyError):
+        evaluate_rows(ABC, [[a, Poly(ABC, {(0, 1, 0): Fraction(1)})]], {"a": 2})

@@ -106,6 +106,25 @@ def test_print_parse_roundtrip_seeded():
         assert parse_poly(str(p), ABC) == p
 
 
+_print_rings = st.sampled_from(
+    [ABC, XY, Ring(("x1", "x2", "a"), "lex"), Ring(("u", "v"), "grevlex")]
+)
+
+
+@st.composite
+def _printable_polys(draw):
+    ring = draw(_print_rings)
+    coeffs = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9)).filter(bool)
+    monos = st.tuples(*[st.integers(0, 4)] * ring.arity)
+    return Poly(ring, draw(st.dictionaries(monos, coeffs, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_printable_polys())
+def test_print_parse_roundtrip(p):
+    assert parse_poly(str(p), p.ring) == p
+
+
 def test_canonical_print_descending_order():
     assert str(parse_poly("-4*a*c + b^2", ABC)) == "b^2 - 4*a*c"
     assert str(ABC.zero()) == "0"
