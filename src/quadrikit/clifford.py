@@ -10,12 +10,13 @@ the leftmost inversion, which is confluent for these relations.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
 from quadrikit.polyalg import ParseError, Poly, PolyError, check_exponent
 from quadrikit import linalg
-from quadrikit.polyalg import exact_div, fraction_free_rref
+from quadrikit.polyalg import evaluate_rows, exact_div, fraction_free_rref
 from quadrikit.quadform import QuadraticForm
 
 
@@ -319,30 +320,36 @@ def center_element(ctx):
     monic quadratic relation.
 
     The linear conditions are commutation with every degree-0 basis
-    monomial; constant coordinates are tried first, then the fraction
-    field of the base with denominators cleared."""
+    monomial.  Only a rank-sized subset of these rows is eliminated: the
+    rows independent at one fixed rational base point, plus any row the
+    exact check of `_center_kernel` finds outside their span, so the
+    subset has the kernel of the whole system over the fraction field.
+    Constant coordinates are tried first, then the fraction field of the
+    base with denominators cleared."""
     if ctx.rank % 2 or ctx.rank == 0:
         raise CliffordError("center computation needs positive even rank")
     basis0 = graded_basis(ctx, 0)
     dim = len(basis0)
     unit_pos, top_pos = _unit_and_top(ctx, basis0)
     monos = [ctx.monomial(idx, m) for idx, m in basis0]
+    products = [[cl_mul(x, y) for y in monos] for x in monos]
 
     # rows of the commutator system, entries Poly over the base; zero rows
     # and repeats of an earlier row are dropped (same solution space)
     rows = {}
-    for mj in monos:
-        columns = [cl_mul(bk, mj) - cl_mul(mj, bk) for bk in monos]
+    for j in range(dim):
+        columns = [products[k][j] - products[j][k] for k in range(dim)]
         for pos in range(dim):
             key = basis0[pos]
             row = tuple(col.terms.get(key, ctx.base.zero()) for col in columns)
             if any(not p.is_zero() for p in row):
                 rows.setdefault(row, None)
     rows = [list(row) for row in rows]
+    rows, kernel = _center_kernel(ctx, rows, dim)
 
     vec = _solve_center_constant(ctx, rows, dim, unit_pos, top_pos)
     if vec is None:
-        vec = _solve_center_fraction(ctx, rows, dim, unit_pos, top_pos)
+        vec = _solve_center_fraction(ctx, kernel, dim, unit_pos, top_pos)
     if vec is None:
         raise CliffordError(
             "no non-scalar central element found (implementation bug for even rank)"
@@ -413,18 +420,70 @@ def _solve_center_constant(ctx, rows, dim, unit_pos, top_pos):
     return None
 
 
-def _solve_center_fraction(ctx, rows, dim, unit_pos, top_pos):
+def _center_point(base):
+    """The base point, seeded pseudo-random integers in [2, 97], at which
+    the commutator rows are chosen.  Any point gives the same center; one
+    off the degeneration locus needs no refinement."""
+    rng = random.Random(24237)
+    return {v: rng.randint(2, 97) for v in base.variables}
+
+
+def _fraction_free_kernel(rows, dim, base):
+    """Kernel basis over the fraction field of the base, one vector per
+    free column f of the fraction-free elimination: v[f] = D and
+    v[pivot_r] = -row_r[f], with D its common denominator."""
     reduced, pivots, _ = fraction_free_rref(rows)
-    zero = ctx.base.zero()
-    denom = reduced[0][pivots[0]] if pivots else ctx.base.one()
+    zero = base.zero()
+    denom = reduced[0][pivots[0]] if pivots else base.one()
+    kernel = []
     for f in range(dim):
         if f in pivots:
             continue
-        # kernel vector over the common denominator of the elimination
         vec = [zero] * dim
         vec[f] = denom
         for row, c in zip(reduced, pivots):
             vec[c] = -row[f]
+        kernel.append(vec)
+    return kernel
+
+
+def _center_kernel(ctx, rows, dim):
+    """Rows with the kernel of `rows` over the fraction field, and that
+    kernel.  The rows independent at `_center_point` are eliminated; a
+    dropped row with a nonzero exact dot product with a kernel vector is
+    outside their span, so the first such row joins them and the
+    elimination reruns.  Each rerun raises the rank, so this ends."""
+    echelon = linalg.Echelon()
+    values = evaluate_rows(ctx.base, rows, _center_point(ctx.base))
+    keep = [i for i, row in enumerate(values) if echelon.add(row)]
+    while True:
+        subset = [rows[i] for i in keep]
+        kernel = _fraction_free_kernel(subset, dim, ctx.base)
+        kept = set(keep)
+        missing = next(
+            (
+                i
+                for i, row in enumerate(rows)
+                if i not in kept and any(_dot(row, vec) for vec in kernel)
+            ),
+            None,
+        )
+        if missing is None:
+            return subset, kernel
+        keep = sorted(keep + [missing])
+
+
+def _dot(row, vec):
+    total = row[0].ring.zero()
+    for p, v in zip(row, vec):
+        if p and v:
+            total = total + p * v
+    return total
+
+
+def _solve_center_fraction(ctx, kernel, dim, unit_pos, top_pos):
+    zero = ctx.base.zero()
+    for vec in kernel:
         top = vec[top_pos]
         if top.is_zero():
             continue

@@ -15,7 +15,11 @@ matrices of the verifiers are mostly zero, and their entries are small
 integers, so this avoids both Fraction arithmetic and arithmetic on zeros.
 
 Systems over the fraction field of the base ring are solved fraction-free
-by `polyalg.fraction_free_rref`."""
+by `polyalg.fraction_free_rref`.  Where a system has many more rows than
+its rank, as the center system of `clifford.center_element` does, only a
+rank-sized subset is eliminated: the rows that `Echelon.add` accepts at
+one rational base point, certified exactly on every row (each dropped row
+must annihilate the subset's kernel over the fraction field)."""
 
 from fractions import Fraction
 from math import gcd, lcm

@@ -70,6 +70,41 @@ def test_clifford_center_output(capsys):
     assert "discriminant / det = 1" in out
 
 
+R6_CENTER_TEXT = """\
+omega = b*e*e1*e2*l^-1 + e*e3*e4*l^-1 + b*e5*e6*l^-1 - 2*e*e1*e2*e3*e4*l^-2 - 2*b*e1*e2*e5*e6*l^-2 - 2*e3*e4*e5*e6*l^-2 + 4*e1*e2*e3*e4*e5*e6*l^-3
+relation: omega^2 + (-b*e)*omega + (a*c*e^2 + b^2*d*f - 4*a*c*d*f) = 0
+discriminant alpha^2 - 4*beta = b^2*e^2 - 4*a*c*e^2 - 4*b^2*d*f + 16*a*c*d*f
+det b_q = -b^2*e^2 + 4*a*c*e^2 + 4*b^2*d*f - 16*a*c*d*f
+discriminant / det = -1 (square scale 1)
+commutes with degree-0 monomials: True
+twisted law on degree-1 monomials: True
+"""
+
+R6_CENTER_JSON = """\
+{
+  "alpha": "-b*e",
+  "beta": "a*c*e^2 + b^2*d*f - 4*a*c*d*f",
+  "center": "b*e*e1*e2*l^-1 + e*e3*e4*l^-1 + b*e5*e6*l^-1 - 2*e*e1*e2*e3*e4*l^-2 - 2*b*e1*e2*e5*e6*l^-2 - 2*e3*e4*e5*e6*l^-2 + 4*e1*e2*e3*e4*e5*e6*l^-3",
+  "checks": {
+    "commutes_degree0": true,
+    "twisted_degree1": true
+  },
+  "command": "clifford",
+  "det_bilinear": "-b^2*e^2 + 4*a*c*e^2 + 4*b^2*d*f - 16*a*c*d*f",
+  "discriminant": "b^2*e^2 - 4*a*c*e^2 - 4*b^2*d*f + 16*a*c*d*f",
+  "ratio": "-1",
+  "square_scale": "1"
+}
+"""
+
+
+def test_clifford_center_r6_pinned(capsys):
+    assert main(["clifford", str(DATA / "r6.qf"), "--center"]) == 0
+    assert capsys.readouterr().out == R6_CENTER_TEXT
+    assert main(["clifford", str(DATA / "r6.qf"), "--center", "--json"]) == 0
+    assert capsys.readouterr().out == R6_CENTER_JSON
+
+
 def test_clifford_trace(capsys):
     assert main(["clifford", UNIVERSAL, "--trace", "e1*e2*e3*e4*l^-2"]) == 0
     assert capsys.readouterr().out.strip() == "1"

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadrikit.polyalg import PolyMatrix, det, parse_poly
-from quadrikit.quadform import QuadFormError, QuadraticForm, Subbundle
+from quadrikit.quadform import QuadFormError, QuadraticForm, Subbundle, load_qf
 from quadrikit.clifford import CliffordContext
 from quadrikit.cliffmod import (
     CliffModError,
@@ -298,6 +301,30 @@ def test_perturbed_phi_fails_with_witness():
     assert not ok
     assert witness["row"] == 2
     assert "got" in witness and "expected" in witness
+
+
+_R6 = CliffordContext(load_qf(Path(__file__).resolve().parent.parent / "data" / "r6.qf"))
+_nonzero_rationals = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(_nonzero_rationals, st.sampled_from([0, 1]), st.integers(-1, 1))
+def test_phi_consecutive_product_is_q_on_r6(lam, axis, n):
+    # w = lambda e1 or lambda e2 is isotropic for x1*x2 + ...: the exact
+    # identity phi_(n+1) phi_n = q Id holds in the fiber ring
+    vec = [0] * 6
+    vec[axis] = lam
+    w = Subbundle([vec], _R6.base)
+    ideals = [clifford_ideal(_R6, w, k) for k in (n - 1, n, n + 1)]
+    phi_n = spinor_phi(_R6, w, n, source=ideals[0], target=ideals[1])
+    phi_next = spinor_phi(_R6, w, n + 1, source=ideals[1], target=ideals[2])
+    ring = phi_n.ring
+    q = _R6.q.q_poly(ring)
+    product = phi_next.phi * phi_n.phi
+    assert product.rows == product.cols == 16
+    for i, row in enumerate(product.entries):
+        for j, entry in enumerate(row):
+            assert entry == (q if i == j else ring.zero())
 
 
 def test_phi_invertible_off_quadric():

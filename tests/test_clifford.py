@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadrikit.polyalg import MAX_EXPONENT, ParseError, Poly, parse_poly
-from quadrikit.quadform import QuadraticForm, hyperbolic_reduce
+from quadrikit import clifford
+from quadrikit.polyalg import MAX_EXPONENT, ParseError, Poly, fraction_free_rref, parse_poly
+from quadrikit.quadform import QuadraticForm, hyperbolic_reduce, load_qf
 from quadrikit.clifford import (
     CliffordContext,
     CliffordElement,
@@ -19,6 +21,8 @@ from quadrikit.clifford import (
     parse_element,
     trace,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def universal_ctx():
@@ -254,6 +258,81 @@ def test_center_requires_even_rank():
     q = QuadraticForm.from_expression([], 3, "x1*x2 + x3^2")
     with pytest.raises(CliffordError):
         center_element(CliffordContext(q))
+
+
+def _reference_center(ctx):
+    """(omega, alpha, beta) from every commutator row, eliminated in full:
+    the constant kernel first, then the fraction-field kernel read off
+    one fraction-free elimination of all rows."""
+    basis0 = graded_basis(ctx, 0)
+    dim = len(basis0)
+    unit = basis0.index(((), 0))
+    top = basis0.index((tuple(range(1, ctx.rank + 1)), -(ctx.rank // 2)))
+    monos = [ctx.monomial(*key) for key in basis0]
+    zero = ctx.base.zero()
+    rows = []
+    for m in monos:
+        comms = [cl_mul(b, m) - cl_mul(m, b) for b in monos]
+        rows += [[c.terms.get(key, zero) for c in comms] for key in basis0]
+    vec = clifford._solve_center_constant(ctx, rows, dim, unit, top)
+    if vec is None:
+        reduced, pivots, _ = fraction_free_rref(rows)
+        kernel = []
+        for f in range(dim):
+            if f not in pivots:
+                v = [zero] * dim
+                v[f] = reduced[0][pivots[0]] if pivots else ctx.base.one()
+                for row, c in zip(reduced, pivots):
+                    v[c] = -row[f]
+                kernel.append(v)
+        vec = clifford._solve_center_fraction(ctx, kernel, dim, unit, top)
+    omega = CliffordElement(ctx, {basis0[k]: p for k, p in enumerate(vec) if p})
+    square = cl_mul(omega, omega).coordinates(basis0)
+    alpha = square[top] / (-vec[top].constant_term())
+    return omega, alpha, -square[unit]
+
+
+def _center_triple(ctx):
+    rel = center_element(ctx)
+    return rel.omega, rel.alpha, rel.beta
+
+
+_coefficients = st.sampled_from(["0", "1", "-1", "2", "-2", "a", "b", "c", "(a + b)"])
+_rank4_monomials = [f"x{i}*x{j}" for i in range(1, 5) for j in range(i, 5)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.lists(_coefficients, min_size=10, max_size=10))
+def test_center_subset_matches_full_elimination(coeffs):
+    # degenerate and constant forms included: every coefficient may be 0
+    terms = [f"{c}*{m}" for c, m in zip(coeffs, _rank4_monomials) if c != "0"]
+    q = QuadraticForm.from_expression(["a", "b", "c"], 4, " + ".join(terms) or "0")
+    ctx = CliffordContext(q)
+    assert _center_triple(ctx) == _reference_center(ctx)
+
+
+@pytest.mark.parametrize("name", ["universal", "split", "corank2"])
+def test_center_subset_matches_full_elimination_on_data(name):
+    ctx = CliffordContext(load_qf(DATA / f"{name}.qf"))
+    assert _center_triple(ctx) == _reference_center(ctx)
+
+
+def test_center_refines_rows_chosen_on_the_degeneration_locus(monkeypatch):
+    # at a = ... = f = 0 the R6 commutator rows have rank 23 < 30, so the
+    # exact check must add rows and eliminate again
+    ctx = CliffordContext(load_qf(DATA / "r6.qf"))
+    expected = _center_triple(ctx)
+    eliminated = []
+
+    def counting_rref(rows):
+        eliminated.append(len(rows))
+        return fraction_free_rref(rows)
+
+    monkeypatch.setattr(clifford, "_center_point", lambda base: {v: 0 for v in base.variables})
+    monkeypatch.setattr(clifford, "fraction_free_rref", counting_rref)
+    assert _center_triple(ctx) == expected
+    assert len(eliminated) > 1
+    assert eliminated[-1] == 30
 
 
 # -- trace --------------------------------------------------------------------------
