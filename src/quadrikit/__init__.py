@@ -1,8 +1,6 @@
 """quadrikit: exact computations for quadric surface bundles over a
-polynomial base, with the term-arithmetic kernel selected at import
-(compiled extension when available, pure Python otherwise)."""
+polynomial base, on a pure-Python term-arithmetic kernel."""
 
-from quadrikit._kernel import backend_name
 from quadrikit.polyalg import (
     Ideal,
     ParseError,
@@ -65,3 +63,8 @@ from quadrikit.geometry import (
 )
 
 __version__ = "0.1.0"
+
+
+def backend_name():
+    """Name of the term-arithmetic kernel, recorded as benchmark provenance."""
+    return "python"

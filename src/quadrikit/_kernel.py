@@ -1,27 +1,102 @@
-"""Kernel selection: compiled term arithmetic when available, pure Python otherwise.
+"""Term-map kernel.
 
-Set QUADRIKIT_PURE=1 to force the pure-Python kernel (used by the benchmark
-and by tests that compare the two backends).
+A polynomial is represented by its term map: dict mapping exponent tuples
+to nonzero Fractions.  These functions are the hot inner loops of Groebner
+reduction and Clifford rewriting.
 """
 
-import os
 
-if os.environ.get("QUADRIKIT_PURE"):
-    from quadrikit import _poly_core_py as impl
-else:
-    try:
-        from quadrikit import _poly_core_cy as impl  # type: ignore[no-redef]
-    except ImportError:
-        from quadrikit import _poly_core_py as impl  # type: ignore[no-redef]
-
-add_terms = impl.add_terms
-sub_terms = impl.sub_terms
-neg_terms = impl.neg_terms
-scale_terms = impl.scale_terms
-shift_terms = impl.shift_terms
-mul_terms = impl.mul_terms
-leading_monomial = impl.leading_monomial
+def add_terms(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s = s + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
 
 
-def backend_name():
-    return impl.BACKEND
+def sub_terms(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m)
+        if s is None:
+            out[m] = -c
+        else:
+            s = s - c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def neg_terms(a):
+    return {m: -c for m, c in a.items()}
+
+
+def scale_terms(a, k):
+    if not k:
+        return {}
+    return {m: c * k for m, c in a.items()}
+
+
+def shift_terms(a, mono, k):
+    # a * (k * x^mono); exponent vectors share one arity
+    if not k:
+        return {}
+    out = {}
+    for m, c in a.items():
+        out[tuple(x + y for x, y in zip(m, mono))] = c * k
+    return out
+
+
+def mul_terms(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            p = c1 * c2
+            s = out.get(m)
+            if s is None:
+                out[m] = p
+            else:
+                s = s + p
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+    return out
+
+
+def _grevlex_gt(m1, m2):
+    d1 = sum(m1)
+    d2 = sum(m2)
+    if d1 != d2:
+        return d1 > d2
+    # graded reverse lex: last nonzero entry of m1-m2 is negative
+    for x, y in zip(reversed(m1), reversed(m2)):
+        if x != y:
+            return x < y
+    return False
+
+
+def _lex_gt(m1, m2):
+    return m1 > m2
+
+
+def leading_monomial(terms, lex):
+    """Largest monomial of a nonzero term map under grevlex (lex if `lex`)."""
+    gt = _lex_gt if lex else _grevlex_gt
+    best = None
+    for m in terms:
+        if best is None or gt(m, best):
+            best = m
+    return best

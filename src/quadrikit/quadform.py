@@ -8,8 +8,9 @@ Input file format (.qf, UTF-8 key = value lines, # comments):
     fiber_rank = 4
     q = "x1*x2 + a*x3^2 + b*x3*x4 + c*x4^2"
 
-Fiber variables are fixed as x1..xn; the value line bundle is carried only
-as the grading weight 2 consumed by the Clifford layer.
+Fiber variables are fixed as x1..xn, with 1 <= n <= MAX_FIBER_RANK; the
+value line bundle is carried only as the grading weight 2 consumed by the
+Clifford layer.
 """
 
 from fractions import Fraction
@@ -28,6 +29,11 @@ from quadrikit.polyalg import (
 from quadrikit import linalg
 
 L_WEIGHT = 2  # degree of the value line bundle; fiber generators have degree 1
+
+# Largest fiber rank a .qf file may declare: the even Clifford algebra has a
+# 2^(n-1)-element graded basis (2048 at the cap), and the center multiplies
+# every pair of its elements.
+MAX_FIBER_RANK = 12
 
 
 class QuadFormError(PolyError):
@@ -474,6 +480,10 @@ def parse_qf_text(text):
         n = int(fields["fiber_rank"])
     except ValueError:
         raise ParseError("fiber_rank must be an integer") from None
+    if not 1 <= n <= MAX_FIBER_RANK:
+        raise QuadFormError(
+            f"fiber_rank must be between 1 and {MAX_FIBER_RANK}, got {n}"
+        )
     source = fields["q"]
     if source.startswith('"') and source.endswith('"') and len(source) >= 2:
         source = source[1:-1]

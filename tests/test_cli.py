@@ -226,6 +226,27 @@ def test_verify_rejects_nonpositive_counts(flag, value, capsys):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rank", [0, 40])
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "--suite", "all"], ["spinor", "--w", "1", "--n", "1"], ["clifford", "--center"]],
+    ids=["verify", "spinor", "center"],
+)
+def test_fiber_rank_out_of_range_exit_3(tmp_path, rank, command):
+    path = tmp_path / "rank.qf"
+    path.write_text(f'base_vars = []\nfiber_rank = {rank}\nq = "x1*x2"\n')
+    name, *flags = command
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadrikit.cli", name, str(path), *flags],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 3
+    assert "fiber_rank" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_byte_determinism_subprocess():
     a = run_cli(["verify", UNIVERSAL, "--suite", "duality", "--json"])
     b = run_cli(["verify", UNIVERSAL, "--suite", "duality", "--json"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadrikit
 from quadrikit import _kernel as K
 from quadrikit.polyalg import (
     MAX_EXPONENT,
@@ -326,6 +327,19 @@ def test_monomial_key_agrees_with_kernel(order, m1, m2):
         assert ring.sort_monomials([m2, m1])[0] == max(m1, m2, key=key)
 
 
+def test_mul_cancellation_drops_zero_terms():
+    one = Fraction(1)
+    a = {(1, 0): one, (0, 1): one}
+    b = {(1, 0): one, (0, 1): -one}
+    # (x+y)(x-y) = x^2 - y^2: the two xy products cancel and leave no entry
+    assert K.mul_terms(a, b) == {(2, 0): one, (0, 2): -one}
+
+
+def test_backend_name_is_python():
+    # perfbench records it as run provenance
+    assert quadrikit.backend_name() == "python"
+
+
 # -- minors -------------------------------------------------------------------
 
 
@@ -426,8 +440,8 @@ def test_ring_mismatch_raises():
 
 # -- reduced basis invariance (hypothesis) --------------------------------------
 
-# the non-homogeneous ideal of benchmarks/bench_kernel.py: its S-polynomials
-# leave nonzero remainders, so new pairs are pushed while the basis grows
+# a non-homogeneous ideal whose S-polynomials leave nonzero remainders, so
+# new pairs are pushed while the basis grows
 XYZW = Ring(("x", "y", "z", "w"))
 BENCH_GENS = [
     parse_poly(g, XYZW)

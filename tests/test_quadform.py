@@ -5,6 +5,7 @@ import pytest
 
 from quadrikit.polyalg import Ideal, ParseError, PolyMatrix, Ring, det, ideals_equal, parse_poly
 from quadrikit.quadform import (
+    MAX_FIBER_RANK,
     QuadFormError,
     QuadraticForm,
     Subbundle,
@@ -320,3 +321,15 @@ def test_qf_missing_field():
 def test_qf_bad_rank():
     with pytest.raises(ParseError):
         parse_qf_text('base_vars = []\nfiber_rank = two\nq = "x1*x2"')
+
+
+@pytest.mark.parametrize("rank", [0, MAX_FIBER_RANK + 1, 100000])
+def test_qf_rank_out_of_range(rank):
+    with pytest.raises(QuadFormError, match="fiber_rank"):
+        parse_qf_text(f'base_vars = []\nfiber_rank = {rank}\nq = "x1*x2"')
+
+
+def test_qf_rank_at_cap():
+    assert MAX_FIBER_RANK == 12
+    q = parse_qf_text(f'base_vars = []\nfiber_rank = {MAX_FIBER_RANK}\nq = "x1*x2"')
+    assert q.n == MAX_FIBER_RANK
