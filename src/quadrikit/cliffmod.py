@@ -25,6 +25,7 @@ from quadrikit.quadform import QuadFormError, fiber_names, is_isotropic
 DEFAULT_SEED = 24237
 CERT_SAMPLES = 5
 _MAX_TRIES = 100
+_SAMPLE_RANGE = (-9, 9)  # bounds of the sampled integer coordinates
 
 
 class CliffModError(CliffordError):
@@ -43,11 +44,12 @@ class Specialization:
         self.rejections = rejections
 
     @classmethod
-    def generic(cls, ring, rng, avoid=None, seed=None, lo=-9, hi=9):
-        """Sample integer coordinates until `avoid` is nonzero there."""
+    def generic(cls, ring, rng, avoid=None, seed=None):
+        """Sample integer coordinates in `_SAMPLE_RANGE` until `avoid` is
+        nonzero there."""
         rejections = 0
         for _ in range(_MAX_TRIES):
-            assignment = {v: Fraction(rng.randint(lo, hi)) for v in ring.variables}
+            assignment = {v: Fraction(rng.randint(*_SAMPLE_RANGE)) for v in ring.variables}
             if avoid is None or avoid.evaluate(assignment) != 0:
                 return cls(assignment, seed=seed, rejections=rejections)
             rejections += 1
@@ -64,22 +66,6 @@ class Specialization:
         return f"Specialization({body})"
 
 
-def _off_locus_sampler(ctx, seed):
-    """Yield specializations avoiding the first degeneration locus; errors
-    when that locus is the whole base."""
-    detb = ctx.q.det_bilinear()
-    if detb.is_zero():
-        raise CliffModError(
-            "the form is degenerate everywhere; no point lies off the locus"
-        )
-    rng = random.Random(seed)
-
-    def draw():
-        return Specialization.generic(ctx.base, rng, avoid=detb, seed=seed)
-
-    return draw
-
-
 def _generic_sampler(ctx, seed):
     """Generic point for rank certification; falls back to unconstrained
     sampling when det b_q is identically zero (recorded by the caller)."""
@@ -91,6 +77,17 @@ def _generic_sampler(ctx, seed):
         return Specialization.generic(ctx.base, rng, avoid=avoid, seed=seed)
 
     return draw, avoid is None
+
+
+def _off_locus_sampler(ctx, seed):
+    """Yield specializations avoiding the first degeneration locus; errors
+    when that locus is the whole base."""
+    draw, degenerate = _generic_sampler(ctx, seed)
+    if degenerate:
+        raise CliffModError(
+            "the form is degenerate everywhere; no point lies off the locus"
+        )
+    return draw
 
 
 @dataclass
@@ -577,15 +574,15 @@ def verify_mf_report(ctx, w, degrees, seed=DEFAULT_SEED):
     )
 
 
-def phi_invertible_off_quadric(pres, seed=DEFAULT_SEED, tries=_MAX_TRIES):
+def phi_invertible_off_quadric(pres, seed=DEFAULT_SEED):
     """Evaluate the presentation at a total-space point with q nonzero and
     test invertibility over Q."""
     ctx = pres.ctx
     ring = pres.ring
     rng = random.Random(seed)
     q_poly = ctx.q.q_poly(ring)
-    for _ in range(tries):
-        assignment = {v: Fraction(rng.randint(-9, 9)) for v in ring.variables}
+    for _ in range(_MAX_TRIES):
+        assignment = {v: Fraction(rng.randint(*_SAMPLE_RANGE)) for v in ring.variables}
         if q_poly.evaluate(assignment) != 0:
             matrix = pres.phi.evaluate(assignment)
             return linalg.q_rank(matrix) == len(matrix)

@@ -397,13 +397,6 @@ def _normalize_center_vector(ctx, polys, dim, unit_pos, top_pos):
     return polys
 
 
-def _identity_kernel(dim):
-    return [
-        [Fraction(1) if j == i else Fraction(0) for j in range(dim)]
-        for i in range(dim)
-    ]
-
-
 def _solve_center_constant(ctx, rows, dim, unit_pos, top_pos):
     # expand polynomial rows monomial-by-monomial into a system over Q
     q_rows = []
@@ -411,8 +404,7 @@ def _solve_center_constant(ctx, rows, dim, unit_pos, top_pos):
         monomials = sorted(set().union(*(p.terms.keys() for p in row if p)))
         for mono in monomials:
             q_rows.append([p.coeff(mono) for p in row])
-    kernel = linalg.q_nullspace(q_rows) if q_rows else _identity_kernel(dim)
-    for vec in kernel:
+    for vec in linalg.q_nullspace(q_rows, dim):
         polys = [ctx.base.const(c) for c in vec]
         normalized = _normalize_center_vector(ctx, polys, dim, unit_pos, top_pos)
         if normalized is not None:

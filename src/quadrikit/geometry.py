@@ -107,8 +107,10 @@ def fiber_report(q, point):
         raise QuadFormError("fiber classification needs rank 4")
     assignment = point.assignment
     b_num = q.bilinear_matrix().evaluate(assignment)
-    rank = linalg.q_rank(b_num)
-    corank = 4 - rank
+    echelon = linalg.Echelon()
+    for row in b_num:
+        echelon.add(row)
+    corank = 4 - echelon.rank
     report = {
         "point": {k: str(v) for k, v in sorted(assignment.items())},
         "corank": corank,
@@ -119,9 +121,8 @@ def fiber_report(q, point):
         return report
 
     q_point = q.specialize(assignment)
-    kernel = linalg.q_nullspace(b_num)
-    pivot_cols = linalg.q_rref(b_num)[1]
-    u, v = pivot_cols[0], pivot_cols[1]
+    kernel = echelon.kernel(4)
+    u, v = echelon.pivots
     point_base = q_point.base
     e = lambda i: [Fraction(1) if k == i else Fraction(0) for k in range(4)]
     alpha = q_point.apply(e(u)).constant_term()

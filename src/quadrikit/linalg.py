@@ -1,18 +1,20 @@
-"""Exact linear algebra over Q.
+"""Exact linear algebra over Q, by one elimination: `Echelon`.
 
-`q_rref` is Gauss–Jordan elimination on rows of Fractions; `q_solve` and
-`q_nullspace` read their answers off its reduced rows.
-
-`q_rank` needs no reduced rows and has its own kernel, `Echelon`: a
-fraction-free forward elimination (cf. Bareiss 1968, here with content
-removal instead of exact division) on sparse integer rows.
-Each input row is scaled by the lcm of its denominators, which leaves the
-rank unchanged, and kept as `{column: int}` without its zero entries.  A
+`Echelon` is a fraction-free forward elimination (cf. Bareiss 1968, here
+with content removal instead of exact division) on sparse integer rows.
+Each input row is scaled by the lcm of its denominators, which leaves its
+span unchanged, and kept as `{column: int}` without its zero entries.  A
 row is reduced against the pivot rows keyed by their leading column with
 `a*v - b*p` (`a`, `b` divided by their gcd) and then divided by its
 content, so every stored row is a primitive integer row.  The sample-point
 matrices of the verifiers are mostly zero, and their entries are small
 integers, so this avoids both Fraction arithmetic and arithmetic on zeros.
+
+`q_rank` reads the number of pivot rows.  `Echelon.kernel` back-substitutes
+the pivot rows into the reduced row echelon form R and returns the
+canonical kernel basis: one vector per free column f, with v[f] = 1 and
+v[c] = -R[c][f] on the pivot columns c.  `q_nullspace` is that basis, and
+a solve of A x = b is the kernel vector of the column -b of [A | -b].
 
 Systems over the fraction field of the base ring are solved fraction-free
 by `polyalg.fraction_free_rref`.  Where a system has many more rows than
@@ -23,35 +25,6 @@ must annihilate the subset's kernel over the fraction field)."""
 
 from fractions import Fraction
 from math import gcd, lcm
-
-
-# -- rational matrices (lists of lists of Fraction) ----------------------
-
-
-def q_rref(rows):
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
 
 
 def _integer_row(row):
@@ -100,7 +73,7 @@ class Echelon:
 
     `add(row)` reduces a rational row against the pivot rows and keeps it
     as a new pivot row when it is independent of them; `rank` counts the
-    rows kept."""
+    rows kept, `pivots` lists their leading columns and `kernel` solves."""
 
     __slots__ = ("_pivots",)
 
@@ -110,6 +83,11 @@ class Echelon:
     @property
     def rank(self):
         return len(self._pivots)
+
+    @property
+    def pivots(self):
+        """The leading columns of the pivot rows, ascending."""
+        return sorted(self._pivots)
 
     def add(self, row):
         """Return True and keep `row` when it raises the rank, else False."""
@@ -124,6 +102,31 @@ class Echelon:
             v = _eliminate(v, p, lead)
         return False
 
+    def kernel(self, ncols):
+        """Basis of the right kernel over Q of the rows added, as lists of
+        `ncols` Fractions: for each free column f in ascending order, the
+        vector with v[f] = 1, v[c] = -R[c][f] on each pivot column c, where
+        R is the reduced row echelon form, and 0 elsewhere."""
+        reduced = {}
+        # from the highest leading column down, clear each row's entries in
+        # the other pivot columns with the rows already reduced
+        for lead in sorted(self._pivots, reverse=True):
+            v = self._pivots[lead]
+            for c in [c for c in v if c in reduced]:
+                v = _eliminate(v, reduced[c], c)
+            reduced[lead] = v
+        basis = []
+        for f in range(ncols):
+            if f in reduced:
+                continue
+            vec = [Fraction(0)] * ncols
+            vec[f] = Fraction(1)
+            for lead, v in reduced.items():
+                if f in v:
+                    vec[lead] = Fraction(-v[f], v[lead])
+            basis.append(vec)
+        return basis
+
 
 def q_rank(rows):
     """Rank over Q of a list of rows of ints and Fractions."""
@@ -133,33 +136,10 @@ def q_rank(rows):
     return echelon.rank
 
 
-def q_solve(a_rows, b):
-    """One solution of A x = b over Q with free variables set to 0, or None."""
-    if not a_rows:
-        return None
-    ncols = len(a_rows[0])
-    aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
-    rref, pivots = q_rref(aug)
-    if ncols in pivots:
-        return None  # inconsistent: pivot in the constant column
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = rref[r][ncols]
-    return x
-
-
-def q_nullspace(rows):
-    """Basis of the right kernel of A over Q."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rref, pivots = q_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rref[r][f]
-        basis.append(v)
-    return basis
+def q_nullspace(rows, ncols):
+    """Basis of the right kernel over Q of rows of `ncols` ints and
+    Fractions (`Echelon.kernel`); no rows give the identity basis."""
+    echelon = Echelon()
+    for row in rows:
+        echelon.add(row)
+    return echelon.kernel(ncols)

@@ -23,6 +23,7 @@ from quadrikit.polyalg import (
     PolyMatrix,
     Ring,
     det,
+    fraction_free_rref,
     minors_ideal,
     parse_poly,
 )
@@ -205,8 +206,6 @@ class Subbundle:
     __slots__ = ("vectors", "r", "n", "ring", "witness_columns")
 
     def __init__(self, vectors, ring):
-        from itertools import combinations
-
         rows = []
         for vec in vectors:
             row = []
@@ -227,13 +226,12 @@ class Subbundle:
                 raise QuadFormError("ragged subbundle vectors")
         self.witness_columns = None
         if self.r:
-            mat = PolyMatrix(ring, rows)
-            for cols in combinations(range(self.n), self.r):
-                if not det(mat.submatrix(range(self.r), cols)).is_zero():
-                    self.witness_columns = cols
-                    break
-            if self.witness_columns is None:
+            # the pivot columns are the lexicographically first r columns
+            # with a nonzero maximal minor
+            pivots = fraction_free_rref(rows)[1]
+            if len(pivots) < self.r:
                 raise QuadFormError("subbundle vectors are linearly dependent")
+            self.witness_columns = tuple(pivots)
 
     @classmethod
     def empty(cls, ring, n):
@@ -307,13 +305,17 @@ def hyperbolic_pair(q, v):
     unit_mono = (0,) * q.base.arity
     if unit_mono not in monomials:
         monomials.append(unit_mono)
-    a_rows = [[p.coeff(m) for p in row] for m in monomials]
-    rhs = [Fraction(1) if m == unit_mono else Fraction(0) for m in monomials]
-    w0 = linalg.q_solve(a_rows, rhs)
-    if w0 is None:
+    # [A | -e_unit]: a kernel vector with a 1 in the last column solves
+    # A w0 = e_unit; the one with the other free variables 0 exists unless
+    # that column is a pivot
+    echelon = linalg.Echelon()
+    for m in monomials:
+        echelon.add([p.coeff(m) for p in row] + [-1 if m == unit_mono else 0])
+    if q.n in echelon.pivots:
         raise QuadFormError(
             "no constant hyperbolic partner exists; supply w explicitly"
         )
+    w0 = echelon.kernel(q.n + 1)[-1][: q.n]
     qw0 = q.apply(w0)
     w = [q.base.const(x) - qw0 * q.base.const(y) for x, y in zip(w0, vconst)]
     return w

@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadrikit import linalg
-from quadrikit.polyalg import Poly, PolyError, PolyMatrix, Ring, evaluate_rows
+from quadrikit.polyalg import (
+    Poly,
+    PolyError,
+    PolyMatrix,
+    Ring,
+    evaluate_rows,
+    fraction_free_rref,
+)
 
 _settings = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -39,30 +46,45 @@ def _sparse_matrices(draw):
     return rows
 
 
+R0 = Ring(())
+
+
+def _reference_pivots(rows):
+    """Pivot columns of the reduced row echelon form over Q, from
+    `polyalg.fraction_free_rref` on constant polynomials: an elimination
+    independent of `linalg.Echelon`."""
+    return fraction_free_rref([[R0.const(Fraction(x)) for x in row] for row in rows])[1]
+
+
 def _greedy_rows(rows):
     """Indices a rank-from-scratch greedy loop keeps: each row that raises
     the rank of the rows kept before it."""
     kept, kept_rows = [], []
     for idx, row in enumerate(rows):
-        if len(linalg.q_rref(kept_rows + [row])[1]) > len(kept):
+        if len(_reference_pivots(kept_rows + [row])) > len(kept):
             kept.append(idx)
             kept_rows.append(row)
     return kept
 
 
-def _sympy_rank(rows):
+def _sympy_matrix(rows):
     sympy = pytest.importorskip("sympy")
     fractions = [[Fraction(x) for x in row] for row in rows]
     return sympy.Matrix(
         [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in fractions]
-    ).rank()
+    )
 
 
 @_settings
 @given(_sparse_matrices())
 def test_q_rank_matches_rref_and_transpose(rows):
     rank = linalg.q_rank(rows)
-    assert rank == len(linalg.q_rref(rows)[1])
+    pivots = _reference_pivots(rows)
+    assert rank == len(pivots)
+    echelon = linalg.Echelon()
+    for row in rows:
+        echelon.add(row)
+    assert echelon.pivots == pivots
     if rows:
         assert rank == linalg.q_rank([list(col) for col in zip(*rows)])
 
@@ -70,7 +92,7 @@ def test_q_rank_matches_rref_and_transpose(rows):
 @_settings
 @given(_sparse_matrices().filter(bool))
 def test_q_rank_matches_sympy(rows):
-    assert linalg.q_rank(rows) == _sympy_rank(rows)
+    assert linalg.q_rank(rows) == _sympy_matrix(rows).rank()
 
 
 def test_q_rank_empty_and_zero():
@@ -88,13 +110,36 @@ def test_echelon_keeps_the_greedy_rows(rows):
     assert echelon.rank == len(kept) == linalg.q_rank(rows)
 
 
-def test_q_rref_solve_nullspace_unchanged():
+def test_echelon_pivots_kernel_and_solve_unchanged():
     rows = [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(2), Fraction(4), Fraction(7)]]
-    rref, pivots = linalg.q_rref(rows)
-    assert pivots == [0, 2]
-    assert rref == [[1, 2, 0], [0, 0, 1]]
-    assert linalg.q_solve(rows, [Fraction(1), Fraction(3)]) == [-2, 0, 1]
-    assert linalg.q_nullspace(rows) == [[-2, 1, 0]]
+    echelon = linalg.Echelon()
+    for row in rows:
+        echelon.add(row)
+    assert echelon.pivots == [0, 2]
+    assert echelon.kernel(3) == [[-2, 1, 0]]
+    assert all(isinstance(x, Fraction) for x in echelon.kernel(3)[0])
+    assert linalg.q_nullspace(rows, 3) == [[-2, 1, 0]]
+    # A x = b with the free variable 0: the kernel vector of the column -b
+    augmented = [row + [-b] for row, b in zip(rows, [Fraction(1), Fraction(3)])]
+    assert linalg.q_nullspace(augmented, 4)[-1] == [-2, 0, 1, 1]
+
+
+def test_q_nullspace_of_no_rows_is_the_identity():
+    assert linalg.Echelon().pivots == []
+    assert linalg.q_nullspace([], 0) == []
+    assert linalg.q_nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert linalg.q_nullspace([[0, Fraction(0)]], 2) == [[1, 0], [0, 1]]
+
+
+@_settings
+@given(_sparse_matrices().filter(bool))
+def test_q_nullspace_matches_sympy(rows):
+    """sympy's nullspace is the same canonical basis: one vector per free
+    column in ascending order, 1 there and 0 on the other free columns."""
+    expected = [
+        [Fraction(int(x.p), int(x.q)) for x in vec] for vec in _sympy_matrix(rows).nullspace()
+    ]
+    assert linalg.q_nullspace(rows, len(rows[0])) == expected
 
 
 # -- one-pass evaluation of a row set ------------------------------------------

@@ -1,9 +1,21 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadrikit.polyalg import Ideal, ParseError, PolyMatrix, Ring, det, ideals_equal, parse_poly
+from quadrikit.polyalg import (
+    Ideal,
+    ParseError,
+    Poly,
+    PolyMatrix,
+    Ring,
+    det,
+    ideals_equal,
+    parse_poly,
+)
 from quadrikit.quadform import (
     MAX_FIBER_RANK,
     QuadFormError,
@@ -172,6 +184,53 @@ def test_subbundle_rejects_dependent_vectors():
         Subbundle([e(1), [Fraction(2), 0, 0, 0]], q.base)
 
 
+ABC = Ring(("a", "b", "c"))
+_coeffs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+_entries = st.one_of(
+    st.just(ABC.zero()),
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 1)] * 3), _coeffs.filter(bool), min_size=1, max_size=2
+    ).map(lambda terms: Poly(ABC, terms)),
+)
+
+
+@st.composite
+def _subbundle_vectors(draw):
+    """1-3 vectors of length r..5 over Q[a,b,c]; one in four after the
+    first is a combination of earlier ones, so that dependent sets occur."""
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(r, 5))
+    vectors = []
+    for _ in range(r):
+        if vectors and draw(st.integers(0, 3)) == 0:
+            scale = draw(_entries)
+            vec = [scale * x + y for x, y in zip(draw(st.sampled_from(vectors)), vectors[0])]
+        else:
+            vec = [draw(_entries) for _ in range(n)]
+        vectors.append(vec)
+    return vectors
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_subbundle_vectors())
+def test_subbundle_witness_is_first_nonzero_minor(vectors):
+    r, n = len(vectors), len(vectors[0])
+    mat = PolyMatrix(ABC, vectors)
+    first = next(
+        (
+            cols
+            for cols in combinations(range(n), r)
+            if not det(mat.submatrix(range(r), cols)).is_zero()
+        ),
+        None,
+    )
+    if first is None:
+        with pytest.raises(QuadFormError, match="linearly dependent"):
+            Subbundle(vectors, ABC)
+    else:
+        assert Subbundle(vectors, ABC).witness_columns == first
+
+
 # -- hyperbolic pairs ------------------------------------------------------------
 
 
@@ -204,7 +263,7 @@ def test_pair_requires_isotropic_input():
 
 def test_pair_fails_without_constant_solution():
     q = QuadraticForm.from_expression(["a"], 2, "a*x1*x2")
-    with pytest.raises(QuadFormError):
+    with pytest.raises(QuadFormError, match="no constant hyperbolic partner"):
         hyperbolic_pair(q, e(1, 2))
 
 
