@@ -248,6 +248,14 @@ def check_l_periodicity(ctx, w, n, side="left", seed=DEFAULT_SEED):
     ]
 
 
+def _rank_with(echelon, rows):
+    """Add `rows` to `echelon` and return its rank: the rank of every row
+    added so far, so a stacked rank reuses the elimination of one block."""
+    for row in rows:
+        echelon.add(row)
+    return echelon.rank
+
+
 def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED):
     """At off-locus points, multiplication by the degree-m component maps
     the degree-n ideal onto the degree-(m+n) ideal with the expected rank."""
@@ -269,9 +277,10 @@ def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_S
     def worker(point):
         prod = evaluate_rows(ctx.base, product_rows, point.assignment)
         ideal = evaluate_rows(ctx.base, ideal_rows, point.assignment)
-        r_prod = linalg.q_rank(prod)
+        echelon = linalg.Echelon()
+        r_prod = _rank_with(echelon, prod)
         r_ideal = linalg.q_rank(ideal)
-        r_stack = linalg.q_rank(prod + ideal)
+        r_stack = _rank_with(echelon, ideal)
         ok = r_prod == r_ideal == r_stack == expected
         return SampleResult(
             point.as_strings(),
@@ -379,13 +388,15 @@ def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SE
         a = evaluate_rows(ctx.base, w_rows, point.assignment)
         b = evaluate_rows(ctx.base, sub_rows, point.assignment)
         r_w = linalg.q_rank(a)
-        r_sub = linalg.q_rank(b)
-        contained = linalg.q_rank(a + b) == r_sub
+        echelon = linalg.Echelon()
+        r_sub = _rank_with(echelon, b)
+        contained = _rank_with(echelon, a) == r_sub
         mult = evaluate_rows(ctx.base, mult_rows, point.assignment)
         nxt = evaluate_rows(ctx.base, next_rows, point.assignment)
-        r_mult = linalg.q_rank(mult)
+        echelon = linalg.Echelon()
+        r_mult = _rank_with(echelon, mult)
         r_next = linalg.q_rank(nxt)
-        surjective = r_mult == r_next == linalg.q_rank(mult + nxt)
+        surjective = r_mult == r_next == _rank_with(echelon, nxt)
         ok = (
             contained
             and surjective

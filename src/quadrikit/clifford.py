@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from quadrikit.polyalg import ParseError, Poly, PolyError, check_exponent
+from quadrikit.polyalg import ParseError, Poly, PolyError, check_degree, check_exponent
 from quadrikit import linalg
 from quadrikit.polyalg import evaluate_rows, exact_div, fraction_free_rref
 from quadrikit.quadform import QuadraticForm
@@ -555,8 +555,24 @@ def _parse_el_term(tokens, ctx):
     product = _parse_el_factor(tokens, ctx)
     while tokens.peek() == "*":
         tokens.next()
-        product = cl_mul(product, _parse_el_factor(tokens, ctx))
+        product = _bounded_mul(product, _parse_el_factor(tokens, ctx))
     return product
+
+
+def _coefficient_degree(elem):
+    """Largest total degree of a coefficient of `elem`, -1 for 0."""
+    return max((c.total_degree() for c in elem.terms.values()), default=-1)
+
+
+def _bounded_mul(a, b):
+    """cl_mul(a, b) whose coefficient degree is at most MAX_EXPONENT:
+    refused before the product when the factors' degrees add up past it,
+    and after it when rewriting (each contraction multiplies by a
+    coefficient of q) takes the product past it."""
+    check_degree(_coefficient_degree(a) + _coefficient_degree(b))
+    out = cl_mul(a, b)
+    check_degree(_coefficient_degree(out))
+    return out
 
 
 def _parse_el_factor(tokens, ctx):
@@ -573,9 +589,10 @@ def _parse_el_factor(tokens, ctx):
             if not is_l:
                 raise ParseError("negative powers are only allowed on l")
             return base.ctx.l_power(-n)
+        check_degree(_coefficient_degree(base) * n)
         out = base.ctx.one()
         for _ in range(n):
-            out = cl_mul(out, base)
+            out = _bounded_mul(out, base)
         return out
     return base
 

@@ -2,13 +2,20 @@
 
 `Echelon` is a fraction-free forward elimination (cf. Bareiss 1968, here
 with content removal instead of exact division) on sparse integer rows.
-Each input row is scaled by the lcm of its denominators, which leaves its
-span unchanged, and kept as `{column: int}` without its zero entries.  A
-row is reduced against the pivot rows keyed by their leading column with
+An input row is a sequence of ints and Fractions or a sparse mapping
+{column: value}; the rows the verifiers evaluate at sample points arrive
+sparse from `polyalg.evaluate_rows`, holding only their nonzero values.
+Each row is scaled by the lcm of its denominators, which leaves its span
+unchanged, and kept as `{column: int}` without its zero entries.  A row is
+reduced against the pivot rows keyed by their leading column with
 `a*v - b*p` (`a`, `b` divided by their gcd) and then divided by its
 content, so every stored row is a primitive integer row.  The sample-point
 matrices of the verifiers are mostly zero, and their entries are small
 integers, so this avoids both Fraction arithmetic and arithmetic on zeros.
+
+An `Echelon` grows one row at a time and its rank is that of every row
+added so far, so the verifiers take a stacked rank (of two row blocks
+together) by adding the second block to the echelon of the first.
 
 `q_rank` reads the number of pivot rows.  `Echelon.kernel` back-substitutes
 the pivot rows into the reduced row echelon form R and returns the
@@ -28,9 +35,11 @@ from math import gcd, lcm
 
 
 def _integer_row(row):
-    """The nonzero entries of a row of ints and Fractions as a primitive
-    integer row {column: int}, a positive rational multiple of the row."""
-    entries = [(c, x) for c, x in enumerate(row) if x]
+    """The nonzero entries of a row of ints and Fractions, dense or sparse
+    {column: value}, as a primitive integer row {column: int}, a positive
+    rational multiple of the row."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    entries = [(c, x) for c, x in items if x]
     if not entries:
         return {}
     scale = lcm(*[x.denominator for _, x in entries])
@@ -90,7 +99,8 @@ class Echelon:
         return sorted(self._pivots)
 
     def add(self, row):
-        """Return True and keep `row` when it raises the rank, else False."""
+        """Return True and keep `row` (a sequence of ints and Fractions or
+        a mapping column -> value) when it raises the rank, else False."""
         v = _integer_row(row)
         pivots = self._pivots
         while v:

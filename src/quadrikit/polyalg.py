@@ -10,7 +10,8 @@ Expression grammar (EBNF, whitespace insignificant):
     atom     = rational | identifier | "(" expr ")" ;
     rational = natural [ "/" natural ] ;
 
-Exponents are capped at MAX_EXPONENT; a larger one is a ParseError.
+Exponents, and the total degree of every power and product, are capped at
+MAX_EXPONENT; a larger one is a ParseError raised before expanding.
 
 Canonical printing lists terms in descending monomial order with explicit
 "*" between factors and "^" for powers >= 2; parse(print(p)) == p.
@@ -30,9 +31,10 @@ class ParseError(PolyError):
     pass
 
 
-# Largest exponent the expression parsers accept (here and in
-# clifford.parse_element).  It bounds one "^" only: without it "(a+b)^N"
-# grows without limit and "e1^N" costs N Clifford products.
+# Largest exponent, and largest total degree of a power or product, that
+# the expression parsers accept (here and in clifford.parse_element).
+# Without it "(a+b)^N" grows without limit and "e1^N" costs N Clifford
+# products; checking the degree before expanding also stops "(x^64)^64".
 MAX_EXPONENT = 64
 
 
@@ -40,6 +42,11 @@ def check_exponent(n):
     if n > MAX_EXPONENT:
         raise ParseError(f"exponent {n} exceeds the maximum {MAX_EXPONENT}")
     return n
+
+
+def check_degree(d):
+    if d > MAX_EXPONENT:
+        raise ParseError(f"degree {d} exceeds the maximum {MAX_EXPONENT}")
 
 
 def _as_fraction(c):
@@ -119,13 +126,15 @@ class Ring:
 
     def point(self, assignment):
         """A variable name -> rational assignment as {variable index:
-        Fraction}; a name that is not a variable of the ring raises."""
+        value}, an integral value as an int and any other as a Fraction;
+        a name that is not a variable of the ring raises."""
         vals = {}
         for name, v in assignment.items():
             i = self._index.get(name)
             if i is None:
                 raise PolyError(f"unknown variable {name!r} in {self!r}")
-            vals[i] = _as_fraction(v)
+            v = _as_fraction(v)
+            vals[i] = v.numerator if v.denominator == 1 else v
         return vals
 
     def sort_monomials(self, monos):
@@ -330,36 +339,50 @@ _ZERO = Fraction(0)
 
 
 def _evaluate_terms(ring, terms, vals, mono_vals):
-    """Value of a term map at the resolved point `vals`; `mono_vals`
-    caches monomial values across calls at the same point."""
-    total = _ZERO
+    """Value of a term map at the resolved point `vals`, as a Fraction;
+    `mono_vals` caches monomial values across calls at the same point.
+    The sum is kept as num/den: a coefficient with the running denominator
+    adds its numerator times the monomial value, and only a new
+    denominator rescales the sum.  At an integral point num is an int, so
+    one Fraction is built per value; at a rational point it is a Fraction."""
+    num, den = 0, 1
     for m, c in terms.items():
         v = mono_vals.get(m)
         if v is None:
-            v = Fraction(1)
+            v = 1
             for i, e in enumerate(m):
                 if e:
                     if i not in vals:
                         raise PolyError(f"no value for variable {ring.variables[i]!r}")
                     v *= vals[i] ** e
             mono_vals[m] = v
-        total += c * v
-    return total
+        d = c.denominator
+        if d == den:
+            num += c.numerator * v
+        else:
+            num = num * d + c.numerator * v * den
+            den *= d
+    return Fraction(num, den)
 
 
 def evaluate_rows(ring, rows, assignment):
-    """Evaluate rows of Poly over `ring` at one point, entry by entry equal
-    to `Poly.evaluate`.  The assignment is resolved once, each monomial is
-    evaluated once, and zero entries cost nothing."""
+    """Evaluate rows of Poly over `ring` at one point as sparse rows
+    {column: Fraction} that hold only the nonzero values, each equal to
+    `Poly.evaluate` of the entry in that column.  The assignment is
+    resolved once, each monomial is evaluated once, and zero entries cost
+    nothing."""
     vals = ring.point(assignment)
     mono_vals = {}
-    return [
-        [
-            _evaluate_terms(ring, p.terms, vals, mono_vals) if p.terms else _ZERO
-            for p in row
-        ]
-        for row in rows
-    ]
+    out = []
+    for row in rows:
+        values = {}
+        for col, p in enumerate(row):
+            if p.terms:
+                x = _evaluate_terms(ring, p.terms, vals, mono_vals)
+                if x:
+                    values[col] = x
+        out.append(values)
+    return out
 
 
 # -- parsing -----------------------------------------------------------
@@ -430,7 +453,9 @@ def _parse_term(tokens, ring):
     product = _parse_factor(tokens, ring)
     while tokens.peek() == "*":
         tokens.next()
-        product = product * _parse_factor(tokens, ring)
+        factor = _parse_factor(tokens, ring)
+        check_degree(product.total_degree() + factor.total_degree())
+        product = product * factor
     return product
 
 
@@ -441,7 +466,9 @@ def _parse_factor(tokens, ring):
         tok = tokens.next()
         if tok[0] != "num":
             raise ParseError("exponent must be a nonnegative integer")
-        base = base ** check_exponent(int(tok[1]))
+        n = check_exponent(int(tok[1]))
+        check_degree(base.total_degree() * n)
+        base = base ** n
     return base
 
 
@@ -555,14 +582,21 @@ class PolyMatrix:
         if isinstance(other, PolyMatrix):
             if self.cols != other.rows:
                 raise PolyError("dimension mismatch in matrix product")
+            # each column of `other` as its nonzero (k, terms) pairs
+            columns = [
+                [(k, row[j].terms) for k, row in enumerate(other.entries) if row[j].terms]
+                for j in range(other.cols)
+            ]
             out = []
-            for i in range(self.rows):
+            for left in self.entries:
                 row = []
-                for j in range(other.cols):
-                    s = self.ring.zero()
-                    for k in range(self.cols):
-                        s = s + self.entries[i][k] * other.entries[k][j]
-                    row.append(s)
+                for column in columns:
+                    acc = {}
+                    for k, b in column:
+                        a = left[k].terms
+                        if a:
+                            acc = K.add_terms(acc, K.mul_terms(a, b))
+                    row.append(Poly(self.ring, acc))
                 out.append(row)
             return PolyMatrix(self.ring, out)
         return PolyMatrix(
@@ -589,7 +623,12 @@ class PolyMatrix:
         return [[fn(p) for p in row] for row in self.entries]
 
     def evaluate(self, assignment):
-        return evaluate_rows(self.ring, self.entries, assignment)
+        """The entries' values at a point, as dense rows of Fractions."""
+        cols = range(self.cols)
+        return [
+            [values.get(j, _ZERO) for j in cols]
+            for values in evaluate_rows(self.ring, self.entries, assignment)
+        ]
 
     def __str__(self):
         cells = [[str(p) for p in row] for row in self.entries]

@@ -247,6 +247,34 @@ def test_fiber_rank_out_of_range_exit_3(tmp_path, rank, command):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", [["degeneration", "--k", "1"], ["verify"]])
+def test_nested_exponent_exit_2(tmp_path, command):
+    """The degree of a power is checked before it is expanded."""
+    path = tmp_path / "nested.qf"
+    path.write_text('base_vars = [a]\nfiber_rank = 2\nq = "((x1+a)^64)^64"\n')
+    name, *flags = command
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadrikit.cli", name, str(path), *flags],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert "degree 4096 exceeds the maximum 64" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("suite", ["cokernel", "flag"])
+def test_verify_r8_pinned(suite, monkeypatch, capsys):
+    """Rank 8 (data/r8.qf): `flag` takes the stacked ranks through one
+    reused echelon per block."""
+    monkeypatch.chdir(DATA.parent)
+    args = ["verify", "data/r8.qf", "--suite", suite, "--samples", "2", "--json"]
+    assert main(args) == 0
+    pinned = Path(__file__).resolve().parent / "pinned" / f"r8_{suite}.json"
+    assert capsys.readouterr().out == pinned.read_text()
+
+
 def test_cli_byte_determinism_subprocess():
     a = run_cli(["verify", UNIVERSAL, "--suite", "duality", "--json"])
     b = run_cli(["verify", UNIVERSAL, "--suite", "duality", "--json"])

@@ -424,3 +424,16 @@ def test_parse_element_exponent_cap():
         parse_element(f"e1^{MAX_EXPONENT + 1}", ctx)
     with pytest.raises(ParseError, match="exceeds"):
         parse_element(f"l^-{MAX_EXPONENT + 1}", ctx)
+
+
+def test_parse_element_degree_cap():
+    ctx = universal_ctx()
+    with pytest.raises(ParseError, match="degree 4096 exceeds"):
+        parse_element(f"((a + 1)^{MAX_EXPONENT})^{MAX_EXPONENT}", ctx)
+    with pytest.raises(ParseError, match="degree 65 exceeds"):
+        parse_element(f"a^{MAX_EXPONENT}*b*e1", ctx)
+    # e3*e3 = a*l: the degree the rewriting adds is bounded too
+    with pytest.raises(ParseError, match="degree 65 exceeds"):
+        parse_element(f"a^{MAX_EXPONENT - 1}*e3*e3*e3*e3", ctx)
+    a = ctx.base.var("a")
+    assert parse_element(f"e3^{MAX_EXPONENT}", ctx) == ctx.scalar(a**32).l_shift(32)

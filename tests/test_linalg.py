@@ -10,6 +10,7 @@ from quadrikit.polyalg import (
     PolyError,
     PolyMatrix,
     Ring,
+    _evaluate_terms,
     evaluate_rows,
     fraction_free_rref,
 )
@@ -157,11 +158,26 @@ _points = st.fixed_dictionaries(
 @_settings
 @given(st.lists(st.lists(_polys, min_size=0, max_size=5), max_size=6), _points)
 def test_evaluate_rows_matches_poly_evaluate(rows, point):
+    # entries that are nonzero polynomials but vanish at the point
+    if rows:
+        rows = rows + [[p - p.evaluate(point) for p in rows[0]]]
     values = evaluate_rows(ABC, rows, point)
-    assert values == [[p.evaluate(point) for p in row] for row in rows]
-    assert all(isinstance(x, Fraction) for row in values for x in row)
+    assert values == [
+        {c: p.evaluate(point) for c, p in enumerate(row) if p.evaluate(point)}
+        for row in rows
+    ]
+    assert all(x != 0 for row in values for x in row.values())
+    assert all(isinstance(x, Fraction) for row in values for x in row.values())
     if rows and rows[0]:
-        assert PolyMatrix(ABC, [rows[0]]).evaluate(point) == [values[0]]
+        # PolyMatrix.evaluate is the dense expansion of the sparse rows
+        ncols = len(rows[0])
+        same = [i for i, row in enumerate(rows) if len(row) == ncols]
+        dense = PolyMatrix(ABC, [rows[i] for i in same]).evaluate(point)
+        assert dense == [[p.evaluate(point) for p in rows[i]] for i in same]
+        assert dense == [
+            [values[i].get(c, Fraction(0)) for c in range(ncols)] for i in same
+        ]
+        assert all(isinstance(x, Fraction) for row in dense for x in row)
 
 
 def test_evaluate_rows_rejects_unknown_and_missing_variables():
@@ -171,6 +187,44 @@ def test_evaluate_rows_rejects_unknown_and_missing_variables():
     with pytest.raises(PolyError):
         a.evaluate({"a": 1, "z": 1})
     # a variable without a value raises only where it occurs
-    assert evaluate_rows(ABC, [[a, ABC.zero()]], {"a": 2}) == [[2, 0]]
+    assert evaluate_rows(ABC, [[a, ABC.zero()]], {"a": 2}) == [{0: 2}]
+    assert PolyMatrix(ABC, [[a, ABC.zero()]]).evaluate({"a": 2}) == [[2, 0]]
     with pytest.raises(PolyError):
         evaluate_rows(ABC, [[a, Poly(ABC, {(0, 1, 0): Fraction(1)})]], {"a": 2})
+
+
+_int_points = st.fixed_dictionaries({v: st.integers(-9, 9) for v in ABC.variables})
+
+
+@_settings
+@given(
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), _rationals.filter(bool), max_size=8),
+    st.one_of(_int_points, _points),
+)
+def test_evaluate_terms_matches_fraction_sum(terms, point):
+    """Coefficients with mixed denominators, at integral and rational points."""
+    x = [Fraction(point[v]) for v in ABC.variables]
+    expected = Fraction(0)
+    for m, c in terms.items():
+        expected += c * x[0] ** m[0] * x[1] ** m[1] * x[2] ** m[2]
+    value = _evaluate_terms(ABC, terms, ABC.point(point), {})
+    assert isinstance(value, Fraction)
+    assert value == expected
+    assert Poly(ABC, terms).evaluate(point) == expected
+
+
+@_settings
+@given(_sparse_matrices())
+def test_echelon_sparse_rows_match_dense_rows(rows):
+    ncols = len(rows[0]) if rows else 0
+    dense = linalg.Echelon()
+    kept = [dense.add(row) for row in rows]
+    for sparse_rows in (
+        [{c: x for c, x in enumerate(row) if x} for row in rows],
+        [dict(enumerate(row)) for row in rows],  # explicit zeros are dropped
+    ):
+        sparse = linalg.Echelon()
+        assert [sparse.add(row) for row in sparse_rows] == kept
+        assert sparse.rank == dense.rank
+        assert sparse.pivots == dense.pivots
+        assert sparse.kernel(ncols) == dense.kernel(ncols)

@@ -335,6 +335,96 @@ def test_mul_cancellation_drops_zero_terms():
     assert K.mul_terms(a, b) == {(2, 0): one, (0, 2): -one}
 
 
+_matrix_entries = st.one_of(
+    st.sampled_from(["0", "0", "x", "-x", "y", "1", "x + y", "x - y"]).map(
+        lambda src: parse_poly(src, XY)
+    ),
+    _polys,
+)
+
+
+@st.composite
+def _matrix_pairs(draw):
+    """(A, B) of sizes n x k and k x m, with some zero rows of A, zero
+    columns of B and products that cancel."""
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    a = [[draw(_matrix_entries) for _ in range(k)] for _ in range(n)]
+    b = [[draw(_matrix_entries) for _ in range(m)] for _ in range(k)]
+    if k >= 2 and draw(st.booleans()):
+        # A's column k2 repeats column k1 and B's row k2 negates row k1, so
+        # those two products cancel in every entry (all of it when k == 2)
+        k1, k2 = draw(st.permutations(range(k)))[:2]
+        for row in a:
+            row[k2] = row[k1]
+        b[k2] = [-p for p in b[k1]]
+    for i in range(n):
+        if draw(st.integers(0, 3)) == 0:
+            a[i] = [XY.zero()] * k
+    for j in range(m):
+        if draw(st.integers(0, 3)) == 0:
+            for row in b:
+                row[j] = XY.zero()
+    return a, b
+
+
+@_settings
+@given(_matrix_pairs())
+def test_matrix_product_matches_triple_loop(pair):
+    a, b = pair
+    naive = [
+        [
+            sum((a[i][k] * b[k][j] for k in range(len(b))), XY.zero())
+            for j in range(len(b[0]))
+        ]
+        for i in range(len(a))
+    ]
+    product = PolyMatrix(XY, a) * PolyMatrix(XY, b)
+    assert (product.rows, product.cols) == (len(a), len(b[0]))
+    assert product.entries == naive
+    assert all(c for row in product.entries for p in row for c in p.terms.values())
+
+
+# cheap to expand at any degree up to the cap: at most 65 terms
+_degree_atoms = st.sampled_from(["x", "y", "2", "1/3", "0", "(x + 1)", "(x - y)", "(x*y + 2)"])
+_exponents = st.sampled_from([0, 1, 2, 3, 8, 16, 31, 32, 33, 64])
+
+
+@st.composite
+def _degree_exprs(draw):
+    """Sums of products of atoms under 0-2 nested powers."""
+    products = []
+    for _ in range(draw(st.integers(1, 2))):
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            factor = draw(_degree_atoms)
+            for _ in range(draw(st.integers(0, 2))):
+                factor = f"({factor})^{draw(_exponents)}"
+            factors.append(factor)
+        products.append("*".join(factors))
+    return " + ".join(products)
+
+
+@_settings
+@given(_degree_exprs())
+def test_parsed_degree_never_exceeds_the_cap(source):
+    try:
+        p = parse_poly(source, XY)
+    except ParseError as e:
+        assert "exceeds the maximum" in str(e)
+        return
+    assert p.total_degree() <= MAX_EXPONENT
+
+
+def test_nested_powers_refused_before_expanding():
+    with pytest.raises(ParseError, match="degree 4096 exceeds"):
+        parse_poly(f"((x + 1)^{MAX_EXPONENT})^{MAX_EXPONENT}", XY)
+    with pytest.raises(ParseError, match="degree 65 exceeds"):
+        parse_poly(f"(x*y)^32*(x + 1)", XY)
+    x, y = XY.gens()
+    assert parse_poly("(x*y)^32", XY) == (x * y) ** 32
+    assert parse_poly("(x^2)^32*(0)^64", XY) == XY.zero()
+
+
 def test_backend_name_is_python():
     # perfbench records it as run provenance
     assert quadrikit.backend_name() == "python"
