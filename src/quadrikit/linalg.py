@@ -24,11 +24,14 @@ v[c] = -R[c][f] on the pivot columns c.  `q_nullspace` is that basis, and
 a solve of A x = b is the kernel vector of the column -b of [A | -b].
 
 Systems over the fraction field of the base ring are solved fraction-free
-by `polyalg.fraction_free_rref`.  Where a system has many more rows than
-its rank, as the center system of `clifford.center_element` does, only a
-rank-sized subset is eliminated: the rows that `Echelon.add` accepts at
-one rational base point, certified exactly on every row (each dropped row
-must annihilate the subset's kernel over the fraction field)."""
+by `polyalg.fraction_free_rref`, a Bareiss elimination on sparse rows of
+polynomials that updates only the rows with an entry in the pivot column
+and rescales the others lazily, when they are read.  Where a system has
+many more rows than its rank, as the center system of
+`clifford.center_element` does, only a rank-sized subset is eliminated:
+the rows that `Echelon.add` accepts at one rational base point, certified
+exactly on every row (each dropped row must annihilate the subset's kernel
+over the fraction field)."""
 
 from fractions import Fraction
 from math import gcd, lcm

@@ -666,48 +666,82 @@ def fraction_free_rref(rows):
     (D_new x - f y) / D_old is a minor of the input (Sylvester's identity),
     so its division is exact.  The pivot in a column is the candidate
     with the fewest terms, ties broken by row index, which keeps D small.
+
+    Internally rows are sparse maps {col: Poly} of their nonzero entries,
+    and a pivot step updates only the rows with an entry in its column,
+    on the union of their columns and the pivot row's.  A row without
+    one would only be rescaled by D_new / D_old; the factors telescope, so
+    it is left as it is and brought up to date (x D_now / D_then, again an
+    exact division) only when it is read: as a pivot candidate, as a row
+    to update, or in the result.  The result is the same dense rows.
     """
-    a = [list(row) for row in rows]
+    dense = [list(row) for row in rows]
+    ncols = len(dense[0]) if dense else 0
+    if not ncols:
+        return dense, [], 1
+    zero = dense[0][0].ring.zero()
+    a = [{j: x for j, x in enumerate(row) if x} for row in dense]
     nrows = len(a)
-    ncols = len(a[0]) if a else 0
+    level = [0] * nrows  # pivots taken when each row was last brought up to date
+    dens = [None]  # D after k pivots; None stands for 1
     pivots = []
     sign = 1
-    prev = None  # D before the first pivot is 1
+
+    def catch_up(i):
+        then, now = dens[level[i]], dens[-1]
+        if now != then:
+            row = a[i]
+            for j, x in row.items():
+                row[j] = x * now if then is None else exact_div(x * now, then)
+        level[i] = len(pivots)
+
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        candidates = [i for i in range(r, nrows) if a[i][c]]
+        candidates = [i for i in range(r, nrows) if c in a[i]]
         if not candidates:
             continue
+        for i in candidates:
+            catch_up(i)
         p = min(candidates, key=lambda i: len(a[i][c].terms))
         if p != r:
             a[r], a[p] = a[p], a[r]
+            level[r], level[p] = level[p], level[r]
             sign = -sign
         pivot_row = a[r]
         d = pivot_row[c]
-        zero = d.ring.zero()
+        prev = dens[-1]
         for i in range(nrows):
-            if i == r:
-                continue
             row = a[i]
-            f = row[c]
-            if not f and d == prev:
-                continue  # (d x - 0 y) / d leaves the row as it is
-            # rows below r are zero left of c; rows above are not
-            for j in range(0 if i < r else c + 1, ncols):
-                x = row[j]
-                if f:
-                    num = d * x - f * pivot_row[j]
-                elif x:
-                    num = d * x
-                else:
+            if i == r or c not in row:
+                continue
+            catch_up(i)
+            f = row.pop(c)
+            for j in row.keys() | pivot_row.keys():
+                if j == c:
                     continue
-                row[j] = num if prev is None else exact_div(num, prev)
-            row[c] = zero
+                x = row.get(j)
+                y = pivot_row.get(j)
+                if y is None:
+                    num = d * x
+                elif x is None:
+                    num = -(f * y)
+                else:
+                    num = d * x - f * y
+                if prev is not None:
+                    num = exact_div(num, prev)
+                if num:
+                    row[j] = num
+                else:
+                    row.pop(j, None)
+            level[i] = r + 1
         pivots.append(c)
-        prev = d
-    return a, pivots, sign
+        dens.append(d)
+        level[r] = r + 1  # the pivot row is not rescaled at its own step
+    for i in range(nrows):
+        catch_up(i)
+    return [[row.get(j, zero) for j in range(ncols)] for row in a], pivots, sign
 
 
 def _det_bareiss(m):

@@ -51,7 +51,7 @@ class QuadraticForm:
     The bilinear form b_q(v, w) = q(v+w) - q(v) - q(w) has matrix
     B[i][i] = 2 c_ii and B[i][j] = c_ij for i != j."""
 
-    __slots__ = ("base", "n", "coeff", "_bilinear")
+    __slots__ = ("base", "n", "coeff", "_bilinear", "_det_bilinear")
 
     def __init__(self, base, n, coeff):
         if n < 0:
@@ -70,6 +70,7 @@ class QuadraticForm:
                 table[(i, j)] = c
         self.coeff = table
         self._bilinear = None
+        self._det_bilinear = None
 
     # -- construction ----------------------------------------------------
 
@@ -188,7 +189,10 @@ class QuadraticForm:
         return minors_ideal(self.bilinear_matrix(), self.n + 1 - k)
 
     def det_bilinear(self):
-        return det(self.bilinear_matrix())
+        # computed once: coeff is never changed after construction
+        if self._det_bilinear is None:
+            self._det_bilinear = det(self.bilinear_matrix())
+        return self._det_bilinear
 
     def specialize(self, assignment):
         """Constant-coefficient form at a base point (empty base ring)."""

@@ -275,6 +275,22 @@ def test_verify_r8_pinned(suite, monkeypatch, capsys):
     assert capsys.readouterr().out == pinned.read_text()
 
 
+@pytest.mark.parametrize(
+    "pinned_name, args",
+    [
+        ("r8_spinor_n1", ["spinor", "data/r8.qf", "--w", "1,0,0,0,0,0,0,0", "--n", "1"]),
+        ("r6_mf", ["verify", "data/r6.qf", "--suite", "matrix-factorization"]),
+    ],
+)
+def test_fraction_free_paths_pinned(pinned_name, args, monkeypatch, capsys):
+    """Outputs built on `fraction_free_rref` (spinor_phi, the matrix
+    factorization suite), recorded from the dense elimination."""
+    monkeypatch.chdir(DATA.parent)
+    assert main(args + ["--json"]) == 0
+    pinned = Path(__file__).resolve().parent / "pinned" / f"{pinned_name}.json"
+    assert capsys.readouterr().out == pinned.read_text()
+
+
 def test_cli_byte_determinism_subprocess():
     a = run_cli(["verify", UNIVERSAL, "--suite", "duality", "--json"])
     b = run_cli(["verify", UNIVERSAL, "--suite", "duality", "--json"])

@@ -292,6 +292,101 @@ def test_fraction_free_reports_inconsistent_system(system, g):
     assert len(a[0]) in pivots
 
 
+def _dense_bareiss_reference(rows):
+    """The dense Bareiss loop `fraction_free_rref` replaced: every row is
+    rescaled by d / prev at every pivot.  Kept as the oracle for the
+    sparse, lazily rescaled elimination."""
+    a = [list(row) for row in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    pivots = []
+    sign = 1
+    prev = None  # D before the first pivot is 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        candidates = [i for i in range(r, nrows) if a[i][c]]
+        if not candidates:
+            continue
+        p = min(candidates, key=lambda i: len(a[i][c].terms))
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        pivot_row = a[r]
+        d = pivot_row[c]
+        zero = d.ring.zero()
+        for i in range(nrows):
+            if i == r:
+                continue
+            row = a[i]
+            f = row[c]
+            if not f and d == prev:
+                continue  # (d x - 0 y) / d leaves the row as it is
+            # rows below r are zero left of c; rows above are not
+            for j in range(0 if i < r else c + 1, ncols):
+                x = row[j]
+                if f:
+                    num = d * x - f * pivot_row[j]
+                elif x:
+                    num = d * x
+                else:
+                    continue
+                row[j] = num if prev is None else exact_div(num, prev)
+            row[c] = zero
+        pivots.append(c)
+        prev = d
+    return a, pivots, sign
+
+
+_sparse_nonzero = st.one_of(
+    st.sampled_from([XY.one(), -XY.one()]),
+    _polys.filter(lambda p: 1 <= len(p.terms) <= 2),
+)
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """Mostly-zero matrices whose entries are 0, +-1 or short monomials and
+    binomials: D changes between pivots, so rows a pivot step leaves alone
+    must catch up across several levels."""
+    nrows = draw(st.integers(1, 10))
+    ncols = draw(st.integers(1, 14))
+    a = [[XY.zero()] * ncols for _ in range(nrows)]
+    cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    for (i, j), p in draw(st.lists(st.tuples(cells, _sparse_nonzero), max_size=2 * (nrows + ncols))):
+        a[i][j] = p
+    return a
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_sparse_matrices())
+def test_fraction_free_matches_dense_reference(a):
+    """Rows, pivots and sign equal the dense Bareiss loop's exactly."""
+    assert fraction_free_rref(a) == _dense_bareiss_reference(a)
+
+
+def test_fraction_free_matches_dense_reference_edge_cases():
+    x, y = XY.gens()
+    z, one = XY.zero(), XY.one()
+    cases = [
+        [],
+        [[z, z, z]],  # all-zero matrix
+        [[z, z], [z, z], [z, z]],
+        [[x, one, z], [z, z, z], [y, z, one]],  # an all-zero row
+        # the pivot of column 0 is only below row 0 (a swap); the untouched
+        # rows then catch up across the changing D = x, x + y, ...
+        [[z, x, one, z], [z, y, z, one], [x + y, one, z, x], [z, z, y, x * y]],
+        [[z, z, x], [x, z, one], [y, x, z], [z, y, x + 1]],
+    ]
+    for a in cases:
+        assert fraction_free_rref(a) == _dense_bareiss_reference(a)
+    assert fraction_free_rref([]) == ([], [], 1)
+    assert fraction_free_rref([[z, z], [z, z]]) == ([[z, z], [z, z]], [], 1)
+    reduced, pivots, sign = fraction_free_rref(cases[4])
+    assert sign == -1 and pivots[0] == 0
+
+
 def test_det_rejects_nonsquare():
     with pytest.raises(PolyError):
         det(PolyMatrix.zeros(ABC, 2, 3))

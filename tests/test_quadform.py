@@ -65,6 +65,23 @@ def test_bilinear_universal():
     assert b == expect
 
 
+def test_det_bilinear_computed_once(monkeypatch):
+    import quadrikit.quadform as quadform
+
+    q = universal()
+    calls = []
+
+    def counting_det(m):
+        calls.append(m)
+        return det(m)
+
+    monkeypatch.setattr(quadform, "det", counting_det)
+    first = q.det_bilinear()
+    assert q.det_bilinear() is first
+    assert first == det(q.bilinear_matrix()) == parse_poly("b^2 - 4*a*c", q.base)
+    assert len(calls) == 1
+
+
 def test_bilinear_zero_form():
     q = QuadraticForm(Ring(("a",)), 3, {})
     assert all(p.is_zero() for row in q.bilinear_matrix().entries for p in row)
