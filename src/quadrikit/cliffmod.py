@@ -595,6 +595,6 @@ def phi_invertible_off_quadric(pres, seed=DEFAULT_SEED):
     for _ in range(_MAX_TRIES):
         assignment = {v: Fraction(rng.randint(*_SAMPLE_RANGE)) for v in ring.variables}
         if q_poly.evaluate(assignment) != 0:
-            matrix = pres.phi.evaluate(assignment)
-            return linalg.q_rank(matrix) == len(matrix)
+            values = evaluate_rows(ring, pres.phi.entries, assignment)
+            return linalg.q_rank(values) == pres.size
     raise CliffModError("could not find a point off the quadric")

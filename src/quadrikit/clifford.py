@@ -10,13 +10,11 @@ the leftmost inversion, which is confluent for these relations.
 """
 
 import math
-import random
 from fractions import Fraction
 from itertools import combinations
 
 from quadrikit.polyalg import ParseError, Poly, PolyError, check_degree, check_exponent
-from quadrikit import linalg
-from quadrikit.polyalg import evaluate_rows, exact_div, fraction_free_rref
+from quadrikit.polyalg import exact_div, fraction_free_rref
 from quadrikit.quadform import QuadraticForm
 
 
@@ -319,37 +317,33 @@ def center_element(ctx):
     generator omega (unit coordinate 0, top coordinate positive) and its
     monic quadratic relation.
 
-    The linear conditions are commutation with every degree-0 basis
-    monomial.  Only a rank-sized subset of these rows is eliminated: the
-    rows independent at one fixed rational base point, plus any row the
-    exact check of `_center_kernel` finds outside their span, so the
-    subset has the kernel of the whole system over the fraction field.
-    Constant coordinates are tried first, then the fraction field of the
-    base with denominators cleared."""
+    The pair monomials e_i e_j l^-1 (i < j) generate the degree-0
+    component as an algebra (Knus 1991, ch. IV), so the linear conditions
+    are commutation with each of them.  Their commutator rows, without
+    zero rows and repeats, are eliminated once over the fraction field of
+    the base.  The first kernel vector that its nonzero top coordinate
+    divides exactly, divided by it and with the unit coordinate zeroed, is
+    omega once denominators and integer content are cleared."""
     if ctx.rank % 2 or ctx.rank == 0:
         raise CliffordError("center computation needs positive even rank")
     basis0 = graded_basis(ctx, 0)
     dim = len(basis0)
     unit_pos, top_pos = _unit_and_top(ctx, basis0)
     monos = [ctx.monomial(idx, m) for idx, m in basis0]
-    products = [[cl_mul(x, y) for y in monos] for x in monos]
+    zero = ctx.base.zero()
 
     # rows of the commutator system, entries Poly over the base; zero rows
     # and repeats of an earlier row are dropped (same solution space)
     rows = {}
-    for j in range(dim):
-        columns = [products[k][j] - products[j][k] for k in range(dim)]
-        for pos in range(dim):
-            key = basis0[pos]
-            row = tuple(col.terms.get(key, ctx.base.zero()) for col in columns)
+    for pair in combinations(range(1, ctx.rank + 1), 2):
+        g = ctx.monomial(pair, -1)
+        columns = [cl_mul(g, m) - cl_mul(m, g) for m in monos]
+        for key in basis0:
+            row = tuple(col.terms.get(key, zero) for col in columns)
             if any(not p.is_zero() for p in row):
                 rows.setdefault(row, None)
-    rows = [list(row) for row in rows]
-    rows, kernel = _center_kernel(ctx, rows, dim)
-
-    vec = _solve_center_constant(ctx, rows, dim, unit_pos, top_pos)
-    if vec is None:
-        vec = _solve_center_fraction(ctx, kernel, dim, unit_pos, top_pos)
+    kernel = _fraction_free_kernel([list(row) for row in rows], dim, ctx.base)
+    vec = _solve_center_fraction(ctx, kernel, dim, unit_pos, top_pos)
     if vec is None:
         raise CliffordError(
             "no non-scalar central element found (implementation bug for even rank)"
@@ -397,29 +391,6 @@ def _normalize_center_vector(ctx, polys, dim, unit_pos, top_pos):
     return polys
 
 
-def _solve_center_constant(ctx, rows, dim, unit_pos, top_pos):
-    # expand polynomial rows monomial-by-monomial into a system over Q
-    q_rows = []
-    for row in rows:
-        monomials = sorted(set().union(*(p.terms.keys() for p in row if p)))
-        for mono in monomials:
-            q_rows.append([p.coeff(mono) for p in row])
-    for vec in linalg.q_nullspace(q_rows, dim):
-        polys = [ctx.base.const(c) for c in vec]
-        normalized = _normalize_center_vector(ctx, polys, dim, unit_pos, top_pos)
-        if normalized is not None:
-            return normalized
-    return None
-
-
-def _center_point(base):
-    """The base point, seeded pseudo-random integers in [2, 97], at which
-    the commutator rows are chosen.  Any point gives the same center; one
-    off the degeneration locus needs no refinement."""
-    rng = random.Random(24237)
-    return {v: rng.randint(2, 97) for v in base.variables}
-
-
 def _fraction_free_kernel(rows, dim, base):
     """Kernel basis over the fraction field of the base, one vector per
     free column f of the fraction-free elimination: v[f] = D and
@@ -437,40 +408,6 @@ def _fraction_free_kernel(rows, dim, base):
             vec[c] = -row[f]
         kernel.append(vec)
     return kernel
-
-
-def _center_kernel(ctx, rows, dim):
-    """Rows with the kernel of `rows` over the fraction field, and that
-    kernel.  The rows independent at `_center_point` are eliminated; a
-    dropped row with a nonzero exact dot product with a kernel vector is
-    outside their span, so the first such row joins them and the
-    elimination reruns.  Each rerun raises the rank, so this ends."""
-    echelon = linalg.Echelon()
-    values = evaluate_rows(ctx.base, rows, _center_point(ctx.base))
-    keep = [i for i, row in enumerate(values) if echelon.add(row)]
-    while True:
-        subset = [rows[i] for i in keep]
-        kernel = _fraction_free_kernel(subset, dim, ctx.base)
-        kept = set(keep)
-        missing = next(
-            (
-                i
-                for i, row in enumerate(rows)
-                if i not in kept and any(_dot(row, vec) for vec in kernel)
-            ),
-            None,
-        )
-        if missing is None:
-            return subset, kernel
-        keep = sorted(keep + [missing])
-
-
-def _dot(row, vec):
-    total = row[0].ring.zero()
-    for p, v in zip(row, vec):
-        if p and v:
-            total = total + p * v
-    return total
 
 
 def _solve_center_fraction(ctx, kernel, dim, unit_pos, top_pos):

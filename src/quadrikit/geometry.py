@@ -5,7 +5,7 @@ parameter space."""
 
 from fractions import Fraction
 
-from quadrikit.polyalg import Poly, Ring
+from quadrikit.polyalg import Poly, Ring, evaluate_rows
 from quadrikit import linalg
 from quadrikit.quadform import (
     QuadraticForm,
@@ -106,9 +106,8 @@ def fiber_report(q, point):
     if q.n != 4:
         raise QuadFormError("fiber classification needs rank 4")
     assignment = point.assignment
-    b_num = q.bilinear_matrix().evaluate(assignment)
     echelon = linalg.Echelon()
-    for row in b_num:
+    for row in evaluate_rows(q.base, q.bilinear_matrix().entries, assignment):
         echelon.add(row)
     corank = 4 - echelon.rank
     report = {

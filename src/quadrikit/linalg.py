@@ -20,18 +20,15 @@ together) by adding the second block to the echelon of the first.
 `q_rank` reads the number of pivot rows.  `Echelon.kernel` back-substitutes
 the pivot rows into the reduced row echelon form R and returns the
 canonical kernel basis: one vector per free column f, with v[f] = 1 and
-v[c] = -R[c][f] on the pivot columns c.  `q_nullspace` is that basis, and
-a solve of A x = b is the kernel vector of the column -b of [A | -b].
+v[c] = -R[c][f] on the pivot columns c; a solve of A x = b is the kernel
+vector of the column -b of [A | -b].
 
 Systems over the fraction field of the base ring are solved fraction-free
 by `polyalg.fraction_free_rref`, a Bareiss elimination on sparse rows of
 polynomials that updates only the rows with an entry in the pivot column
-and rescales the others lazily, when they are read.  Where a system has
-many more rows than its rank, as the center system of
-`clifford.center_element` does, only a rank-sized subset is eliminated:
-the rows that `Echelon.add` accepts at one rational base point, certified
-exactly on every row (each dropped row must annihilate the subset's kernel
-over the fraction field)."""
+and rescales the others lazily, when they are read.  The center system of
+`clifford.center_element` is eliminated there once, in full: its rows are
+the commutators with the pair generators of the even part only."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -148,11 +145,3 @@ def q_rank(rows):
         echelon.add(row)
     return echelon.rank
 
-
-def q_nullspace(rows, ncols):
-    """Basis of the right kernel over Q of rows of `ncols` ints and
-    Fractions (`Echelon.kernel`); no rows give the identity basis."""
-    echelon = Echelon()
-    for row in rows:
-        echelon.add(row)
-    return echelon.kernel(ncols)

@@ -335,9 +335,6 @@ class Poly:
 # -- evaluation at a point ---------------------------------------------
 
 
-_ZERO = Fraction(0)
-
-
 def _evaluate_terms(ring, terms, vals, mono_vals):
     """Value of a term map at the resolved point `vals`, as a Fraction;
     `mono_vals` caches monomial values across calls at the same point.
@@ -621,14 +618,6 @@ class PolyMatrix:
 
     def map(self, fn):
         return [[fn(p) for p in row] for row in self.entries]
-
-    def evaluate(self, assignment):
-        """The entries' values at a point, as dense rows of Fractions."""
-        cols = range(self.cols)
-        return [
-            [values.get(j, _ZERO) for j in cols]
-            for values in evaluate_rows(self.ring, self.entries, assignment)
-        ]
 
     def __str__(self):
         cells = [[str(p) for p in row] for row in self.entries]

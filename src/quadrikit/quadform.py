@@ -33,7 +33,7 @@ L_WEIGHT = 2  # degree of the value line bundle; fiber generators have degree 1
 
 # Largest fiber rank a .qf file may declare: the even Clifford algebra has a
 # 2^(n-1)-element graded basis (2048 at the cap), and the center multiplies
-# every pair of its elements.
+# each of its elements by each of the n(n-1)/2 pair generators.
 MAX_FIBER_RANK = 12
 
 

@@ -280,11 +280,14 @@ def test_verify_r8_pinned(suite, monkeypatch, capsys):
     [
         ("r8_spinor_n1", ["spinor", "data/r8.qf", "--w", "1,0,0,0,0,0,0,0", "--n", "1"]),
         ("r6_mf", ["verify", "data/r6.qf", "--suite", "matrix-factorization"]),
+        ("r8_center", ["clifford", "data/r8.qf", "--center"]),
     ],
 )
 def test_fraction_free_paths_pinned(pinned_name, args, monkeypatch, capsys):
     """Outputs built on `fraction_free_rref` (spinor_phi, the matrix
-    factorization suite), recorded from the dense elimination."""
+    factorization suite, the center), recorded from the dense elimination
+    (the R8 center from the elimination of a row subset certified on
+    every commutator row)."""
     monkeypatch.chdir(DATA.parent)
     assert main(args + ["--json"]) == 0
     pinned = Path(__file__).resolve().parent / "pinned" / f"{pinned_name}.json"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadrikit import clifford
+from quadrikit import clifford, linalg
 from quadrikit.polyalg import MAX_EXPONENT, ParseError, Poly, fraction_free_rref, parse_poly
 from quadrikit.quadform import QuadraticForm, hyperbolic_reduce, load_qf
 from quadrikit.clifford import (
@@ -261,9 +261,11 @@ def test_center_requires_even_rank():
 
 
 def _reference_center(ctx):
-    """(omega, alpha, beta) from every commutator row, eliminated in full:
-    the constant kernel first, then the fraction-field kernel read off
-    one fraction-free elimination of all rows."""
+    """(omega, alpha, beta) from commutation with every degree-0 basis
+    monomial, not only the pair generators, eliminated in full: the
+    constant kernel first (the kernel over Q of the rows expanded monomial
+    by monomial), then the fraction-field kernel read off one
+    fraction-free elimination of all rows."""
     basis0 = graded_basis(ctx, 0)
     dim = len(basis0)
     unit = basis0.index(((), 0))
@@ -274,7 +276,15 @@ def _reference_center(ctx):
     for m in monos:
         comms = [cl_mul(b, m) - cl_mul(m, b) for b in monos]
         rows += [[c.terms.get(key, zero) for c in comms] for key in basis0]
-    vec = clifford._solve_center_constant(ctx, rows, dim, unit, top)
+    echelon = linalg.Echelon()
+    for row in rows:
+        for mono in sorted(set().union(*(p.terms for p in row))):
+            echelon.add([p.coeff(mono) for p in row])
+    constant = (
+        clifford._normalize_center_vector(ctx, [ctx.base.const(c) for c in v], dim, unit, top)
+        for v in echelon.kernel(dim)
+    )
+    vec = next((v for v in constant if v is not None), None)
     if vec is None:
         reduced, pivots, _ = fraction_free_rref(rows)
         kernel = []
@@ -303,7 +313,7 @@ _rank4_monomials = [f"x{i}*x{j}" for i in range(1, 5) for j in range(i, 5)]
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.lists(_coefficients, min_size=10, max_size=10))
-def test_center_subset_matches_full_elimination(coeffs):
+def test_center_matches_full_elimination(coeffs):
     # degenerate and constant forms included: every coefficient may be 0
     terms = [f"{c}*{m}" for c, m in zip(coeffs, _rank4_monomials) if c != "0"]
     q = QuadraticForm.from_expression(["a", "b", "c"], 4, " + ".join(terms) or "0")
@@ -311,28 +321,10 @@ def test_center_subset_matches_full_elimination(coeffs):
     assert _center_triple(ctx) == _reference_center(ctx)
 
 
-@pytest.mark.parametrize("name", ["universal", "split", "corank2"])
-def test_center_subset_matches_full_elimination_on_data(name):
+@pytest.mark.parametrize("name", ["universal", "split", "corank2", "r6"])
+def test_center_matches_full_elimination_on_data(name):
     ctx = CliffordContext(load_qf(DATA / f"{name}.qf"))
     assert _center_triple(ctx) == _reference_center(ctx)
-
-
-def test_center_refines_rows_chosen_on_the_degeneration_locus(monkeypatch):
-    # at a = ... = f = 0 the R6 commutator rows have rank 23 < 30, so the
-    # exact check must add rows and eliminate again
-    ctx = CliffordContext(load_qf(DATA / "r6.qf"))
-    expected = _center_triple(ctx)
-    eliminated = []
-
-    def counting_rref(rows):
-        eliminated.append(len(rows))
-        return fraction_free_rref(rows)
-
-    monkeypatch.setattr(clifford, "_center_point", lambda base: {v: 0 for v in base.variables})
-    monkeypatch.setattr(clifford, "fraction_free_rref", counting_rref)
-    assert _center_triple(ctx) == expected
-    assert len(eliminated) > 1
-    assert eliminated[-1] == 30
 
 
 # -- trace --------------------------------------------------------------------------

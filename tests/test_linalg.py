@@ -8,7 +8,6 @@ from quadrikit import linalg
 from quadrikit.polyalg import (
     Poly,
     PolyError,
-    PolyMatrix,
     Ring,
     _evaluate_terms,
     evaluate_rows,
@@ -68,6 +67,14 @@ def _greedy_rows(rows):
     return kept
 
 
+def _kernel(rows, ncols):
+    """`Echelon.kernel` of the echelon that the rows were added to."""
+    echelon = linalg.Echelon()
+    for row in rows:
+        echelon.add(row)
+    return echelon.kernel(ncols)
+
+
 def _sympy_matrix(rows):
     sympy = pytest.importorskip("sympy")
     fractions = [[Fraction(x) for x in row] for row in rows]
@@ -119,17 +126,16 @@ def test_echelon_pivots_kernel_and_solve_unchanged():
     assert echelon.pivots == [0, 2]
     assert echelon.kernel(3) == [[-2, 1, 0]]
     assert all(isinstance(x, Fraction) for x in echelon.kernel(3)[0])
-    assert linalg.q_nullspace(rows, 3) == [[-2, 1, 0]]
     # A x = b with the free variable 0: the kernel vector of the column -b
     augmented = [row + [-b] for row, b in zip(rows, [Fraction(1), Fraction(3)])]
-    assert linalg.q_nullspace(augmented, 4)[-1] == [-2, 0, 1, 1]
+    assert _kernel(augmented, 4)[-1] == [-2, 0, 1, 1]
 
 
 def test_q_nullspace_of_no_rows_is_the_identity():
     assert linalg.Echelon().pivots == []
-    assert linalg.q_nullspace([], 0) == []
-    assert linalg.q_nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert linalg.q_nullspace([[0, Fraction(0)]], 2) == [[1, 0], [0, 1]]
+    assert _kernel([], 0) == []
+    assert _kernel([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert _kernel([[0, Fraction(0)]], 2) == [[1, 0], [0, 1]]
 
 
 @_settings
@@ -140,7 +146,7 @@ def test_q_nullspace_matches_sympy(rows):
     expected = [
         [Fraction(int(x.p), int(x.q)) for x in vec] for vec in _sympy_matrix(rows).nullspace()
     ]
-    assert linalg.q_nullspace(rows, len(rows[0])) == expected
+    assert _kernel(rows, len(rows[0])) == expected
 
 
 # -- one-pass evaluation of a row set ------------------------------------------
@@ -168,16 +174,6 @@ def test_evaluate_rows_matches_poly_evaluate(rows, point):
     ]
     assert all(x != 0 for row in values for x in row.values())
     assert all(isinstance(x, Fraction) for row in values for x in row.values())
-    if rows and rows[0]:
-        # PolyMatrix.evaluate is the dense expansion of the sparse rows
-        ncols = len(rows[0])
-        same = [i for i, row in enumerate(rows) if len(row) == ncols]
-        dense = PolyMatrix(ABC, [rows[i] for i in same]).evaluate(point)
-        assert dense == [[p.evaluate(point) for p in rows[i]] for i in same]
-        assert dense == [
-            [values[i].get(c, Fraction(0)) for c in range(ncols)] for i in same
-        ]
-        assert all(isinstance(x, Fraction) for row in dense for x in row)
 
 
 def test_evaluate_rows_rejects_unknown_and_missing_variables():
@@ -188,7 +184,6 @@ def test_evaluate_rows_rejects_unknown_and_missing_variables():
         a.evaluate({"a": 1, "z": 1})
     # a variable without a value raises only where it occurs
     assert evaluate_rows(ABC, [[a, ABC.zero()]], {"a": 2}) == [{0: 2}]
-    assert PolyMatrix(ABC, [[a, ABC.zero()]]).evaluate({"a": 2}) == [[2, 0]]
     with pytest.raises(PolyError):
         evaluate_rows(ABC, [[a, Poly(ABC, {(0, 1, 0): Fraction(1)})]], {"a": 2})
 
