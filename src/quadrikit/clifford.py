@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from quadrikit.polyalg import ParseError, Poly, PolyError, check_degree, check_exponent
-from quadrikit.polyalg import exact_div, fraction_free_rref
+from quadrikit.polyalg import exact_div
 from quadrikit.quadform import QuadraticForm
 
 
@@ -305,125 +305,67 @@ class CenterRelation:
         return r, None
 
 
-def _unit_and_top(ctx, basis0):
-    unit = basis0.index(((), 0))
-    m = ctx.rank // 2
-    top = basis0.index((tuple(range(1, ctx.rank + 1)), -m))
-    return unit, top
-
-
 def center_element(ctx):
     """Compute the rank-2 center of the even part: a primitive integral
     generator omega (unit coordinate 0, top coordinate positive) and its
     monic quadratic relation.
 
-    The pair monomials e_i e_j l^-1 (i < j) generate the degree-0
-    component as an algebra (Knus 1991, ch. IV), so the linear conditions
-    are commutation with each of them.  Their commutator rows, without
-    zero rows and repeats, are eliminated once over the fraction field of
-    the base.  The first kernel vector that its nonzero top coordinate
-    divides exactly, divided by it and with the unit coordinate zeroed, is
-    omega once denominators and integer content are cleared."""
+    omega is the Pfaffian element of the center of C_0 (Knus 1991, ch. IV).
+    Let A be the alternating matrix of the off-diagonal coefficients,
+    A_ij = c_ij for i < j; the diagonal c_ii does not enter.  For each even
+    subset I != {} of {1..n} the coefficient of e_I l^(-|I|/2) is
+
+        (-1)^((n-|I|)/2 + sum(I) - |I|(|I|+1)/2) 2^(|I|/2) Pf(A on the complement of I),
+
+    so the top coordinate is the constant 2^(n/2); denominators and the
+    integer content are then cleared.  The coefficients are polynomials in
+    the c_ij and the commutation laws of `center_checks` are linear in
+    omega, so laws that hold on the generic form hold on every form.  On a
+    degenerate form (det b_q = 0) the center can have rank above 2; omega
+    is still central there and still conjugated by the cover involution."""
     if ctx.rank % 2 or ctx.rank == 0:
         raise CliffordError("center computation needs positive even rank")
-    basis0 = graded_basis(ctx, 0)
-    dim = len(basis0)
-    unit_pos, top_pos = _unit_and_top(ctx, basis0)
-    monos = [ctx.monomial(idx, m) for idx, m in basis0]
-    zero = ctx.base.zero()
+    n = ctx.rank
+    base = ctx.base
+    pfaffians = {(): base.one()}
 
-    # rows of the commutator system, entries Poly over the base; zero rows
-    # and repeats of an earlier row are dropped (same solution space)
-    rows = {}
-    for pair in combinations(range(1, ctx.rank + 1), 2):
-        g = ctx.monomial(pair, -1)
-        columns = [cl_mul(g, m) - cl_mul(m, g) for m in monos]
-        for key in basis0:
-            row = tuple(col.terms.get(key, zero) for col in columns)
-            if any(not p.is_zero() for p in row):
-                rows.setdefault(row, None)
-    kernel = _fraction_free_kernel([list(row) for row in rows], dim, ctx.base)
-    vec = _solve_center_fraction(ctx, kernel, dim, unit_pos, top_pos)
-    if vec is None:
-        raise CliffordError(
-            "no non-scalar central element found (implementation bug for even rank)"
-        )
+    def pfaffian(idx):
+        # expansion along the first index, memoized by the sorted index tuple
+        if idx not in pfaffians:
+            first, rest = idx[0], idx[1:]
+            total = base.zero()
+            for t, j in enumerate(rest):
+                c = ctx.q.coefficient(first, j)
+                if not c.is_zero():
+                    term = c * pfaffian(rest[:t] + rest[t + 1 :])
+                    total = total - term if t % 2 else total + term
+            pfaffians[idx] = total
+        return pfaffians[idx]
 
-    omega = CliffordElement(
-        ctx,
-        {basis0[k]: p for k, p in enumerate(vec) if not p.is_zero()},
+    indices = range(1, n + 1)
+    terms = {}
+    for k in range(2, n + 1, 2):
+        for subset in combinations(indices, k):
+            pf = pfaffian(tuple(i for i in indices if i not in subset))
+            if pf.is_zero():
+                continue
+            coeff = pf * 2 ** (k // 2)
+            sign = (n - k) // 2 + sum(subset) - k * (k + 1) // 2
+            terms[(subset, -(k // 2))] = -coeff if sign % 2 else coeff
+    rationals = [c for p in terms.values() for c in p.terms.values()]
+    scale = Fraction(
+        math.lcm(*(c.denominator for c in rationals)),
+        math.gcd(*(c.numerator for c in rationals)),
     )
+    omega = CliffordElement(ctx, {key: p * scale for key, p in terms.items()})
+
     square = cl_mul(omega, omega)
-    top_coeff = vec[top_pos].constant_term()
-    sq = square.coordinates(basis0)
-    alpha = sq[top_pos] / (-top_coeff)
-    beta = -(sq[unit_pos] + alpha * vec[unit_pos])
-    # confirm omega^2 = -alpha omega - beta on every coordinate
-    for k in range(dim):
-        expect = -(alpha * vec[k])
-        if k == unit_pos:
-            expect = expect - beta
-        if sq[k] != expect:
-            raise CliffordError("center relation does not close in {1, omega}")
+    top = (tuple(indices), -(n // 2))
+    alpha = square.terms.get(top, base.zero()) / -omega.terms[top].constant_term()
+    beta = -square.terms.get(((), 0), base.zero())
+    if not (square + omega.scale(alpha) + ctx.scalar(beta)).is_zero():
+        raise CliffordError("center relation does not close in {1, omega}")
     return CenterRelation(ctx, omega, alpha, beta)
-
-
-def _normalize_center_vector(ctx, polys, dim, unit_pos, top_pos):
-    """Zero the unit coordinate, clear denominators, divide integer content."""
-    polys = list(polys)
-    polys[unit_pos] = ctx.base.zero()
-    if all(p.is_zero() for p in polys):
-        return None
-    if polys[top_pos].is_zero() or not polys[top_pos].is_constant():
-        return None
-    denom_lcm = 1
-    for p in polys:
-        for c in p.terms.values():
-            denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    polys = [p * denom_lcm for p in polys]
-    content = 0
-    for p in polys:
-        for c in p.terms.values():
-            content = math.gcd(content, c.numerator)
-    polys = [p / content for p in polys]
-    if polys[top_pos].constant_term() < 0:
-        polys = [-p for p in polys]
-    return polys
-
-
-def _fraction_free_kernel(rows, dim, base):
-    """Kernel basis over the fraction field of the base, one vector per
-    free column f of the fraction-free elimination: v[f] = D and
-    v[pivot_r] = -row_r[f], with D its common denominator."""
-    reduced, pivots, _ = fraction_free_rref(rows)
-    zero = base.zero()
-    denom = reduced[0][pivots[0]] if pivots else base.one()
-    kernel = []
-    for f in range(dim):
-        if f in pivots:
-            continue
-        vec = [zero] * dim
-        vec[f] = denom
-        for row, c in zip(reduced, pivots):
-            vec[c] = -row[f]
-        kernel.append(vec)
-    return kernel
-
-
-def _solve_center_fraction(ctx, kernel, dim, unit_pos, top_pos):
-    zero = ctx.base.zero()
-    for vec in kernel:
-        top = vec[top_pos]
-        if top.is_zero():
-            continue
-        try:
-            polys = [zero if k == unit_pos else exact_div(p, top) for k, p in enumerate(vec)]
-        except PolyError:
-            continue
-        normalized = _normalize_center_vector(ctx, polys, dim, unit_pos, top_pos)
-        if normalized is not None:
-            return normalized
-    return None
 
 
 def center_checks(ctx, rel):

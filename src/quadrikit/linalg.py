@@ -26,9 +26,7 @@ vector of the column -b of [A | -b].
 Systems over the fraction field of the base ring are solved fraction-free
 by `polyalg.fraction_free_rref`, a Bareiss elimination on sparse rows of
 polynomials that updates only the rows with an entry in the pivot column
-and rescales the others lazily, when they are read.  The center system of
-`clifford.center_element` is eliminated there once, in full: its rows are
-the commutators with the pair generators of the even part only."""
+and rescales the others lazily, when they are read."""
 
 from fractions import Fraction
 from math import gcd, lcm

@@ -32,8 +32,9 @@ from quadrikit import linalg
 L_WEIGHT = 2  # degree of the value line bundle; fiber generators have degree 1
 
 # Largest fiber rank a .qf file may declare: the even Clifford algebra has a
-# 2^(n-1)-element graded basis (2048 at the cap), and the center multiplies
-# each of its elements by each of the n(n-1)/2 pair generators.
+# 2^(n-1)-element graded basis (2048 at the cap); the center costs one
+# product omega * omega, and `center_checks` multiplies omega by each
+# basis monomial of degrees 0 and 1.
 MAX_FIBER_RANK = 12
 
 

@@ -280,17 +280,27 @@ def test_verify_r8_pinned(suite, monkeypatch, capsys):
     [
         ("r8_spinor_n1", ["spinor", "data/r8.qf", "--w", "1,0,0,0,0,0,0,0", "--n", "1"]),
         ("r6_mf", ["verify", "data/r6.qf", "--suite", "matrix-factorization"]),
-        ("r8_center", ["clifford", "data/r8.qf", "--center"]),
     ],
 )
 def test_fraction_free_paths_pinned(pinned_name, args, monkeypatch, capsys):
-    """Outputs built on `fraction_free_rref` (spinor_phi, the matrix
-    factorization suite, the center), recorded from the dense elimination
-    (the R8 center from the elimination of a row subset certified on
-    every commutator row)."""
+    """Outputs built on `fraction_free_rref` (spinor_phi and the matrix
+    factorization suite), recorded from the dense elimination."""
     monkeypatch.chdir(DATA.parent)
     assert main(args + ["--json"]) == 0
     pinned = Path(__file__).resolve().parent / "pinned" / f"{pinned_name}.json"
+    assert capsys.readouterr().out == pinned.read_text()
+
+
+@pytest.mark.parametrize(
+    "name, path", [("r8", "data/r8.qf"), ("dense6", "tests/pinned/dense6.qf")], ids=["r8", "dense6"]
+)
+def test_center_pinned(name, path, monkeypatch, capsys):
+    """`clifford --center --json` from the closed-form center, pinned from
+    the commutator elimination it replaced: R8, and a dense rank-6 form
+    over Q[a,b] on which that elimination took ~49 s."""
+    monkeypatch.chdir(DATA.parent)
+    assert main(["clifford", path, "--center", "--json"]) == 0
+    pinned = Path(__file__).resolve().parent / "pinned" / f"{name}_center.json"
     assert capsys.readouterr().out == pinned.read_text()
 
 
