@@ -2,7 +2,7 @@
 
 A polynomial is represented by its term map: dict mapping exponent tuples
 to nonzero Fractions.  These functions are the hot inner loops of Groebner
-reduction and Clifford rewriting.
+reduction and of the coefficient arithmetic of Clifford products.
 """
 
 

@@ -19,7 +19,8 @@ from quadrikit.polyalg import (
     fraction_free_rref,
 )
 from quadrikit import linalg
-from quadrikit.clifford import CliffordError, cl_mul, graded_basis, trace
+from quadrikit.clifford import CliffordError, basis_columns, cl_mul, graded_basis
+from quadrikit.clifford import monomial_products, trace
 from quadrikit.quadform import QuadFormError, fiber_names, is_isotropic
 
 DEFAULT_SEED = 24237
@@ -191,16 +192,16 @@ def clifford_ideal(ctx, w, n, side="left", seed=DEFAULT_SEED):
     omega_w = w_top_element(ctx, w)
     span_basis = graded_basis(ctx, n - w.r)
     target_basis = graded_basis(ctx, n)
-    spanning = []
-    for key in span_basis:
-        m = ctx.monomial(*key)
-        elem = cl_mul(m, omega_w) if side == "left" else cl_mul(omega_w, m)
-        spanning.append(elem)
-    coord_rows = [e.coordinates(target_basis) for e in spanning]
+    if side == "left":
+        spanning = monomial_products(ctx, span_basis, omega_w)
+    else:
+        spanning = [cl_mul(omega_w, ctx.monomial(*key)) for key in span_basis]
+    columns = basis_columns(target_basis)
+    sparse_rows = [e.sparse_coordinates(columns) for e in spanning]
 
     draw, degenerate_base = _generic_sampler(ctx, seed)
     point = draw()
-    numeric = evaluate_rows(ctx.base, coord_rows, point.assignment)
+    numeric = evaluate_rows(ctx.base, sparse_rows, point.assignment)
     expected = expected_ideal_rank(ctx, w)
 
     echelon = linalg.Echelon()
@@ -221,7 +222,7 @@ def clifford_ideal(ctx, w, n, side="left", seed=DEFAULT_SEED):
         for _ in range(CERT_SAMPLES):
             extra = draw()
             rows = evaluate_rows(
-                ctx.base, [coord_rows[i] for i in selected], extra.assignment
+                ctx.base, [sparse_rows[i] for i in selected], extra.assignment
             )
             ok = linalg.q_rank(rows) == expected
             certification["extra_points"].append(
@@ -233,7 +234,7 @@ def clifford_ideal(ctx, w, n, side="left", seed=DEFAULT_SEED):
                 )
 
     generators = [spanning[i] for i in selected]
-    matrix = PolyMatrix(ctx.base, [coord_rows[i] for i in selected])
+    matrix = PolyMatrix(ctx.base, [g.coordinates(target_basis) for g in generators])
     monomials = [span_basis[i] for i in selected]
     return IdealBasis(ctx, w, n, side, generators, matrix, monomials, certification)
 
@@ -258,21 +259,22 @@ def _rank_with(echelon, rows):
 
 def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED):
     """At off-locus points, multiplication by the degree-m component maps
-    the degree-n ideal onto the degree-(m+n) ideal with the expected rank."""
+    the degree-n ideal onto the degree-(m+n) ideal with the expected rank;
+    a form degenerate everywhere is refused before the products are built."""
     basis_m = graded_basis(ctx, m)
     ideal_n = clifford_ideal(ctx, w, n, "left", seed)
     ideal_mn = clifford_ideal(ctx, w, m + n, "left", seed)
-    target_basis = graded_basis(ctx, m + n)
+    draw = _off_locus_sampler(ctx, seed)
+    columns = basis_columns(graded_basis(ctx, m + n))
     expected = expected_ideal_rank(ctx, w)
 
-    product_rows = []
-    for key in basis_m:
-        b = ctx.monomial(*key)
-        for g in ideal_n.generators:
-            product_rows.append(cl_mul(b, g).coordinates(target_basis))
-    ideal_rows = [list(row) for row in ideal_mn.coord_matrix.entries]
-
-    draw = _off_locus_sampler(ctx, seed)
+    # row k * len(generators) + j holds b_k g_j; only the rows are kept
+    product_rows = [
+        p.sparse_coordinates(columns)
+        for row in zip(*[monomial_products(ctx, basis_m, g) for g in ideal_n.generators])
+        for p in row
+    ]
+    ideal_rows = ideal_mn.coord_matrix.entries
 
     def worker(point):
         prod = evaluate_rows(ctx.base, product_rows, point.assignment)
@@ -314,20 +316,19 @@ def verify_cokernel_sequence(ctx, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED)
     expected = expected_ideal_rank(ctx, w)
     omega_w = w_top_element(ctx, w)
 
-    image_rows = []
-    composite_zero = True
-    for key in basis_prev:
-        b = ctx.monomial(*key)
-        for vec in w.vectors:
-            bw = cl_mul(b, ctx.from_vector(vec))
-            image_rows.append(bw.coordinates(basis_n))
-            if not cl_mul(bw, omega_w).is_zero():
-                composite_zero = False
-    quotient_rows = []
-    target_basis = graded_basis(ctx, n + w.r)
-    for key in basis_n:
-        b = ctx.monomial(*key)
-        quotient_rows.append(cl_mul(b, omega_w).coordinates(target_basis))
+    # row k * r + j holds b_k w_j
+    per_vector = [
+        monomial_products(ctx, basis_prev, ctx.from_vector(vec)) for vec in w.vectors
+    ]
+    images = [bw for row in zip(*per_vector) for bw in row]
+    composite_zero = all(cl_mul(bw, omega_w).is_zero() for bw in images)
+    columns = basis_columns(basis_n)
+    image_rows = [bw.sparse_coordinates(columns) for bw in images]
+    columns = basis_columns(graded_basis(ctx, n + w.r))
+    quotient_rows = [
+        p.sparse_coordinates(columns)
+        for p in monomial_products(ctx, basis_n, omega_w)
+    ]
 
     # this sequence needs no primitivity, so degenerate bases fall back to
     # unconstrained sample points
@@ -427,28 +428,37 @@ def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SE
     )
 
 
+def _duality_ideals(ctx, w, k, seed):
+    if ctx.rank % 2:
+        raise CliffModError("duality pairing needs even rank")
+    return clifford_ideal(ctx, w, k, "left", seed), clifford_ideal(ctx, w, w.r - k, "right", seed)
+
+
+def _pairing_matrix(ctx, left, right):
+    # column j holds the traces of (right representative) * g_j
+    columns = [
+        monomial_products(ctx, right.spanning_monomials, g) for g in left.generators
+    ]
+    size = len(right.spanning_monomials)
+    return PolyMatrix(ctx.base, [[trace(col[r]) for col in columns] for r in range(size)])
+
+
 def duality_pairing(ctx, w, k, seed=DEFAULT_SEED):
     """Trace pairing between the degree-k left ideal and the degree r-k
     right ideal, written against the basis representatives of the right
     generators so every product has degree 0."""
-    if ctx.rank % 2:
-        raise CliffModError("duality pairing needs even rank")
-    left = clifford_ideal(ctx, w, k, "left", seed)
-    right = clifford_ideal(ctx, w, w.r - k, "right", seed)
-    rows = []
-    for mono in right.spanning_monomials:
-        rep = ctx.monomial(*mono)
-        rows.append([trace(cl_mul(rep, g)) for g in left.generators])
-    return PolyMatrix(ctx.base, rows)
+    return _pairing_matrix(ctx, *_duality_ideals(ctx, w, k, seed))
 
 
 def verify_duality(ctx, w, k, samples=CERT_SAMPLES, seed=DEFAULT_SEED):
-    """Pairing determinant is nonzero at every off-locus sample."""
+    """Pairing determinant is nonzero at every off-locus sample; a form
+    degenerate everywhere is refused before the pairing is built."""
     from quadrikit.polyalg import det
 
-    pairing = duality_pairing(ctx, w, k, seed)
-    d = det(pairing)
+    left, right = _duality_ideals(ctx, w, k, seed)
     draw = _off_locus_sampler(ctx, seed)
+    pairing = _pairing_matrix(ctx, left, right)
+    d = det(pairing)
 
     def worker(point):
         value = d.evaluate(point.assignment)
@@ -496,10 +506,11 @@ def spinor_phi(ctx, w, n, seed=DEFAULT_SEED, source=None, target=None):
     basis_n = graded_basis(ctx, n)
     ring = fiber_ring(ctx)
     d = len(dst.generators)
+    generators = [((i,), 0) for i in range(1, ctx.rank + 1)]
     images = [
-        cl_mul(ctx.generator(i), g).coordinates(basis_n)
+        p.coordinates(basis_n)
         for g in src.generators
-        for i in range(1, ctx.rank + 1)
+        for p in monomial_products(ctx, generators, g)
     ]
     # one elimination of [target coordinates | every image]; image column
     # d + j*rank + i-1 holds x_i g_j

@@ -5,16 +5,18 @@ bundle degree 2.
 Defining relations: e_i e_i = c_ii l and e_i e_j + e_j e_i = c_ij l for
 i < j, where c is the coefficient table of q, so v v = q(v) l for every
 degree-1 element v.  Elements are finite maps (strictly increasing index
-tuple, Laurent power of l) -> base polynomial; rewriting always eliminates
-the leftmost inversion, which is confluent for these relations.
+tuple, Laurent power of l) -> base polynomial.  One generator acts on a
+normal-form monomial in closed form (`CliffordContext.act`), and every
+product is a sequence of such actions: e_I y = e_i1 (e_i2 (... e_ik y)).
 """
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
 from quadrikit.polyalg import ParseError, Poly, PolyError, check_degree, check_exponent
-from quadrikit.polyalg import exact_div
+from quadrikit.polyalg import check_terms, exact_div
 from quadrikit.quadform import QuadraticForm
 
 
@@ -23,14 +25,18 @@ class CliffordError(PolyError):
 
 
 class CliffordContext:
-    """Carrier for the algebra of a fixed quadratic form."""
+    """Carrier for the algebra of a fixed quadratic form; `table[i]` maps
+    each j <= i to the nonzero coefficient c_ji."""
 
-    __slots__ = ("q", "rank", "base")
+    __slots__ = ("q", "rank", "base", "table")
 
     def __init__(self, q):
         self.q = q
         self.rank = q.n
         self.base = q.base
+        self.table = {i: {} for i in range(1, q.n + 1)}
+        for (i, j), c in q.coeff.items():
+            self.table[j][i] = c
 
     def __eq__(self, other):
         return isinstance(other, CliffordContext) and self.q == other.q
@@ -71,36 +77,38 @@ class CliffordContext:
     def monomial(self, idx, lpow):
         return CliffordElement(self, {(tuple(idx), lpow): self.base.one()})
 
-    def _rewrite(self, word, lpow, coeff):
-        """Normal form of coeff * e_word * l^lpow as a term map."""
+    def act(self, i, terms):
+        """Term map of e_i times the element with term map `terms`.  For
+        J = (j_1 < ... < j_k) with p indices below i,
+
+            e_i e_J = sum_{t <= p} (-1)^(t-1) c_{i j_t} l e_{J - j_t}
+                      + (-1)^p (c_ii l e_{J - i} if i in J, else e_{J + i}),
+
+        every term already in normal form: the contractions with each
+        j_t <= i (c_ii too), then e_i inserted when i is not in J."""
         out = {}
-        work = [(list(word), lpow, coeff)]
-        while work:
-            w, m, c = work.pop()
-            if c.is_zero():
-                continue
-            k = next((t for t in range(len(w) - 1) if w[t] >= w[t + 1]), None)
-            if k is None:
-                key = (tuple(w), m)
-                prev = out.get(key)
-                s = c if prev is None else prev + c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-                continue
-            i, j = w[k], w[k + 1]
-            if i == j:
-                cij = self.q.coefficient(i, i)
-                work.append((w[:k] + w[k + 2 :], m + 1, c * cij))
-            else:
-                # e_j e_i -> -e_i e_j + c_ij l  (j > i)
-                swapped = w[:k] + [j, i] + w[k + 2 :]
-                work.append((swapped, m, -c))
-                cij = self.q.coefficient(j, i)
-                if not cij.is_zero():
-                    work.append((w[:k] + w[k + 2 :], m + 1, c * cij))
+        for (idx, m), c in terms.items():
+            for j, cji in self.table[i].items():
+                t = bisect_left(idx, j)
+                if t < len(idx) and idx[t] == j:
+                    _accumulate(out, (idx[:t] + idx[t + 1 :], m + 1), c * cji, t % 2 == 0)
+            p = bisect_left(idx, i)
+            if p == len(idx) or idx[p] != i:
+                _accumulate(out, (idx[:p] + (i,) + idx[p:], m), c, p % 2 == 0)
         return out
+
+
+def _accumulate(out, key, c, positive):
+    """out[key] += c (or -= c), dropping a coefficient that cancels."""
+    prev = out.get(key)
+    if prev is None:
+        out[key] = c if positive else -c
+        return
+    s = prev + c if positive else prev - c
+    if s.terms:
+        out[key] = s
+    else:
+        del out[key]
 
 
 class CliffordElement:
@@ -128,12 +136,7 @@ class CliffordElement:
         self._check(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            _accumulate(out, key, c, True)
         return CliffordElement(self.ctx, out)
 
     def __sub__(self, other):
@@ -182,6 +185,14 @@ class CliffordElement:
             raise CliffordError(f"element has terms outside the basis: {leftover}")
         return [self.terms.get(key, zero) for key in basis]
 
+    def sparse_coordinates(self, columns):
+        """The nonzero coefficients as {column: Poly}; `columns` maps each
+        key of a basis to its column (`basis_columns`)."""
+        try:
+            return {columns[key]: c for key, c in self.terms.items()}
+        except KeyError as e:
+            raise CliffordError(f"element has terms outside the basis: {e.args[0]}") from None
+
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _basis_sort_key(kv[0]))
 
@@ -222,15 +233,34 @@ def _basis_sort_key(key):
 
 
 def cl_mul(x, y):
-    """Product in normal form; degree-additive on homogeneous inputs."""
+    """Product in normal form; degree-additive on homogeneous inputs.  Each
+    term c e_I l^m of x acts on y through the generators of I, right to
+    left, and the terms of x share their suffixes."""
     x._check(y)
-    ctx = x.ctx
-    out = ctx.zero()
-    for (i1, m1), c1 in x.terms.items():
-        for (i2, m2), c2 in y.terms.items():
-            piece = ctx._rewrite(i1 + i2, m1 + m2, c1 * c2)
-            out = out + CliffordElement(ctx, piece)
-    return out
+    out = {}
+    for c, p in zip(x.terms.values(), monomial_products(x.ctx, x.terms, y)):
+        for key, c2 in p.terms.items():
+            _accumulate(out, key, c * c2, True)
+    return CliffordElement(x.ctx, out)
+
+
+def monomial_products(ctx, keys, y):
+    """[e_I l^m y for (I, m) in keys]: the left products of monomials with
+    one element.  e_I y = e_i1 (e_(I - i1) y), and each suffix of an I is
+    computed once per call."""
+    if y.ctx != ctx:
+        raise CliffordError("context mismatch")
+    memo = {(): y.terms}
+
+    def product(idx):
+        if idx not in memo:
+            memo[idx] = ctx.act(idx[0], product(idx[1:]))
+        return memo[idx]
+
+    return [
+        CliffordElement(ctx, {(i2, m2 + m): c for (i2, m2), c in product(idx).items()})
+        for idx, m in keys
+    ]
 
 
 def graded_basis(ctx, n):
@@ -244,6 +274,11 @@ def graded_basis(ctx, n):
         for idx in combinations(range(1, ctx.rank + 1), k):
             out.append((idx, m))
     return out
+
+
+def basis_columns(basis):
+    """Map key -> column of a monomial list, for `sparse_coordinates`."""
+    return {key: col for col, key in enumerate(basis)}
 
 
 def trace(x):
@@ -374,13 +409,14 @@ def center_checks(ctx, rel):
     monomial implements the cover involution v omega = conj(omega) v."""
     omega = rel.omega
     conj = rel.conjugate()
+    basis0, basis1 = graded_basis(ctx, 0), graded_basis(ctx, 1)
     even_ok = all(
-        cl_mul(omega, m) == cl_mul(m, omega)
-        for m in (ctx.monomial(i, p) for i, p in graded_basis(ctx, 0))
+        cl_mul(omega, ctx.monomial(*key)) == left
+        for key, left in zip(basis0, monomial_products(ctx, basis0, omega))
     )
     odd_twisted_ok = all(
-        cl_mul(m, omega) == cl_mul(conj, m)
-        for m in (ctx.monomial(i, p) for i, p in graded_basis(ctx, 1))
+        left == cl_mul(conj, ctx.monomial(*key))
+        for key, left in zip(basis1, monomial_products(ctx, basis1, omega))
     )
     return {"commutes_degree0": even_ok, "twisted_degree1": odd_twisted_ok}
 
@@ -443,12 +479,18 @@ def _coefficient_degree(elem):
     return max((c.total_degree() for c in elem.terms.values()), default=-1)
 
 
+def _term_count(elem):
+    return sum(len(c.terms) for c in elem.terms.values())
+
+
 def _bounded_mul(a, b):
-    """cl_mul(a, b) whose coefficient degree is at most MAX_EXPONENT:
-    refused before the product when the factors' degrees add up past it,
-    and after it when rewriting (each contraction multiplies by a
-    coefficient of q) takes the product past it."""
+    """cl_mul(a, b) whose coefficient degree is at most MAX_EXPONENT and
+    whose factors have at most MAX_TERMS pairs of terms: refused before the
+    product when the factors' degrees add up past the cap or their term
+    counts multiply past MAX_TERMS, and after it when a contraction (which
+    multiplies by a coefficient of q) takes the degree past the cap."""
     check_degree(_coefficient_degree(a) + _coefficient_degree(b))
+    check_terms(_term_count(a) * _term_count(b))
     out = cl_mul(a, b)
     check_degree(_coefficient_degree(out))
     return out

@@ -11,13 +11,15 @@ Expression grammar (EBNF, whitespace insignificant):
     rational = natural [ "/" natural ] ;
 
 Exponents, and the total degree of every power and product, are capped at
-MAX_EXPONENT; a larger one is a ParseError raised before expanding.
+MAX_EXPONENT, and a bound on the number of terms of every power and
+product at MAX_TERMS; a larger one is a ParseError raised before expanding.
 
 Canonical printing lists terms in descending monomial order with explicit
 "*" between factors and "^" for powers >= 2; parse(print(p)) == p.
 """
 
 import heapq
+import math
 from fractions import Fraction
 
 from quadrikit import _kernel as K
@@ -47,6 +49,17 @@ def check_exponent(n):
 def check_degree(d):
     if d > MAX_EXPONENT:
         raise ParseError(f"degree {d} exceeds the maximum {MAX_EXPONENT}")
+
+
+# Largest bound on the term count of a power or product that the parsers
+# expand: C(t+n-1, n) for a t-term base to n, |a|*|b| for a product.  The
+# degree cap alone lets "(a+b+c+d+e+f)^40", over a million terms, through.
+MAX_TERMS = 4096
+
+
+def check_terms(bound):
+    if bound > MAX_TERMS:
+        raise ParseError(f"term count bound {bound} exceeds the maximum {MAX_TERMS}")
 
 
 def _as_fraction(c):
@@ -363,17 +376,17 @@ def _evaluate_terms(ring, terms, vals, mono_vals):
 
 
 def evaluate_rows(ring, rows, assignment):
-    """Evaluate rows of Poly over `ring` at one point as sparse rows
-    {column: Fraction} that hold only the nonzero values, each equal to
-    `Poly.evaluate` of the entry in that column.  The assignment is
-    resolved once, each monomial is evaluated once, and zero entries cost
-    nothing."""
+    """Evaluate rows of Poly over `ring`, dense or sparse {column: Poly},
+    at one point as sparse rows {column: Fraction} that hold only the
+    nonzero values, each equal to `Poly.evaluate` of the entry in that
+    column.  The assignment is resolved once, each monomial is evaluated
+    once, and zero entries cost nothing."""
     vals = ring.point(assignment)
     mono_vals = {}
     out = []
     for row in rows:
         values = {}
-        for col, p in enumerate(row):
+        for col, p in row.items() if isinstance(row, dict) else enumerate(row):
             if p.terms:
                 x = _evaluate_terms(ring, p.terms, vals, mono_vals)
                 if x:
@@ -452,6 +465,7 @@ def _parse_term(tokens, ring):
         tokens.next()
         factor = _parse_factor(tokens, ring)
         check_degree(product.total_degree() + factor.total_degree())
+        check_terms(len(product.terms) * len(factor.terms))
         product = product * factor
     return product
 
@@ -465,6 +479,8 @@ def _parse_factor(tokens, ring):
             raise ParseError("exponent must be a nonnegative integer")
         n = check_exponent(int(tok[1]))
         check_degree(base.total_degree() * n)
+        if len(base.terms) > 1:
+            check_terms(math.comb(len(base.terms) + n - 1, n))
         base = base ** n
     return base
 

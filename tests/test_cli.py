@@ -264,10 +264,32 @@ def test_nested_exponent_exit_2(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("suite", ["cokernel", "flag"])
+@pytest.mark.parametrize("command", [["degeneration", "--k", "1"], ["verify"]])
+def test_term_count_bound_exit_2(tmp_path, command):
+    """The term count of a power is bounded before it is expanded: this one
+    passes the degree cap and would have over a million terms."""
+    path = tmp_path / "terms.qf"
+    path.write_text(
+        'base_vars = [a, b, c, d, e, f]\nfiber_rank = 2\nq = "(a+b+c+d+e+f)^40*x1*x2"\n'
+    )
+    name, *flags = command
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadrikit.cli", name, str(path), *flags],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert "term count bound 1221759 exceeds the maximum 4096" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("suite", ["cokernel", "flag", "multiplication-iso", "duality"])
 def test_verify_r8_pinned(suite, monkeypatch, capsys):
     """Rank 8 (data/r8.qf): `flag` takes the stacked ranks through one
-    reused echelon per block."""
+    reused echelon per block; `multiplication-iso` and `duality` were
+    recorded from the swap-and-contract product the generator action
+    replaced."""
     monkeypatch.chdir(DATA.parent)
     args = ["verify", "data/r8.qf", "--suite", suite, "--samples", "2", "--json"]
     assert main(args) == 0

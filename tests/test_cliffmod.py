@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadrikit import cliffmod, polyalg
 from quadrikit.polyalg import PolyMatrix, det, parse_poly
 from quadrikit.quadform import QuadFormError, QuadraticForm, Subbundle, load_qf
 from quadrikit.clifford import CliffordContext
@@ -224,6 +225,30 @@ def test_verifiers_refuse_zero_samples():
     ctx = universal_ctx()
     with pytest.raises(CliffModError, match="at least one sample"):
         verify_duality(ctx, span_e1(ctx), 0, samples=0)
+
+
+def test_everywhere_degenerate_form_refused_before_products(monkeypatch):
+    """A form degenerate at every base point is refused once its ideals
+    exist, before any product row, pairing entry or determinant."""
+    ctx = CliffordContext(QuadraticForm.from_expression(["a"], 4, "x1*x2"))
+    w = span_e1(ctx)
+    built = {
+        (n, side): clifford_ideal(ctx, w, n, side)
+        for n, side in ((0, "left"), (1, "left"), (1, "right"))
+    }
+
+    def refuse(*args):
+        raise AssertionError("products built on an everywhere-degenerate form")
+
+    monkeypatch.setattr(
+        cliffmod, "clifford_ideal", lambda ctx, w, n, side, seed: built[(n, side)]
+    )
+    monkeypatch.setattr(cliffmod, "monomial_products", refuse)
+    monkeypatch.setattr(polyalg, "det", refuse)
+    with pytest.raises(CliffModError, match="degenerate everywhere"):
+        verify_multiplication_iso(ctx, w, 1, 0)
+    with pytest.raises(CliffModError, match="degenerate everywhere"):
+        verify_duality(ctx, w, 0)
 
 
 def test_duality_rank2_pairing_matrix():

@@ -16,10 +16,12 @@ from quadrikit.clifford import (
     CliffordContext,
     CliffordElement,
     CliffordError,
+    basis_columns,
     center_checks,
     center_element,
     cl_mul,
     graded_basis,
+    monomial_products,
     orthogonal_sum_ranks,
     parse_element,
     trace,
@@ -162,9 +164,93 @@ def test_degree_additivity_seeded():
             assert product.degree() == dx + dy
 
 
+def _rewrite_product(x, y):
+    """Oracle: the swap-and-contract product that `CliffordContext.act`
+    replaced.  Each word e_I e_J is rewritten by eliminating its leftmost
+    inversion (e_j e_i -> -e_i e_j + c_ij l for j > i, e_i e_i -> c_ii l)
+    until none is left."""
+    q = x.ctx.q
+    out = {}
+    for (i1, m1), c1 in x.terms.items():
+        for (i2, m2), c2 in y.terms.items():
+            work = [(list(i1 + i2), m1 + m2, c1 * c2)]
+            while work:
+                w, m, c = work.pop()
+                if c.is_zero():
+                    continue
+                k = next((t for t in range(len(w) - 1) if w[t] >= w[t + 1]), None)
+                if k is None:
+                    key = (tuple(w), m)
+                    s = out[key] + c if key in out else c
+                    if s.is_zero():
+                        out.pop(key, None)
+                    else:
+                        out[key] = s
+                    continue
+                i, j = w[k], w[k + 1]
+                rest = w[:k] + w[k + 2 :]
+                if i == j:
+                    work.append((rest, m + 1, c * q.coefficient(i, i)))
+                else:
+                    work.append((w[:k] + [j, i] + w[k + 2 :], m, -c))
+                    work.append((rest, m + 1, c * q.coefficient(j, i)))
+    return CliffordElement(x.ctx, out)
+
+
+def _random_poly(ring, rng):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = tuple(rng.randint(0, 1) for _ in range(ring.arity))
+        terms[mono] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return Poly(ring, {m: c for m, c in terms.items() if c})
+
+
+def _random_sparse(ctx, rng, degree):
+    basis = graded_basis(ctx, degree)
+    terms = {}
+    for key in rng.sample(basis, min(len(basis), rng.randint(1, 6))):
+        c = _random_poly(ctx.base, rng)
+        if c.terms:
+            terms[key] = c
+    return CliffordElement(ctx, terms)
+
+
+@pytest.mark.parametrize("name", ["universal", "corank2", "split", "g4", "r6", "r8"])
+def test_product_matches_rewriting_oracle(name):
+    """`cl_mul` and `monomial_products` equal the rewriting product on
+    seeded random elements of degrees -1..2."""
+    ctx = CliffordContext(load_qf(DATA / f"{name}.qf"))
+    rng = random.Random(f"product:{name}")
+    degrees = (-1, 0, 1, 2)
+    for _ in range(25):
+        x = _random_sparse(ctx, rng, rng.choice(degrees))
+        y = _random_sparse(ctx, rng, rng.choice(degrees))
+        assert cl_mul(x, y) == _rewrite_product(x, y)
+    for degree in degrees:
+        y = _random_sparse(ctx, rng, rng.choice(degrees))
+        keys = graded_basis(ctx, degree)
+        expected = [_rewrite_product(ctx.monomial(*key), y) for key in keys]
+        assert monomial_products(ctx, keys, y) == expected
+
+
+def test_sparse_coordinates_match_dense():
+    ctx = universal_ctx()
+    basis = graded_basis(ctx, 0)
+    elem = random_homogeneous(ctx, random.Random(3), 0)
+    dense = elem.coordinates(basis)
+    sparse = elem.sparse_coordinates(basis_columns(basis))
+    assert sparse == {col: c for col, c in enumerate(dense) if c}
+    for bad in (lambda: ctx.generator(1).coordinates(basis),
+                lambda: ctx.generator(1).sparse_coordinates(basis_columns(basis))):
+        with pytest.raises(CliffordError, match="outside the basis"):
+            bad()
+
+
 def test_context_mismatch_rejected():
     with pytest.raises(CliffordError):
         cl_mul(universal_ctx().one(), rank2_ctx().one())
+    with pytest.raises(CliffordError):
+        monomial_products(universal_ctx(), [((1,), 0)], rank2_ctx().one())
 
 
 # -- graded bases -----------------------------------------------------------------
@@ -545,3 +631,14 @@ def test_parse_element_degree_cap():
         parse_element(f"a^{MAX_EXPONENT - 1}*e3*e3*e3*e3", ctx)
     a = ctx.base.var("a")
     assert parse_element(f"e3^{MAX_EXPONENT}", ctx) == ctx.scalar(a**32).l_shift(32)
+
+
+def test_parse_element_term_count_cap():
+    """Each product of elements is refused when the term counts of its
+    factors multiply past MAX_TERMS; a power is a chain of such products."""
+    ctx = universal_ctx()
+    with pytest.raises(ParseError, match="term count bound 27225 exceeds"):
+        parse_element("(a + b + c + 1)^8*(a + b + c + 1)^8*e1", ctx)
+    with pytest.raises(ParseError, match="exceeds the maximum 4096"):
+        parse_element("(a + b + c + 1)^40*e1", ctx)
+    assert len(parse_element("(a + b + c + 1)^8*e1", ctx).terms[((1,), 0)].terms) == 165

@@ -174,6 +174,9 @@ def test_evaluate_rows_matches_poly_evaluate(rows, point):
     ]
     assert all(x != 0 for row in values for x in row.values())
     assert all(isinstance(x, Fraction) for row in values for x in row.values())
+    # the same rows as sparse {column: Poly} maps of their nonzero entries
+    sparse = [{c: p for c, p in enumerate(row) if p} for row in rows]
+    assert evaluate_rows(ABC, sparse, point) == values
 
 
 def test_evaluate_rows_rejects_unknown_and_missing_variables():

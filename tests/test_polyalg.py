@@ -10,6 +10,7 @@ import quadrikit
 from quadrikit import _kernel as K
 from quadrikit.polyalg import (
     MAX_EXPONENT,
+    MAX_TERMS,
     Ideal,
     ParseError,
     Poly,
@@ -518,6 +519,20 @@ def test_nested_powers_refused_before_expanding():
     x, y = XY.gens()
     assert parse_poly("(x*y)^32", XY) == (x * y) ** 32
     assert parse_poly("(x^2)^32*(0)^64", XY) == XY.zero()
+
+
+def test_term_count_bound_refused_before_expanding():
+    """A power is refused by its multinomial bound C(t+n-1, n) on the term
+    count, a product by |a|*|b|, before either is expanded."""
+    six = "(a + b + c + x + y + 1)"
+    with pytest.raises(ParseError, match="term count bound 1221759 exceeds"):
+        parse_poly(f"{six}^40*x", Ring(("a", "b", "c", "x", "y")))
+    with pytest.raises(ParseError, match="term count bound 23409 exceeds"):
+        parse_poly("(x + y + 1)^16*(x + y + 1)^16*(x + 1)", XY)
+    # C(2 + 64 - 1, 64) = 65 and C(3 + 16 - 1, 16) = 153 are far under the cap
+    x, y = XY.gens()
+    assert parse_poly(f"(x + 1)^{MAX_EXPONENT}", XY) == (x + 1) ** MAX_EXPONENT
+    assert len(parse_poly("(x + y + 1)^16", XY).terms) == 153 <= MAX_TERMS
 
 
 def test_backend_name_is_python():
