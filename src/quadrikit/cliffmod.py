@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from quadrikit.polyalg import (
+    PointRows,
     PolyError,
     PolyMatrix,
     Ring,
-    evaluate_rows,
     exact_div,
     fraction_free_rref,
 )
@@ -201,11 +201,12 @@ def clifford_ideal(ctx, w, n, side="left", seed=DEFAULT_SEED):
 
     draw, degenerate_base = _generic_sampler(ctx, seed)
     point = draw()
-    numeric = evaluate_rows(ctx.base, sparse_rows, point.assignment)
+    rows = PointRows(ctx.base, sparse_rows)
     expected = expected_ideal_rank(ctx, w)
 
+    # a dropped row is zero or a multiple of an earlier one, never independent
     echelon = linalg.Echelon()
-    selected = [idx for idx, row in enumerate(numeric) if echelon.add(row)]
+    selected = [i for i, row in zip(rows.kept, rows.at(point.assignment)) if echelon.add(row)]
     if len(selected) != expected:
         raise CliffModError(
             f"ideal rank {len(selected)} != expected {expected} at generic "
@@ -219,12 +220,10 @@ def clifford_ideal(ctx, w, n, side="left", seed=DEFAULT_SEED):
         "extra_points": [],
     }
     if not degenerate_base:
+        selected_rows = PointRows(ctx.base, [sparse_rows[i] for i in selected])
         for _ in range(CERT_SAMPLES):
             extra = draw()
-            rows = evaluate_rows(
-                ctx.base, [sparse_rows[i] for i in selected], extra.assignment
-            )
-            ok = linalg.q_rank(rows) == expected
+            ok = linalg.q_rank(selected_rows.at(extra.assignment)) == expected
             certification["extra_points"].append(
                 {"point": extra.as_strings(), "full_rank": ok}
             )
@@ -268,19 +267,19 @@ def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_S
     columns = basis_columns(graded_basis(ctx, m + n))
     expected = expected_ideal_rank(ctx, w)
 
-    # row k * len(generators) + j holds b_k g_j; only the rows are kept
-    product_rows = [
+    # the products b_k g_j, one generator at a time, each prepared and
+    # dropped before the next generator's are built
+    product_rows = PointRows(ctx.base, (
         p.sparse_coordinates(columns)
-        for row in zip(*[monomial_products(ctx, basis_m, g) for g in ideal_n.generators])
-        for p in row
-    ]
-    ideal_rows = ideal_mn.coord_matrix.entries
+        for g in ideal_n.generators
+        for p in monomial_products(ctx, basis_m, g)
+    ))
+    ideal_rows = PointRows(ctx.base, ideal_mn.coord_matrix.entries)
 
     def worker(point):
-        prod = evaluate_rows(ctx.base, product_rows, point.assignment)
-        ideal = evaluate_rows(ctx.base, ideal_rows, point.assignment)
+        ideal = ideal_rows.at(point.assignment)
         echelon = linalg.Echelon()
-        r_prod = _rank_with(echelon, prod)
+        r_prod = _rank_with(echelon, product_rows.at(point.assignment))
         r_ideal = linalg.q_rank(ideal)
         r_stack = _rank_with(echelon, ideal)
         ok = r_prod == r_ideal == r_stack == expected
@@ -316,29 +315,26 @@ def verify_cokernel_sequence(ctx, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED)
     expected = expected_ideal_rank(ctx, w)
     omega_w = w_top_element(ctx, w)
 
-    # row k * r + j holds b_k w_j
-    per_vector = [
-        monomial_products(ctx, basis_prev, ctx.from_vector(vec)) for vec in w.vectors
+    # the products b_k w_j of the degree n-1 basis with each subbundle vector
+    images = [
+        bw for vec in w.vectors for bw in monomial_products(ctx, basis_prev, ctx.from_vector(vec))
     ]
-    images = [bw for row in zip(*per_vector) for bw in row]
     composite_zero = all(cl_mul(bw, omega_w).is_zero() for bw in images)
     columns = basis_columns(basis_n)
-    image_rows = [bw.sparse_coordinates(columns) for bw in images]
+    image_rows = PointRows(ctx.base, [bw.sparse_coordinates(columns) for bw in images])
     columns = basis_columns(graded_basis(ctx, n + w.r))
-    quotient_rows = [
+    quotient_rows = PointRows(ctx.base, [
         p.sparse_coordinates(columns)
         for p in monomial_products(ctx, basis_n, omega_w)
-    ]
+    ])
 
     # this sequence needs no primitivity, so degenerate bases fall back to
     # unconstrained sample points
     draw, degenerate = _generic_sampler(ctx, seed)
 
     def worker(point):
-        img = evaluate_rows(ctx.base, image_rows, point.assignment)
-        quot = evaluate_rows(ctx.base, quotient_rows, point.assignment)
-        r_img = linalg.q_rank(img)
-        r_quot = linalg.q_rank(quot)
+        r_img = linalg.q_rank(image_rows.at(point.assignment))
+        r_quot = linalg.q_rank(quotient_rows.at(point.assignment))
         ok = (dim - r_img == expected) and (r_quot == expected)
         return SampleResult(
             point.as_strings(),
@@ -375,34 +371,27 @@ def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SE
     last = ctx.from_vector(w.vectors[-1])
     basis_next = graded_basis(ctx, n + 1)
 
-    mult_rows = [
-        cl_mul(g, last).coordinates(basis_next) for g in ideal_sub.generators
-    ]
-    w_rows = [list(r) for r in ideal_w.coord_matrix.entries]
-    sub_rows = [list(r) for r in ideal_sub.coord_matrix.entries]
-    next_rows = [list(r) for r in ideal_next.coord_matrix.entries]
+    mult_rows = PointRows(
+        ctx.base, [cl_mul(g, last).coordinates(basis_next) for g in ideal_sub.generators]
+    )
+    w_rows = PointRows(ctx.base, ideal_w.coord_matrix.entries)
+    sub_rows = PointRows(ctx.base, ideal_sub.coord_matrix.entries)
+    next_rows = PointRows(ctx.base, ideal_next.coord_matrix.entries)
 
     # holds without primitivity; fall back on degenerate bases
     draw, degenerate = _generic_sampler(ctx, seed)
 
     def worker(point):
-        a = evaluate_rows(ctx.base, w_rows, point.assignment)
-        b = evaluate_rows(ctx.base, sub_rows, point.assignment)
-        r_w = linalg.q_rank(a)
+        a = w_rows.at(point.assignment)
+        nxt = next_rows.at(point.assignment)
+        r_w, r_next = linalg.q_rank(a), linalg.q_rank(nxt)
         echelon = linalg.Echelon()
-        r_sub = _rank_with(echelon, b)
+        r_sub = _rank_with(echelon, sub_rows.at(point.assignment))
         contained = _rank_with(echelon, a) == r_sub
-        mult = evaluate_rows(ctx.base, mult_rows, point.assignment)
-        nxt = evaluate_rows(ctx.base, next_rows, point.assignment)
         echelon = linalg.Echelon()
-        r_mult = _rank_with(echelon, mult)
-        r_next = linalg.q_rank(nxt)
+        r_mult = _rank_with(echelon, mult_rows.at(point.assignment))
         surjective = r_mult == r_next == _rank_with(echelon, nxt)
-        ok = (
-            contained
-            and surjective
-            and r_sub - r_w == r_next
-        )
+        ok = contained and surjective and r_sub - r_w == r_next
         return SampleResult(
             point.as_strings(),
             ok,
@@ -606,6 +595,6 @@ def phi_invertible_off_quadric(pres, seed=DEFAULT_SEED):
     for _ in range(_MAX_TRIES):
         assignment = {v: Fraction(rng.randint(*_SAMPLE_RANGE)) for v in ring.variables}
         if q_poly.evaluate(assignment) != 0:
-            values = evaluate_rows(ring, pres.phi.entries, assignment)
+            values = PointRows(ring, pres.phi.entries).at(assignment)
             return linalg.q_rank(values) == pres.size
     raise CliffModError("could not find a point off the quadric")

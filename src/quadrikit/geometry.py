@@ -5,7 +5,7 @@ parameter space."""
 
 from fractions import Fraction
 
-from quadrikit.polyalg import Poly, Ring, evaluate_rows
+from quadrikit.polyalg import PointRows, Poly, Ring
 from quadrikit import linalg
 from quadrikit.quadform import (
     QuadraticForm,
@@ -107,7 +107,7 @@ def fiber_report(q, point):
         raise QuadFormError("fiber classification needs rank 4")
     assignment = point.assignment
     echelon = linalg.Echelon()
-    for row in evaluate_rows(q.base, q.bilinear_matrix().entries, assignment):
+    for row in PointRows(q.base, q.bilinear_matrix().entries).at(assignment):
         echelon.add(row)
     corank = 4 - echelon.rank
     report = {

@@ -3,15 +3,13 @@
 `Echelon` is a fraction-free forward elimination (cf. Bareiss 1968, here
 with content removal instead of exact division) on sparse integer rows.
 An input row is a sequence of ints and Fractions or a sparse mapping
-{column: value}; the rows the verifiers evaluate at sample points arrive
-sparse from `polyalg.evaluate_rows`, holding only their nonzero values.
-Each row is scaled by the lcm of its denominators, which leaves its span
-unchanged, and kept as `{column: int}` without its zero entries.  A row is
-reduced against the pivot rows keyed by their leading column with
-`a*v - b*p` (`a`, `b` divided by their gcd) and then divided by its
-content, so every stored row is a primitive integer row.  The sample-point
-matrices of the verifiers are mostly zero, and their entries are small
-integers, so this avoids both Fraction arithmetic and arithmetic on zeros.
+{column: value}; the verifiers' sample-point rows arrive from
+`polyalg.PointRows.at` as sparse rows of their nonzero values, ints at an
+integral point.  Each row is scaled by the lcm of its denominators, which
+leaves its span unchanged, and kept as `{column: int}` without its zero
+entries.  A row is reduced against the pivot rows keyed by their leading
+column with `a*v - b*p` (`a`, `b` divided by their gcd) and then divided by
+its content, so every stored row is a primitive integer row.
 
 An `Echelon` grows one row at a time and its rank is that of every row
 added so far, so the verifiers take a stacked rank (of two row blocks
@@ -21,12 +19,8 @@ together) by adding the second block to the echelon of the first.
 the pivot rows into the reduced row echelon form R and returns the
 canonical kernel basis: one vector per free column f, with v[f] = 1 and
 v[c] = -R[c][f] on the pivot columns c; a solve of A x = b is the kernel
-vector of the column -b of [A | -b].
-
-Systems over the fraction field of the base ring are solved fraction-free
-by `polyalg.fraction_free_rref`, a Bareiss elimination on sparse rows of
-polynomials that updates only the rows with an entry in the pivot column
-and rescales the others lazily, when they are read."""
+vector of the column -b of [A | -b].  Systems over the fraction field of
+the base ring are solved by `polyalg.fraction_free_rref`."""
 
 from fractions import Fraction
 from math import gcd, lcm

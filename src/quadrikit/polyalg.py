@@ -287,7 +287,7 @@ class Poly:
     def evaluate(self, assignment):
         """Evaluate at a dict variable name -> Fraction/int; must cover every
         variable that occurs."""
-        return _evaluate_terms(self.ring, self.terms, self.ring.point(assignment), {})
+        return _evaluate_terms(self.ring, self.terms, self.ring.point(assignment))
 
     def substitute(self, mapping, target=None):
         """Substitute polynomials for variables.  `mapping` sends variable
@@ -348,24 +348,24 @@ class Poly:
 # -- evaluation at a point ---------------------------------------------
 
 
-def _evaluate_terms(ring, terms, vals, mono_vals):
-    """Value of a term map at the resolved point `vals`, as a Fraction;
-    `mono_vals` caches monomial values across calls at the same point.
-    The sum is kept as num/den: a coefficient with the running denominator
-    adds its numerator times the monomial value, and only a new
-    denominator rescales the sum.  At an integral point num is an int, so
-    one Fraction is built per value; at a rational point it is a Fraction."""
+def _monomial_value(ring, m, vals):
+    """Value of the monomial `m` at the resolved point `vals`."""
+    v = 1
+    for i, e in enumerate(m):
+        if e:
+            if i not in vals:
+                raise PolyError(f"no value for variable {ring.variables[i]!r}")
+            v *= vals[i] ** e
+    return v
+
+
+def _evaluate_terms(ring, terms, vals):
+    """Value of a term map at the resolved point `vals`, as a Fraction,
+    summed as num/den: only a new coefficient denominator rescales the sum,
+    so at an integral point one Fraction is built per value."""
     num, den = 0, 1
     for m, c in terms.items():
-        v = mono_vals.get(m)
-        if v is None:
-            v = 1
-            for i, e in enumerate(m):
-                if e:
-                    if i not in vals:
-                        raise PolyError(f"no value for variable {ring.variables[i]!r}")
-                    v *= vals[i] ** e
-            mono_vals[m] = v
+        v = _monomial_value(ring, m, vals)
         d = c.denominator
         if d == den:
             num += c.numerator * v
@@ -375,24 +375,55 @@ def _evaluate_terms(ring, terms, vals, mono_vals):
     return Fraction(num, den)
 
 
-def evaluate_rows(ring, rows, assignment):
-    """Evaluate rows of Poly over `ring`, dense or sparse {column: Poly},
-    at one point as sparse rows {column: Fraction} that hold only the
-    nonzero values, each equal to `Poly.evaluate` of the entry in that
-    column.  The assignment is resolved once, each monomial is evaluated
-    once, and zero entries cost nothing."""
-    vals = ring.point(assignment)
-    mono_vals = {}
-    out = []
-    for row in rows:
-        values = {}
-        for col, p in row.items() if isinstance(row, dict) else enumerate(row):
-            if p.terms:
-                x = _evaluate_terms(ring, p.terms, vals, mono_vals)
-                if x:
-                    values[col] = x
-        out.append(values)
-    return out
+class PointRows:
+    """Rows of Poly over `ring`, dense or sparse {column: Poly}, prepared
+    once for evaluation at many points.  A structurally zero row is dropped,
+    and so is a rational multiple of an earlier row (same key: the entries
+    sorted by column and monomial, divided by their content, sign fixed);
+    `kept` lists the indices of the rows that stay.  A kept row is scaled
+    once to coprime int coefficients, a positive multiple, and stored as
+    its columns and the ids of its entries, each distinct entry stored once.
+    The row space at every point is unchanged, and with it ranks, pivots
+    and kernels."""
+
+    __slots__ = ("ring", "kept", "_monos", "_entries", "_rows")
+
+    def __init__(self, ring, rows):
+        self.ring, self.kept, self._rows = ring, [], []
+        monos, entries, seen = {}, {}, set()
+        for idx, row in enumerate(rows):
+            items = row.items() if isinstance(row, dict) else enumerate(row)
+            nonzero = [(col, p.terms) for col, p in items if p.terms]
+            if not nonzero:
+                continue
+            flat = sorted((col, m, c) for col, terms in nonzero for m, c in terms.items())
+            scale = math.lcm(*[c.denominator for _, _, c in flat])
+            ints = [c.numerator * scale // c.denominator for _, _, c in flat]
+            content = math.gcd(*ints)
+            unit = content if ints[0] > 0 else -content
+            key = tuple((col, m, x // unit) for (col, m, _), x in zip(flat, ints))
+            if key in seen:
+                continue
+            seen.add(key)
+            self.kept.append(idx)
+            scaled = {(col, m): x // content for (col, m, _), x in zip(flat, ints)}
+            ids = []
+            for col, terms in nonzero:
+                entry = tuple((monos.setdefault(m, len(monos)), scaled[col, m]) for m in terms)
+                ids.append(entries.setdefault(entry, len(entries)))
+            self._rows.append((tuple(col for col, _ in nonzero), tuple(ids)))
+        self._monos, self._entries = list(monos), list(entries)
+
+    def at(self, assignment):
+        """The kept rows at one point as sparse rows {column: value} of the
+        nonzero values, ints at an integral point; a variable without a
+        value raises where it occurs."""
+        vals = self.ring.point(assignment)
+        mono = [_monomial_value(self.ring, m, vals) for m in self._monos]
+        value = [sum(c * mono[k] for k, c in entry) for entry in self._entries]
+        return [
+            {col: x for col, e in zip(cols, ids) if (x := value[e])} for cols, ids in self._rows
+        ]
 
 
 # -- parsing -----------------------------------------------------------
@@ -574,10 +605,6 @@ class PolyMatrix:
     def zeros(cls, ring, rows, cols):
         return cls(ring, [[ring.zero()] * cols for _ in range(rows)])
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def __eq__(self, other):
         return (
             isinstance(other, PolyMatrix)
@@ -616,24 +643,10 @@ class PolyMatrix:
             self.ring, [[p * other for p in row] for row in self.entries]
         )
 
-    def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise PolyError("dimension mismatch")
-        return PolyMatrix(
-            self.ring,
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-        )
-
     def submatrix(self, row_idx, col_idx):
         return PolyMatrix(
             self.ring, [[self.entries[i][j] for j in col_idx] for i in row_idx]
         )
-
-    def map(self, fn):
-        return [[fn(p) for p in row] for row in self.entries]
 
     def __str__(self):
         cells = [[str(p) for p in row] for row in self.entries]

@@ -161,6 +161,19 @@ def test_fiber_unknown_point_variable_exit_2(capsys):
     assert "'z' is not a base variable" in capsys.readouterr().err
 
 
+def test_fiber_missing_point_variable_exit_3(capsys):
+    assert main(["fiber", UNIVERSAL, "--point", "a=0,b=0"]) == 3
+    assert "no value for variable 'c'" in capsys.readouterr().err
+
+
+def test_fiber_rational_point_pinned(capsys):
+    """A non-integral base point: the bilinear matrix is evaluated with
+    Fractions, and the corank-1 fiber is found from them."""
+    assert main(["fiber", UNIVERSAL, "--point", "a=1/2,b=1,c=1/2", "--json"]) == 0
+    pinned = Path(__file__).resolve().parent / "pinned" / "universal_fiber_rational.json"
+    assert capsys.readouterr().out == pinned.read_text()
+
+
 def test_net_command(tmp_path, capsys):
     paths = []
     for i, coeffs in enumerate(
@@ -294,6 +307,17 @@ def test_verify_r8_pinned(suite, monkeypatch, capsys):
     args = ["verify", "data/r8.qf", "--suite", suite, "--samples", "2", "--json"]
     assert main(args) == 0
     pinned = Path(__file__).resolve().parent / "pinned" / f"r8_{suite}.json"
+    assert capsys.readouterr().out == pinned.read_text()
+
+
+@pytest.mark.parametrize("suite", ["multiplication-iso", "cokernel", "flag"])
+def test_verify_r6_pinned(suite, monkeypatch, capsys):
+    """R6 with ten samples at seed 7, recorded from the evaluation of every
+    row at every point that the prepared, deduplicated rows replaced."""
+    monkeypatch.chdir(DATA.parent)
+    args = ["verify", "data/r6.qf", "--suite", suite, "--samples", "10", "--seed", "7", "--json"]
+    assert main(args) == 0
+    pinned = Path(__file__).resolve().parent / "pinned" / f"r6_{suite}_seed7.json"
     assert capsys.readouterr().out == pinned.read_text()
 
 

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadrikit import cliffmod, polyalg
-from quadrikit.polyalg import PolyMatrix, det, parse_poly
+from quadrikit import cliffmod, linalg, polyalg
+from quadrikit.polyalg import PointRows, PolyMatrix, Ring, det, parse_poly
 from quadrikit.quadform import QuadFormError, QuadraticForm, Subbundle, load_qf
-from quadrikit.clifford import CliffordContext
+from quadrikit.clifford import CliffordContext, cl_mul, graded_basis
 from quadrikit.cliffmod import (
+    DEFAULT_SEED,
     CliffModError,
     Specialization,
     check_l_periodicity,
@@ -93,6 +94,95 @@ def test_ideal_certification_records_points():
     basis = clifford_ideal(ctx, span_e1(ctx), 0)
     assert len(basis.certification["extra_points"]) == 5
     assert all(p["full_rank"] for p in basis.certification["extra_points"])
+
+
+def _reference_ideal(ctx, w, n, side, seed):
+    """`clifford_ideal`'s spanning monomials and certification from a plain
+    greedy pass: every coordinate of every spanning product evaluated with
+    `Poly.evaluate`, each row reduced with one `Echelon`."""
+    omega = cliffmod.w_top_element(ctx, w)
+    span_basis = graded_basis(ctx, n - w.r)
+    target = graded_basis(ctx, n)
+    spanning = [
+        cl_mul(ctx.monomial(*key), omega) if side == "left" else cl_mul(omega, ctx.monomial(*key))
+        for key in span_basis
+    ]
+
+    def values(element, point):
+        return [p.evaluate(point.assignment) for p in element.coordinates(target)]
+
+    draw, degenerate = cliffmod._generic_sampler(ctx, seed)
+    point = draw()
+    echelon = linalg.Echelon()
+    selected = [i for i, e in enumerate(spanning) if echelon.add(values(e, point))]
+    extra = [] if degenerate else [draw() for _ in range(cliffmod.CERT_SAMPLES)]
+    certification = {
+        "generic_point": point.as_strings(),
+        "rejections": point.rejections,
+        "degenerate_base": degenerate,
+        "extra_points": [
+            {
+                "point": x.as_strings(),
+                "full_rank": linalg.q_rank([values(spanning[i], x) for i in selected])
+                == len(selected),
+            }
+            for x in extra
+        ],
+    }
+    return [span_basis[i] for i in selected], certification
+
+
+_QF_FILES = sorted((Path(__file__).resolve().parents[1] / "data").glob("*.qf"))
+
+
+@pytest.mark.parametrize("path", _QF_FILES, ids=[p.stem for p in _QF_FILES])
+def test_ideal_selection_matches_plain_greedy_pass(path):
+    """The subbundles and degrees the verify suites build their ideals
+    from, on both sides: the prepared rows select the same spanning
+    monomials and certify the same points as the plain pass."""
+    q = load_qf(str(path))
+    ctx = CliffordContext(q)
+    subbundles = [Subbundle.empty(q.base, q.n)]
+    for i in range(q.n):
+        vec = [Fraction(int(k == i)) for k in range(q.n)]
+        if q.apply(vec).is_zero():
+            subbundles.append(Subbundle([vec], q.base))
+            break
+    for w in subbundles:
+        for n in (-1, 0, 1, 2):
+            for side in ("left", "right"):
+                ideal = clifford_ideal(ctx, w, n, side)
+                monomials, certification = _reference_ideal(ctx, w, n, side, DEFAULT_SEED)
+                assert ideal.spanning_monomials == monomials
+                assert ideal.certification == certification
+
+
+def test_greedy_selection_skips_zero_and_proportional_rows():
+    ring = Ring(("a", "b", "c"))
+    a, b, c = ring.gens()
+    r0 = [a, b * 2, ring.zero()]
+    r3 = [c, ring.one(), a * b]
+    rows = [
+        r0,
+        [ring.zero()] * 3,  # zero row
+        [-p for p in r0],  # negated copy
+        r3,
+        [p / 2 for p in r3],  # half of an earlier row
+        [x + y for x, y in zip(r0, r3)],
+        [p * 3 for p in r3],
+    ]
+    prepared = PointRows(ring, rows)
+    assert prepared.kept == [0, 3, 5]
+    for point in (
+        {"a": 2, "b": -3, "c": 5},
+        {"a": 0, "b": 0, "c": 0},
+        {"a": Fraction(1, 2), "b": 1, "c": 1},
+    ):
+        plain, fast = linalg.Echelon(), linalg.Echelon()
+        reference = [i for i, row in enumerate(rows) if plain.add([p.evaluate(point) for p in row])]
+        selected = [i for i, row in zip(prepared.kept, prepared.at(point)) if fast.add(row)]
+        assert selected == reference
+        assert fast.pivots == plain.pivots and fast.kernel(3) == plain.kernel(3)
 
 
 def test_l_periodicity_exact():

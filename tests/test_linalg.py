@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from quadrikit import linalg
 from quadrikit.polyalg import (
+    PointRows,
     Poly,
     PolyError,
     Ring,
     _evaluate_terms,
-    evaluate_rows,
     fraction_free_rref,
 )
 
@@ -159,39 +159,112 @@ _polys = st.dictionaries(
 _points = st.fixed_dictionaries(
     {v: st.one_of(st.integers(-9, 9), _rationals) for v in ABC.variables}
 )
+_int_points = st.fixed_dictionaries({v: st.integers(-9, 9) for v in ABC.variables})
+_multipliers = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2)]), _rationals.filter(bool)
+)
+
+
+@st.composite
+def _poly_row_sets(draw):
+    """0-12 dense rows of 0-4 polynomials: random rows, zero rows, nonzero
+    rational multiples of earlier rows (negated and halved among them),
+    earlier rows times a variable, and rows with entries that vanish at
+    some points."""
+    ncols = draw(st.integers(0, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["random", "zero", "multiple", "shifted", "vanishing"]))
+        if kind == "zero":
+            row = [ABC.zero()] * ncols
+        elif kind == "multiple" and rows:
+            c = draw(_multipliers)
+            row = [p * c for p in draw(st.sampled_from(rows))]
+        elif kind == "shifted" and rows:
+            # the same coefficients on other monomials: not a multiple
+            v = ABC.var(draw(st.sampled_from(ABC.variables)))
+            row = [p * v for p in draw(st.sampled_from(rows))]
+        elif kind == "vanishing" and rows:
+            point = draw(_int_points)
+            row = [p - p.evaluate(point) for p in draw(st.sampled_from(rows))]
+        else:
+            row = draw(st.lists(_polys, min_size=ncols, max_size=ncols))
+        rows.append(row)
+    return rows
+
+
+def _multiple_of(row, earlier):
+    """True when `row` is c * `earlier` for a nonzero rational c."""
+    pairs = [(p, q) for p, q in zip(row, earlier) if q]
+    if not pairs:
+        return False
+    p, q = pairs[0]
+    m = next(iter(q.terms))
+    c = p.terms.get(m, 0) / q.terms[m]
+    return c != 0 and all(p == q * c for p, q in zip(row, earlier))
 
 
 @_settings
-@given(st.lists(st.lists(_polys, min_size=0, max_size=5), max_size=6), _points)
-def test_evaluate_rows_matches_poly_evaluate(rows, point):
-    # entries that are nonzero polynomials but vanish at the point
-    if rows:
-        rows = rows + [[p - p.evaluate(point) for p in rows[0]]]
-    values = evaluate_rows(ABC, rows, point)
-    assert values == [
-        {c: p.evaluate(point) for c, p in enumerate(row) if p.evaluate(point)}
-        for row in rows
+@given(_poly_row_sets(), st.one_of(_int_points, _points))
+def test_point_rows_match_poly_evaluate(rows, point):
+    prepared = PointRows(ABC, rows)
+    # the first row of each class of nonzero rows equal up to a constant
+    first = [
+        next(j for j in range(i + 1) if _multiple_of(row, rows[j]))
+        for i, row in enumerate(rows)
+        if any(row)
     ]
-    assert all(x != 0 for row in values for x in row.values())
-    assert all(isinstance(x, Fraction) for row in values for x in row.values())
+    assert prepared.kept == sorted(set(first))
+    assert all(any(rows[i]) for i in prepared.kept)
+    values = prepared.at(point)
+    assert len(values) == len(prepared.kept)
+    integral = all(Fraction(x).denominator == 1 for x in point.values())
+    for i, row in zip(prepared.kept, values):
+        expected = {c: p.evaluate(point) for c, p in enumerate(rows[i]) if p.evaluate(point)}
+        assert set(row) == set(expected)
+        assert all(isinstance(x, int if integral else (int, Fraction)) for x in row.values())
+        # one positive rational multiple of the row's values
+        ratios = {Fraction(x) / expected[c] for c, x in row.items()}
+        assert len(ratios) <= 1 and all(r > 0 for r in ratios)
     # the same rows as sparse {column: Poly} maps of their nonzero entries
-    sparse = [{c: p for c, p in enumerate(row) if p} for row in rows]
-    assert evaluate_rows(ABC, sparse, point) == values
+    sparse = PointRows(ABC, [{c: p for c, p in enumerate(row) if p} for row in rows])
+    assert sparse.kept == prepared.kept
+    assert sparse.at(point) == values
 
 
-def test_evaluate_rows_rejects_unknown_and_missing_variables():
+@_settings
+@given(_poly_row_sets(), _int_points, _points)
+def test_point_rows_scale_is_independent_of_the_point(rows, p1, p2):
+    """A kept row's multiple is fixed when it is prepared, not per point."""
+    prepared = PointRows(ABC, rows)
+    for i, r1, r2 in zip(prepared.kept, prepared.at(p1), prepared.at(p2)):
+        ratios = {
+            Fraction(x) / rows[i][c].evaluate(p)
+            for p, r in ((p1, r1), (p2, r2))
+            for c, x in r.items()
+        }
+        assert len(ratios) <= 1
+
+
+def test_point_rows_rejects_unknown_and_missing_variables():
     a = Poly(ABC, {(1, 0, 0): Fraction(1)})
-    with pytest.raises(PolyError):
-        evaluate_rows(ABC, [[ABC.zero()]], {"a": 1, "b": 1, "c": 1, "z": 1})
-    with pytest.raises(PolyError):
+    b = Poly(ABC, {(0, 1, 0): Fraction(1)})
+    with pytest.raises(PolyError, match="unknown variable 'z'"):
+        PointRows(ABC, [[ABC.zero()]]).at({"a": 1, "b": 1, "c": 1, "z": 1})
+    with pytest.raises(PolyError, match="unknown variable 'z'"):
         a.evaluate({"a": 1, "z": 1})
     # a variable without a value raises only where it occurs
-    assert evaluate_rows(ABC, [[a, ABC.zero()]], {"a": 2}) == [{0: 2}]
-    with pytest.raises(PolyError):
-        evaluate_rows(ABC, [[a, Poly(ABC, {(0, 1, 0): Fraction(1)})]], {"a": 2})
+    assert PointRows(ABC, [[a, ABC.zero()]]).at({"a": 2}) == [{0: 2}]
+    assert PointRows(ABC, [[ABC.zero()], [ABC.zero(), a * 3]]).at({"a": 2}) == [{1: 2}]
+    with pytest.raises(PolyError, match="no value for variable 'b'"):
+        PointRows(ABC, [[a, b]]).at({"a": 2})
+    with pytest.raises(PolyError, match="no value for variable 'b'"):
+        PointRows(ABC, [{3: a}, {0: a * b}]).at({"a": 2})
+    # the first variable without a value, in row, column and term order
+    c = Poly(ABC, {(0, 0, 1): Fraction(1)})
+    with pytest.raises(PolyError, match="no value for variable 'b'"):
+        PointRows(ABC, [[ABC.zero(), b], [c]]).at({"a": 2})
 
-
-_int_points = st.fixed_dictionaries({v: st.integers(-9, 9) for v in ABC.variables})
 
 
 @_settings
@@ -205,7 +278,7 @@ def test_evaluate_terms_matches_fraction_sum(terms, point):
     expected = Fraction(0)
     for m, c in terms.items():
         expected += c * x[0] ** m[0] * x[1] ** m[1] * x[2] ** m[2]
-    value = _evaluate_terms(ABC, terms, ABC.point(point), {})
+    value = _evaluate_terms(ABC, terms, ABC.point(point))
     assert isinstance(value, Fraction)
     assert value == expected
     assert Poly(ABC, terms).evaluate(point) == expected
