@@ -6,6 +6,7 @@ machine-readable summary; identical command and seed give byte-identical
 output."""
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -355,6 +356,7 @@ def cmd_verify(args):
     return 0 if ok else 4
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="quadrikit",

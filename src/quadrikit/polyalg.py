@@ -550,13 +550,6 @@ def parse_poly(source, ring):
 # -- exact division and matrices ----------------------------------------
 
 
-def _mono_div(m1, m2):
-    q = tuple(a - b for a, b in zip(m1, m2))
-    if any(e < 0 for e in q):
-        return None
-    return q
-
-
 def exact_div(f, g):
     """Quotient f/g when g divides f exactly; raises PolyError otherwise."""
     if g.is_zero():
@@ -568,8 +561,8 @@ def exact_div(f, g):
     rest = f.terms
     while rest:
         lm = K.leading_monomial(rest, ring._lex)
-        q = _mono_div(lm, lm_g)
-        if q is None:
+        q = tuple(a - b for a, b in zip(lm, lm_g))
+        if any(e < 0 for e in q):
             raise PolyError("polynomial division is not exact")
         c = rest[lm] / lc_g
         quotient[q] = c
@@ -801,41 +794,72 @@ def _mono_lcm(m1, m2):
 
 
 def _lead_data(g):
-    """(leading monomial, leading coefficient, term map) of a nonzero g."""
-    lm = K.leading_monomial(g.terms, g.ring._lex)
-    return lm, g.terms[lm], g.terms
+    """(leading monomial, int leading coefficient, int term map of the other
+    terms) of the primitive integer multiple of a nonzero g."""
+    tail = _integer_terms(g.terms)[0]
+    lm = K.leading_monomial(tail, g.ring._lex)
+    return lm, tail.pop(lm), tail
+
+
+def _integer_terms(terms):
+    """(ints, s) with terms = s * ints, ints a fresh primitive int term map:
+    s is gcd(numerators) / lcm(denominators)."""
+    num = math.gcd(*[c.numerator for c in terms.values()]) or 1
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    ints = {m: c.numerator // num * (den // c.denominator) for m, c in terms.items()}
+    return ints, Fraction(num, den)
 
 
 def normal_form(f, basis, *, _lead=None):
     """Remainder of f under multivariate division by `basis`.  `_lead`, if
-    given, is the list of _lead_data of the basis elements."""
-    ring = f.ring
+    given, is the list of _lead_data of the basis elements.  Runs in ints, in
+    place, on f = s * rest: the leading term c*x^lm of rest is cancelled by
+    the first g whose leading monomial divides lm, with rest scaled by
+    lc_g/d, d = gcd(c, lc_g), and s by d/lc_g; a term no leading monomial
+    divides is kept as s*c, so the remainder is exact over Q."""
     lead = [_lead_data(g) for g in basis] if _lead is None else _lead
+    lex = f.ring._lex
+    rest, s = _integer_terms(f.terms)
     remainder = {}
-    rest = f.terms
     while rest:
-        lm = K.leading_monomial(rest, ring._lex)
-        c = rest[lm]
-        for lm_g, lc_g, terms_g in lead:
-            q = _mono_div(lm, lm_g)
-            if q is not None:
-                rest = K.sub_terms(rest, K.shift_terms(terms_g, q, c / lc_g))
+        lm = K.leading_monomial(rest, lex)
+        c = rest.pop(lm)
+        for lm_g, lc_g, tail_g in lead:
+            for a, b in zip(lm, lm_g):
+                if a < b:
+                    break
+            else:
+                d = math.gcd(c, lc_g)
+                if d != lc_g:
+                    m = lc_g // d
+                    rest = {k: v * m for k, v in rest.items()}
+                    s /= m
+                c //= d
+                q = tuple(a - b for a, b in zip(lm, lm_g))
+                for k, v in tail_g.items():
+                    k = tuple(a + b for a, b in zip(k, q))
+                    v = rest.get(k, 0) - c * v
+                    if v:
+                        rest[k] = v
+                    else:
+                        del rest[k]
                 break
         else:
-            remainder[lm] = c
-            rest = dict(rest)
-            del rest[lm]
-    return Poly(ring, remainder)
+            remainder[lm] = s * c
+    return Poly(f.ring, remainder)
 
 
 def _s_poly(ring, lead_f, lead_g):
-    lm_f, lc_f, terms_f = lead_f
-    lm_g, lc_g, terms_g = lead_g
+    # (lc_g/d)*x^qf*f - (lc_f/d)*x^qg*g, d = gcd(lc_f, lc_g): in integers, a
+    # nonzero multiple of the S-polynomial; the leading terms cancel
+    lm_f, lc_f, tail_f = lead_f
+    lm_g, lc_g, tail_g = lead_g
     lcm = _mono_lcm(lm_f, lm_g)
     qf = tuple(a - b for a, b in zip(lcm, lm_f))
     qg = tuple(a - b for a, b in zip(lcm, lm_g))
-    left = K.shift_terms(terms_f, qf, 1 / lc_f)
-    right = K.shift_terms(terms_g, qg, 1 / lc_g)
+    d = math.gcd(lc_f, lc_g)
+    left = K.shift_terms(tail_f, qf, lc_g // d)
+    right = K.shift_terms(tail_g, qg, lc_f // d)
     return Poly(ring, K.sub_terms(left, right))
 
 
@@ -843,8 +867,6 @@ def _buchberger(gens, ring):
     # monic generators, duplicates dropped in first-occurrence order (a
     # symmetric matrix repeats its minors)
     basis = list(dict.fromkeys(g.monic() for g in gens if not g.is_zero()))
-    if not basis:
-        return []
     lead = [_lead_data(g) for g in basis]
     # normal selection: pairs (i, j), i > j, popped by smallest lcm degree,
     # ties by index
@@ -878,7 +900,7 @@ def _reduce_basis(basis, lead, ring):
     minimal = []
     for i, lm in enumerate(lms):
         if any(
-            _mono_div(lm, other) is not None
+            _mono_lcm(lm, other) == lm
             for j, other in enumerate(lms)
             if j != i and (j < i or other != lm)
         ):
@@ -923,10 +945,7 @@ class Ideal:
     def contains(self, f):
         if f.ring != self.ring:
             raise PolyError("ring mismatch")
-        basis = self.groebner()
-        if not basis:
-            return f.is_zero()
-        return normal_form(f, basis).is_zero()
+        return normal_form(f, self.groebner()).is_zero()
 
     def is_unit(self):
         basis = self.groebner()

@@ -350,6 +350,46 @@ def test_center_pinned(name, path, monkeypatch, capsys):
     assert capsys.readouterr().out == pinned.read_text()
 
 
+@pytest.mark.parametrize(
+    "name, k",
+    [(name, k) for name in ("g4", "r6", "universal", "corank2") for k in (1, 2, 3, 4)]
+    + [("r8", k) for k in (2, 3, 4)],
+)
+def test_degeneration_pinned(name, k, monkeypatch, capsys):
+    """Reduced Groebner bases of the corank >= k loci, recorded from the
+    Fraction division loop the integer `normal_form` replaced."""
+    monkeypatch.chdir(DATA.parent)
+    assert main(["degeneration", f"data/{name}.qf", "--k", str(k), "--json"]) == 0
+    pinned = Path(__file__).resolve().parent / "pinned" / f"degeneration_{name}_k{k}.json"
+    assert capsys.readouterr().out == pinned.read_text()
+
+
+def test_successive_main_calls_match_fresh_processes(monkeypatch, capsys):
+    """main() builds its parser once per process; later calls, with other
+    subcommands, --json on and off, and a usage error after a good call,
+    print and exit as a fresh process does."""
+    monkeypatch.chdir(DATA.parent)
+    calls = [
+        ["degeneration", "data/universal.qf", "--k", "1", "--json"],
+        ["degeneration", "data/universal.qf", "--k", "2"],
+        ["fiber", "data/universal.qf", "--point", "a=1,b=0,c=1", "--json"],
+        ["degeneration", "data/universal.qf"],  # --k is required: exit 2
+        ["node-rank", "1", "2"],
+        ["verify", "data/universal.qf", "--suite", "duality", "--samples", "0"],  # exit 2
+        ["degeneration", "data/corank2.qf", "--k", "2", "--json"],
+    ]
+    for args in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "quadrikit.cli", *args], capture_output=True, text=True
+        )
+        try:
+            code = main(args)
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr), args
+
+
 def test_cli_byte_determinism_subprocess():
     a = run_cli(["verify", UNIVERSAL, "--suite", "duality", "--json"])
     b = run_cli(["verify", UNIVERSAL, "--suite", "duality", "--json"])

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quadrikit
@@ -617,6 +617,71 @@ def test_normal_form_reduces_to_zero_inside_ideal():
     basis = ideal.groebner()
     f = (x * x - y) * (x + 3) + (y * y - 1) * y
     assert normal_form(f, basis).is_zero()
+
+
+def _normal_form_oracle(f, basis):
+    """The Fraction division loop the integer `normal_form` replaced: each
+    step subtracts (c / lc_g) * x^q * g from a copy of the remainder."""
+    lex = f.ring._lex
+    lead = [(g.leading_monomial(), g.leading_coeff(), g.terms) for g in basis]
+    remainder, rest = {}, f.terms
+    while rest:
+        lm = K.leading_monomial(rest, lex)
+        c = rest[lm]
+        for lm_g, lc_g, terms_g in lead:
+            q = tuple(a - b for a, b in zip(lm, lm_g))
+            if min(q) >= 0:
+                rest = K.sub_terms(rest, K.shift_terms(terms_g, q, c / lc_g))
+                break
+        else:
+            remainder[lm] = c
+            rest = dict(rest)
+            del rest[lm]
+    return remainder
+
+
+XYZ = {order: Ring(("x", "y", "z"), order) for order in ("grevlex", "lex")}
+_nf_coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool)
+
+
+@st.composite
+def _division_cases(draw):
+    """(f, basis) over Q[x,y,z] in grevlex or lex.  Basis elements are not
+    monic: Fraction and negative leading coefficients are drawn, and the
+    basis may be empty.  f is zero, a constant, a random polynomial (most
+    leave a nonzero remainder) or a combination of the basis plus one."""
+    ring = XYZ[draw(st.sampled_from(sorted(XYZ)))]
+    monos = st.tuples(*[st.integers(0, 2)] * 3)
+    polys = st.dictionaries(monos, _nf_coeffs, min_size=1, max_size=4).map(
+        lambda terms: Poly(ring, terms)
+    )
+    basis = draw(st.lists(polys, max_size=3))
+    kind = draw(st.sampled_from(["zero", "constant", "random", "combination"]))
+    if kind == "zero":
+        f = ring.zero()
+    elif kind == "constant":
+        f = ring.const(draw(_nf_coeffs))
+    else:
+        f = draw(polys)
+        if kind == "combination":
+            f = sum((g * draw(polys) for g in basis), f)
+    return f, basis
+
+
+def _non_monic_case():
+    # negative Fraction leading coefficients and a nonzero remainder
+    x, y, z = XYZ["lex"].gens()
+    return x**3 * y + x / 3 + z, [x * x * Fraction(-3, 2) + y * z, y * Fraction(-2, 5) + z * z * 7]
+
+
+@_settings
+@given(_division_cases())
+@example(_non_monic_case())
+def test_normal_form_equals_fraction_division_exactly(case):
+    f, basis = case
+    remainder = normal_form(f, basis).terms
+    assert remainder == _normal_form_oracle(f, basis)
+    assert all(type(c) is Fraction for c in remainder.values())
 
 
 def test_groebner_is_reduced():
