@@ -1,9 +1,24 @@
 """Term-map kernel.
 
 A polynomial is represented by its term map: dict mapping exponent tuples
-to nonzero Fractions.  These functions are the hot inner loops of Groebner
-reduction and of the coefficient arithmetic of Clifford products.
+to nonzero rational coefficients, each an int when it is integral and a
+Fraction with denominator > 1 otherwise.  Every function here returns a
+term map that keeps this invariant, so on integral input the loops run in
+ints.  These functions are the hot inner loops of Groebner reduction and
+of the coefficient arithmetic of Clifford products.
 """
+
+from fractions import Fraction
+from operator import add
+
+
+def _normalized(terms):
+    # a sum or product of Fractions can be integral: store it as an int
+    if Fraction in map(type, terms.values()):
+        for m, c in terms.items():
+            if type(c) is Fraction and c.denominator == 1:
+                terms[m] = c.numerator
+    return terms
 
 
 def add_terms(a, b):
@@ -18,7 +33,7 @@ def add_terms(a, b):
                 out[m] = s
             else:
                 del out[m]
-    return out
+    return _normalized(out)
 
 
 def sub_terms(a, b):
@@ -33,7 +48,7 @@ def sub_terms(a, b):
                 out[m] = s
             else:
                 del out[m]
-    return out
+    return _normalized(out)
 
 
 def neg_terms(a):
@@ -43,17 +58,14 @@ def neg_terms(a):
 def scale_terms(a, k):
     if not k:
         return {}
-    return {m: c * k for m, c in a.items()}
+    return _normalized({m: c * k for m, c in a.items()})
 
 
 def shift_terms(a, mono, k):
     # a * (k * x^mono); exponent vectors share one arity
     if not k:
         return {}
-    out = {}
-    for m, c in a.items():
-        out[tuple(x + y for x, y in zip(m, mono))] = c * k
-    return out
+    return _normalized({tuple(map(add, m, mono)): c * k for m, c in a.items()})
 
 
 def mul_terms(a, b):
@@ -62,7 +74,7 @@ def mul_terms(a, b):
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
+            m = tuple(map(add, m1, m2))
             p = c1 * c2
             s = out.get(m)
             if s is None:
@@ -73,7 +85,7 @@ def mul_terms(a, b):
                     out[m] = s
                 else:
                     del out[m]
-    return out
+    return _normalized(out)
 
 
 def _grevlex_gt(m1, m2):

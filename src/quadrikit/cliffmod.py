@@ -496,20 +496,18 @@ def spinor_phi(ctx, w, n, seed=DEFAULT_SEED, source=None, target=None):
     ring = fiber_ring(ctx)
     d = len(dst.generators)
     generators = [((i,), 0) for i in range(1, ctx.rank + 1)]
-    images = [
-        p.coordinates(basis_n)
-        for g in src.generators
-        for p in monomial_products(ctx, generators, g)
-    ]
-    # one elimination of [target coordinates | every image]; image column
-    # d + j*rank + i-1 holds x_i g_j
-    rows = [
-        [dst.coord_matrix.entries[k][c] for k in range(d)] + [img[c] for img in images]
-        for c in range(len(basis_n))
-    ]
-    reduced, pivots, _ = fraction_free_rref(rows)
+    images = [p for g in src.generators for p in monomial_products(ctx, generators, g)]
+    # one elimination of the sparse [target coordinates | every image], a row
+    # per basis monomial; image column d + j*rank + i-1 holds x_i g_j
+    columns = basis_columns(basis_n)
+    rows = [{} for _ in basis_n]
+    for col, element in enumerate(dst.generators + images):
+        for c, p in element.sparse_coordinates(columns).items():
+            rows[c][col] = p
+    ncols = d + len(images)
+    reduced, pivots, _ = fraction_free_rref(rows, ncols, ctx.base)
     phi_entries = [[ring.zero() for _ in range(d)] for _ in range(d)]
-    for col in range(d, d + len(images)):
+    for col in range(d, ncols):
         j, i = divmod(col - d, ctx.rank)
         i += 1
         if col in pivots:

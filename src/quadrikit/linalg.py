@@ -30,19 +30,17 @@ def _integer_row(row):
     """The nonzero entries of a row of ints and Fractions, dense or sparse
     {column: value}, as a primitive integer row {column: int}, a positive
     rational multiple of the row."""
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    entries = [(c, x) for c, x in items if x]
-    if not entries:
-        return {}
-    scale = lcm(*[x.denominator for _, x in entries])
-    if scale == 1:
-        ints = {c: x.numerator for c, x in entries}
+    if isinstance(row, dict) and {*map(type, row.values())} == {int} and 0 not in row.values():
+        ints = row  # sparse nonzero ints, as `PointRows.at` gives at an integral point
     else:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        entries = [(c, x) for c, x in items if x]
+        if not entries:
+            return {}
+        scale = lcm(*[x.denominator for _, x in entries])
         ints = {c: x.numerator * (scale // x.denominator) for c, x in entries}
     content = gcd(*ints.values())
-    if content != 1:
-        ints = {c: x // content for c, x in ints.items()}
-    return ints
+    return {c: x // content for c, x in ints.items()}
 
 
 def _eliminate(v, p, lead):

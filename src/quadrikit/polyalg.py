@@ -21,6 +21,7 @@ Canonical printing lists terms in descending monomial order with explicit
 import heapq
 import math
 from fractions import Fraction
+from operator import add, sub
 
 from quadrikit import _kernel as K
 
@@ -62,12 +63,22 @@ def check_terms(bound):
         raise ParseError(f"term count bound {bound} exceeds the maximum {MAX_TERMS}")
 
 
-def _as_fraction(c):
+def _coefficient(c):
+    """A rational scalar as a term-map coefficient: an int when it is
+    integral, else a Fraction (the invariant of `_kernel`)."""
     if isinstance(c, Fraction):
-        return c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise PolyError(f"not a rational scalar: {c!r}")
+
+
+def _quo(a, b):
+    """The coefficient a / b of two coefficients, b nonzero; never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _coefficient(Fraction(a) / b)
 
 
 def _grevlex_key(m):
@@ -121,7 +132,7 @@ class Ring:
         return self.const(1)
 
     def const(self, c):
-        c = _as_fraction(c)
+        c = _coefficient(c)
         if not c:
             return Poly(self, {})
         return Poly(self, {(0,) * self.arity: c})
@@ -132,7 +143,7 @@ class Ring:
         except KeyError:
             raise PolyError(f"unknown variable {name!r} in {self!r}") from None
         mono = tuple(1 if j == i else 0 for j in range(self.arity))
-        return Poly(self, {mono: Fraction(1)})
+        return Poly(self, {mono: 1})
 
     def gens(self):
         return [self.var(v) for v in self.variables]
@@ -146,8 +157,7 @@ class Ring:
             i = self._index.get(name)
             if i is None:
                 raise PolyError(f"unknown variable {name!r} in {self!r}")
-            v = _as_fraction(v)
-            vals[i] = v.numerator if v.denominator == 1 else v
+            vals[i] = _coefficient(v)
         return vals
 
     def sort_monomials(self, monos):
@@ -173,7 +183,8 @@ class Ring:
 
 
 class Poly:
-    """Immutable polynomial: term map from exponent tuples to Fractions."""
+    """Immutable polynomial: term map from exponent tuples to nonzero
+    coefficients, ints where integral and Fractions otherwise."""
 
     __slots__ = ("ring", "terms")
 
@@ -201,7 +212,7 @@ class Poly:
             other = self.ring.const(other)
         return (
             isinstance(other, Poly)
-            and self.ring == other.ring
+            and (self.ring is other.ring or self.ring == other.ring)
             and self.terms == other.terms
         )
 
@@ -228,17 +239,17 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly(self.ring, K.scale_terms(self.terms, _as_fraction(other)))
+            return Poly(self.ring, K.scale_terms(self.terms, _coefficient(other)))
         other = self._coerce(other)
         return Poly(self.ring, K.mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        c = _as_fraction(other)
+        c = _coefficient(other)
         if not c:
             raise ZeroDivisionError("division of Poly by zero scalar")
-        return self * (1 / c)
+        return Poly(self.ring, {m: _quo(a, c) for m, a in self.terms.items()})
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -273,10 +284,10 @@ class Poly:
         return self / self.leading_coeff()
 
     def coeff(self, mono):
-        return self.terms.get(tuple(mono), Fraction(0))
+        return self.terms.get(tuple(mono), 0)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.ring.arity, Fraction(0))
+        return self.terms.get((0,) * self.ring.arity, 0)
 
     def is_constant(self):
         return all(sum(m) == 0 for m in self.terms)
@@ -561,10 +572,10 @@ def exact_div(f, g):
     rest = f.terms
     while rest:
         lm = K.leading_monomial(rest, ring._lex)
-        q = tuple(a - b for a, b in zip(lm, lm_g))
-        if any(e < 0 for e in q):
+        q = tuple(map(sub, lm, lm_g))
+        if min(q, default=0) < 0:
             raise PolyError("polynomial division is not exact")
-        c = rest[lm] / lc_g
+        c = _quo(rest[lm], lc_g)
         quotient[q] = c
         rest = K.sub_terms(rest, K.shift_terms(g.terms, q, c))
     return Poly(ring, quotient)
@@ -584,7 +595,7 @@ class PolyMatrix:
             if len(row) != self.cols:
                 raise PolyError("ragged matrix")
             for p in row:
-                if not isinstance(p, Poly) or p.ring != ring:
+                if not isinstance(p, Poly) or p.ring is not ring and p.ring != ring:
                     raise PolyError("matrix entry over the wrong ring")
 
     @classmethod
@@ -667,8 +678,10 @@ def _det_cofactor(m):
     return total
 
 
-def fraction_free_rref(rows):
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of Poly rows.
+def fraction_free_rref(rows, ncols=None, ring=None):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of Poly rows: dense
+    lists, or sparse maps {col: Poly} given with the column count `ncols`
+    and the `ring` of the entries.
 
     Returns (rows, pivot columns, sign).  Every pivot entry equals the
     common denominator D, the last pivot taken, and every other entry is
@@ -678,20 +691,23 @@ def fraction_free_rref(rows):
     so its division is exact.  The pivot in a column is the candidate
     with the fewest terms, ties broken by row index, which keeps D small.
 
-    Internally rows are sparse maps {col: Poly} of their nonzero entries,
-    and a pivot step updates only the rows with an entry in its column,
-    on the union of their columns and the pivot row's.  A row without
-    one would only be rescaled by D_new / D_old; the factors telescope, so
-    it is left as it is and brought up to date (x D_now / D_then, again an
-    exact division) only when it is read: as a pivot candidate, as a row
-    to update, or in the result.  The result is the same dense rows.
+    Internally rows are sparse maps {col: Poly} of their nonzero entries
+    (dense rows are converted first), and a pivot step updates only the
+    rows with an entry in its column, on the union of their columns and the
+    pivot row's.  A row without one would only be rescaled by D_new / D_old;
+    the factors telescope, so it is left as it is and brought up to date
+    (x D_now / D_then, again an exact division) only when it is read: as a
+    pivot candidate, as a row to update, or in the result.  The result is
+    dense rows either way.
     """
-    dense = [list(row) for row in rows]
-    ncols = len(dense[0]) if dense else 0
+    if ncols is None:
+        rows = [dict(enumerate(row)) for row in rows]
+        ncols = len(rows[0]) if rows else 0
+        ring = rows[0][0].ring if ncols else None
+    a = [{j: x for j, x in row.items() if x} for row in rows]
     if not ncols:
-        return dense, [], 1
-    zero = dense[0][0].ring.zero()
-    a = [{j: x for j, x in enumerate(row) if x} for row in dense]
+        return [[] for _ in a], [], 1
+    zero = ring.zero()
     nrows = len(a)
     level = [0] * nrows  # pivots taken when each row was last brought up to date
     dens = [None]  # D after k pivots; None stands for 1
@@ -790,7 +806,7 @@ def minors_ideal(m, k):
 
 
 def _mono_lcm(m1, m2):
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+    return tuple(map(max, m1, m2))
 
 
 def _lead_data(g):
@@ -802,24 +818,24 @@ def _lead_data(g):
 
 
 def _integer_terms(terms):
-    """(ints, s) with terms = s * ints, ints a fresh primitive int term map:
-    s is gcd(numerators) / lcm(denominators)."""
+    """(ints, num, den) with terms = num/den * ints, ints a fresh primitive
+    int term map: num is gcd(numerators) and den lcm(denominators)."""
     num = math.gcd(*[c.numerator for c in terms.values()]) or 1
     den = math.lcm(*[c.denominator for c in terms.values()])
     ints = {m: c.numerator // num * (den // c.denominator) for m, c in terms.items()}
-    return ints, Fraction(num, den)
+    return ints, num, den
 
 
 def normal_form(f, basis, *, _lead=None):
     """Remainder of f under multivariate division by `basis`.  `_lead`, if
     given, is the list of _lead_data of the basis elements.  Runs in ints, in
-    place, on f = s * rest: the leading term c*x^lm of rest is cancelled by
-    the first g whose leading monomial divides lm, with rest scaled by
-    lc_g/d, d = gcd(c, lc_g), and s by d/lc_g; a term no leading monomial
-    divides is kept as s*c, so the remainder is exact over Q."""
+    place, on f = s * rest, s = num/den: the leading term c*x^lm of rest is
+    cancelled by the first g whose leading monomial divides lm, with rest
+    scaled by m = lc_g/d, d = gcd(c, lc_g), and den by m; a term no leading
+    monomial divides is kept as s*c, so the remainder is exact over Q."""
     lead = [_lead_data(g) for g in basis] if _lead is None else _lead
     lex = f.ring._lex
-    rest, s = _integer_terms(f.terms)
+    rest, num, den = _integer_terms(f.terms)
     remainder = {}
     while rest:
         lm = K.leading_monomial(rest, lex)
@@ -833,11 +849,11 @@ def normal_form(f, basis, *, _lead=None):
                 if d != lc_g:
                     m = lc_g // d
                     rest = {k: v * m for k, v in rest.items()}
-                    s /= m
+                    den *= m
                 c //= d
-                q = tuple(a - b for a, b in zip(lm, lm_g))
+                q = tuple(map(sub, lm, lm_g))
                 for k, v in tail_g.items():
-                    k = tuple(a + b for a, b in zip(k, q))
+                    k = tuple(map(add, k, q))
                     v = rest.get(k, 0) - c * v
                     if v:
                         rest[k] = v
@@ -845,7 +861,7 @@ def normal_form(f, basis, *, _lead=None):
                         del rest[k]
                 break
         else:
-            remainder[lm] = s * c
+            remainder[lm] = _quo(num * c, den)
     return Poly(f.ring, remainder)
 
 
@@ -855,8 +871,8 @@ def _s_poly(ring, lead_f, lead_g):
     lm_f, lc_f, tail_f = lead_f
     lm_g, lc_g, tail_g = lead_g
     lcm = _mono_lcm(lm_f, lm_g)
-    qf = tuple(a - b for a, b in zip(lcm, lm_f))
-    qg = tuple(a - b for a, b in zip(lcm, lm_g))
+    qf = tuple(map(sub, lcm, lm_f))
+    qg = tuple(map(sub, lcm, lm_g))
     d = math.gcd(lc_f, lc_g)
     left = K.shift_terms(tail_f, qf, lc_g // d)
     right = K.shift_terms(tail_g, qg, lc_f // d)
@@ -881,7 +897,7 @@ def _buchberger(gens, ring):
     while pairs:
         _, i, j = heapq.heappop(pairs)
         lm_i, lm_j = lead[i][0], lead[j][0]
-        if _mono_lcm(lm_i, lm_j) == tuple(a + b for a, b in zip(lm_i, lm_j)):
+        if _mono_lcm(lm_i, lm_j) == tuple(map(add, lm_i, lm_j)):
             continue  # coprime leading monomials
         h = normal_form(_s_poly(ring, lead[i], lead[j]), basis, _lead=lead)
         if not h.is_zero():

@@ -93,7 +93,7 @@ class QuadraticForm:
             i, j = idx
             base_mono = mono[:nb]
             prev = coeff.setdefault((i, j), {})
-            prev[base_mono] = prev.get(base_mono, Fraction(0)) + c
+            prev[base_mono] = prev.get(base_mono, 0) + c
         table = {ij: Poly(base, {m: c for m, c in t.items() if c}) for ij, t in coeff.items()}
         return cls(base, n, table)
 

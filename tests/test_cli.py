@@ -326,6 +326,7 @@ def test_verify_r6_pinned(suite, monkeypatch, capsys):
     [
         ("r8_spinor_n1", ["spinor", "data/r8.qf", "--w", "1,0,0,0,0,0,0,0", "--n", "1"]),
         ("r6_mf", ["verify", "data/r6.qf", "--suite", "matrix-factorization"]),
+        ("r8_mf", ["verify", "data/r8.qf", "--suite", "matrix-factorization"]),
     ],
 )
 def test_fraction_free_paths_pinned(pinned_name, args, monkeypatch, capsys):
@@ -333,6 +334,25 @@ def test_fraction_free_paths_pinned(pinned_name, args, monkeypatch, capsys):
     factorization suite), recorded from the dense elimination."""
     monkeypatch.chdir(DATA.parent)
     assert main(args + ["--json"]) == 0
+    pinned = Path(__file__).resolve().parent / "pinned" / f"{pinned_name}.json"
+    assert capsys.readouterr().out == pinned.read_text()
+
+
+@pytest.mark.parametrize(
+    "pinned_name, args",
+    [
+        ("rat6_verify", ["verify", "--suite", "all", "--samples", "2"]),
+        ("rat6_center", ["clifford", "--center"]),
+        ("rat6_degeneration_k2", ["degeneration", "--k", "2"]),
+    ],
+)
+def test_rational_form_pinned(pinned_name, args, monkeypatch, capsys):
+    """A rank-6 form with non-integral coefficients over Q[a,b]
+    (tests/pinned/rat6.qf), recorded from term maps that stored every
+    coefficient as a Fraction."""
+    monkeypatch.chdir(DATA.parent)
+    command, *flags = args
+    assert main([command, "tests/pinned/rat6.qf", *flags, "--json"]) == 0
     pinned = Path(__file__).resolve().parent / "pinned" / f"{pinned_name}.json"
     assert capsys.readouterr().out == pinned.read_text()
 

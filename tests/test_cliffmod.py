@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from quadrikit import cliffmod, linalg, polyalg
 from quadrikit.polyalg import PointRows, PolyMatrix, Ring, det, parse_poly
 from quadrikit.quadform import QuadFormError, QuadraticForm, Subbundle, load_qf
-from quadrikit.clifford import CliffordContext, cl_mul, graded_basis
+from quadrikit.clifford import CliffordContext, center_element, cl_mul, graded_basis
 from quadrikit.cliffmod import (
     DEFAULT_SEED,
     CliffModError,
@@ -440,6 +440,17 @@ def test_phi_consecutive_product_is_q_on_r6(lam, axis, n):
     for i, row in enumerate(product.entries):
         for j, entry in enumerate(row):
             assert entry == (q if i == j else ring.zero())
+
+
+def test_r6_spinor_phi_and_center_hold_only_ints():
+    """On the integral form R6 every coefficient of the spinor matrices and
+    of the center relation is stored as an int, none as a Fraction."""
+    w = Subbundle([[1, 0, 0, 0, 0, 0]], _R6.base)
+    polys = [p for n in (0, 1) for row in spinor_phi(_R6, w, n).phi.entries for p in row]
+    rel = center_element(_R6)
+    polys += [*rel.omega.terms.values(), rel.alpha, rel.beta]
+    coeffs = [c for p in polys for c in p.terms.values()]
+    assert coeffs and all(type(c) is int for c in coeffs)
 
 
 def test_phi_invertible_off_quadric():

@@ -200,7 +200,7 @@ def _multiple_of(row, earlier):
         return False
     p, q = pairs[0]
     m = next(iter(q.terms))
-    c = p.terms.get(m, 0) / q.terms[m]
+    c = Fraction(p.terms.get(m, 0)) / q.terms[m]
     return c != 0 and all(p == q * c for p, q in zip(row, earlier))
 
 

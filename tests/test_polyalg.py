@@ -367,6 +367,18 @@ def test_fraction_free_matches_dense_reference(a):
     assert fraction_free_rref(a) == _dense_bareiss_reference(a)
 
 
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_sparse_matrices())
+def test_fraction_free_sparse_input_matches_dense(a):
+    """The same rows as {col: Poly} maps of their nonzero entries, with the
+    column count and ring, give the dense input's result exactly and are
+    left as they were."""
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in a]
+    copy = [dict(row) for row in sparse]
+    assert fraction_free_rref(sparse, len(a[0]), XY) == _dense_bareiss_reference(a)
+    assert sparse == copy
+
+
 def test_fraction_free_matches_dense_reference_edge_cases():
     x, y = XY.gens()
     z, one = XY.zero(), XY.one()
@@ -681,7 +693,91 @@ def test_normal_form_equals_fraction_division_exactly(case):
     f, basis = case
     remainder = normal_form(f, basis).terms
     assert remainder == _normal_form_oracle(f, basis)
-    assert all(type(c) is Fraction for c in remainder.values())
+    assert all(
+        type(c) is int or type(c) is Fraction and c.denominator > 1 for c in remainder.values()
+    )
+
+
+# -- the coefficient invariant ------------------------------------------------
+
+
+def _conforming(terms):
+    """Every coefficient an int, or a Fraction with denominator > 1 (so
+    never a float or an integral Fraction)."""
+    return all(
+        type(c) is int or type(c) is Fraction and c.denominator > 1 for c in terms.values()
+    )
+
+
+def _oracle_mul(a, b):
+    """Product of two Fraction term maps, computed in Fractions only."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _oracle_sum(a, b, sign):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+_q_coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
+# a Fraction term map over XY and the conforming Poly with the same values
+_q_monos = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_q_polys = st.dictionaries(_q_monos, _q_coeffs, max_size=4).map(
+    lambda terms: (terms, XY.zero() + Poly(XY, terms))
+)
+
+
+@_settings
+@given(_q_polys, _q_polys, _q_coeffs, st.integers(0, 3))
+def test_coefficients_are_ints_where_integral(fa, ga, k, n):
+    """+, -, *, scalar /, **, monic, exact_div and parse_poly keep every
+    coefficient an int where it is integral and a Fraction otherwise, with
+    the values of the same arithmetic done in Fractions only."""
+    (F, f), (G, g) = fa, ga
+    power = {(0, 0): Fraction(1)}
+    for _ in range(n):
+        power = _oracle_mul(power, F)
+    cases = {
+        "+": (f + g, _oracle_sum(F, G, 1)),
+        "-": (f - g, _oracle_sum(F, G, -1)),
+        "*": (f * g, _oracle_mul(F, G)),
+        "scale": (f * k, {m: c * k for m, c in F.items()}),
+        "/": (f / k, {m: c / k for m, c in F.items()}),
+        "**": (f**n, power),
+        "parse_poly": (parse_poly(str(f), XY), F),
+    }
+    if F:
+        lc = F[f.leading_monomial()]
+        cases["monic"] = (f.monic(), {m: c / lc for m, c in F.items()})
+    if G:
+        cases["exact_div"] = (exact_div(f * g, g), F)
+    for name, (p, oracle) in cases.items():
+        assert _conforming(p.terms), name
+        assert p.terms == oracle, name
+    assert _conforming(f.terms) and f == Poly(XY, F)
+
+
+def test_integral_quotients_are_ints():
+    x, y = XY.gens()
+    assert type(x.terms[(1, 0)]) is int and type(XY.const(Fraction(4, 2)).terms[(0, 0)]) is int
+    for p, expected in [
+        ((2 * x) / 2, {(1, 0): 1}),
+        (x / 3, {(1, 0): Fraction(1, 3)}),
+        (x / 3 * 3, {(1, 0): 1}),
+        (x / 2 + x / 2 + y / 3, {(1, 0): 1, (0, 1): Fraction(1, 3)}),
+        ((x / 2) * (4 * y), {(1, 1): 2}),
+        ((6 * x * y + 3 * y).monic(), {(1, 1): 1, (0, 1): Fraction(1, 2)}),
+        (parse_poly("4/2*x - 3/3", XY), {(1, 0): 2, (0, 0): -1}),
+    ]:
+        assert p.terms == expected
+        assert [type(c) for c in p.terms.values()] == [type(c) for c in expected.values()]
 
 
 def test_groebner_is_reduced():
