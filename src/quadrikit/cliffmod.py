@@ -504,30 +504,31 @@ def spinor_phi(ctx, w, n, seed=DEFAULT_SEED, source=None, target=None):
     for col, element in enumerate(dst.generators + images):
         for c, p in element.sparse_coordinates(columns).items():
             rows[c][col] = p
+    reduced, pivots, _ = fraction_free_rref(rows)
+    # image columns from the first pivot among them on are not expressible;
+    # the ones before it are read off each pivot row's nonzeros
     ncols = d + len(images)
-    reduced, pivots, _ = fraction_free_rref(rows, ncols, ctx.base)
-    phi_entries = [[ring.zero() for _ in range(d)] for _ in range(d)]
-    for col in range(d, ncols):
-        j, i = divmod(col - d, ctx.rank)
-        i += 1
-        if col in pivots:
-            raise CliffModError(
-                "image is not expressible in the target generators "
-                f"(generator {j}, fiber index {i})"
-            )
-        xi = ring.var(f"x{i}")
-        for row, kk in zip(reduced, pivots):
-            entry = row[col]
-            if entry.is_zero():
-                continue
+    limit = next((c for c in pivots if c >= d), ncols)
+    zero = ring.zero()  # Poly is immutable: one zero for every empty entry
+    phi_entries = [[zero] * d for _ in range(d)]
+    xs = [ring.var(f"x{i}") for i in range(1, ctx.rank + 1)]
+    for row, kk in zip(reduced, pivots):
+        for col in sorted(c for c in row if d <= c < limit):
             try:
-                coeff = exact_div(entry, row[kk])
+                coeff = exact_div(row[col], row[kk])
             except PolyError:
                 raise CliffModError(
                     "presentation coefficients are not polynomial; "
                     "inconsistent generator bases"
                 ) from None
-            phi_entries[kk][j] = phi_entries[kk][j] + ctx.base.embed(coeff, ring) * xi
+            j, i = divmod(col - d, ctx.rank)
+            phi_entries[kk][j] = phi_entries[kk][j] + ctx.base.embed(coeff, ring) * xs[i]
+    if limit < ncols:
+        j, i = divmod(limit - d, ctx.rank)
+        raise CliffModError(
+            "image is not expressible in the target generators "
+            f"(generator {j}, fiber index {i + 1})"
+        )
     return SpinorPresentation(ctx, w, n, PolyMatrix(ring, phi_entries), ring)
 
 

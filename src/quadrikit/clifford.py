@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from quadrikit.polyalg import ParseError, Poly, PolyError, check_degree, check_exponent
-from quadrikit.polyalg import check_terms, exact_div
+from quadrikit.polyalg import _parse_rational, _parse_whole, check_terms, exact_div
 from quadrikit.quadform import QuadraticForm
 
 
@@ -442,13 +442,7 @@ def parse_element(source, ctx):
     """Parse the polynomial grammar extended with e<i> and the central l
     (negative powers allowed on l only); products are taken in written
     order."""
-    from quadrikit.polyalg import _Tokens
-
-    tokens = _Tokens(source)
-    elem = _parse_el_expr(tokens, ctx)
-    if tokens.peek() != "end":
-        raise ParseError(f"trailing input at token {tokens.next()[1]!r}")
-    return elem
+    return _parse_whole(source, _parse_el_expr, ctx)
 
 
 def _parse_el_expr(tokens, ctx):
@@ -519,18 +513,13 @@ def _parse_el_factor(tokens, ctx):
 
 
 def _parse_el_atom(tokens, ctx):
+    if tokens.peek() == "num":
+        return ctx.scalar(_parse_rational(tokens)), False
     kind, text = tokens.next()
-    if kind == "num":
-        num = int(text)
-        if tokens.peek() == "/":
-            tokens.next()
-            den = tokens.expect("num")[1]
-            return ctx.scalar(Fraction(num, int(den))), False
-        return ctx.scalar(num), False
     if kind == "ident":
         if text == "l":
             return ctx.l_power(1), True
-        if text.startswith("e") and text[1:].isdigit():
+        if text.startswith("e") and text[1:].isascii() and text[1:].isdigit():
             return ctx.generator(int(text[1:])), False
         if text in ctx.base.variables:
             return ctx.scalar(ctx.base.var(text)), False

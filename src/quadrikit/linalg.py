@@ -20,7 +20,8 @@ the pivot rows into the reduced row echelon form R and returns the
 canonical kernel basis: one vector per free column f, with v[f] = 1 and
 v[c] = -R[c][f] on the pivot columns c; a solve of A x = b is the kernel
 vector of the column -b of [A | -b].  Systems over the fraction field of
-the base ring are solved by `polyalg.fraction_free_rref`."""
+the base ring are solved by `polyalg.fraction_free_rref`, on sparse rows
+{column: Poly} in and out."""
 
 from fractions import Fraction
 from math import gcd, lcm

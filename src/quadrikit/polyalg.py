@@ -63,6 +63,11 @@ def check_terms(bound):
         raise ParseError(f"term count bound {bound} exceeds the maximum {MAX_TERMS}")
 
 
+# Longest numeral the parsers accept: the smallest limit CPython's
+# int(str) conversion can be configured to, so a literal never fails there.
+MAX_DIGITS = 640
+
+
 def _coefficient(c):
     """A rational scalar as a term-map coefficient: an int when it is
     integral, else a Fraction (the invariant of `_kernel`)."""
@@ -456,10 +461,14 @@ class _Tokens:
             elif ch in "+-*^()/":
                 toks.append((ch, ch))
                 i += 1
-            elif ch.isdigit():
+            elif "0" <= ch <= "9":
                 j = i
-                while j < n and source[j].isdigit():
+                while j < n and "0" <= source[j] <= "9":
                     j += 1
+                if j - i > MAX_DIGITS:
+                    raise ParseError(
+                        f"numeral of {j - i} digits exceeds the maximum {MAX_DIGITS}"
+                    )
                 toks.append(("num", source[i:j]))
                 i = j
             elif ch.isalpha() or ch == "_":
@@ -527,15 +536,23 @@ def _parse_factor(tokens, ring):
     return base
 
 
+def _parse_rational(tokens):
+    """rational = natural [ "/" natural ], as an int or a Fraction; shared
+    with clifford.parse_element."""
+    num = int(tokens.expect("num")[1])
+    if tokens.peek() != "/":
+        return num
+    tokens.next()
+    den = int(tokens.expect("num")[1])
+    if not den:
+        raise ParseError(f"zero denominator in {num}/0")
+    return Fraction(num, den)
+
+
 def _parse_atom(tokens, ring):
+    if tokens.peek() == "num":
+        return ring.const(_parse_rational(tokens))
     kind, text = tokens.next()
-    if kind == "num":
-        num = int(text)
-        if tokens.peek() == "/":
-            tokens.next()
-            den = tokens.expect("num")[1]
-            return ring.const(Fraction(num, int(den)))
-        return ring.const(num)
     if kind == "ident":
         return ring.var(text)
     if kind == "(":
@@ -549,13 +566,22 @@ def _parse_atom(tokens, ring):
     raise ParseError(f"unexpected token {text!r}")
 
 
-def parse_poly(source, ring):
-    """Parse an expression into canonical Poly form over `ring`."""
+def _parse_whole(source, parse_expr, context):
+    """parse_expr(tokens, context) over the whole of `source`; nesting too
+    deep for the recursive descent is a ParseError too."""
     tokens = _Tokens(source)
-    poly = _parse_expr(tokens, ring)
+    try:
+        value = parse_expr(tokens, context)
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     if tokens.peek() != "end":
         raise ParseError(f"trailing input at token {tokens.next()[1]!r}")
-    return poly
+    return value
+
+
+def parse_poly(source, ring):
+    """Parse an expression into canonical Poly form over `ring`."""
+    return _parse_whole(source, _parse_expr, ring)
 
 
 # -- exact division and matrices ----------------------------------------
@@ -631,6 +657,7 @@ class PolyMatrix:
                 [(k, row[j].terms) for k, row in enumerate(other.entries) if row[j].terms]
                 for j in range(other.cols)
             ]
+            zero = self.ring.zero()  # shared by every empty entry
             out = []
             for left in self.entries:
                 row = []
@@ -640,7 +667,7 @@ class PolyMatrix:
                         a = left[k].terms
                         if a:
                             acc = K.add_terms(acc, K.mul_terms(a, b))
-                    row.append(Poly(self.ring, acc))
+                    row.append(Poly(self.ring, acc) if acc else zero)
                 out.append(row)
             return PolyMatrix(self.ring, out)
         return PolyMatrix(
@@ -678,36 +705,29 @@ def _det_cofactor(m):
     return total
 
 
-def fraction_free_rref(rows, ncols=None, ring=None):
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of Poly rows: dense
-    lists, or sparse maps {col: Poly} given with the column count `ncols`
-    and the `ring` of the entries.
+def fraction_free_rref(rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of sparse Poly rows,
+    each a map {col: Poly}; the input rows are left unchanged.
 
-    Returns (rows, pivot columns, sign).  Every pivot entry equals the
+    Returns (rows, pivot columns, sign), the rows in the same sparse form,
+    holding only their nonzero entries.  Every pivot entry equals the
     common denominator D, the last pivot taken, and every other entry is
     D times the reduced row echelon entry over the fraction field; rows
-    past the rank are zero and sign is (-1)^(row swaps).  Each update
+    past the rank are empty and sign is (-1)^(row swaps).  Each update
     (D_new x - f y) / D_old is a minor of the input (Sylvester's identity),
     so its division is exact.  The pivot in a column is the candidate
     with the fewest terms, ties broken by row index, which keeps D small.
+    Only columns with an input entry are visited: no other column gets
+    fill-in, so none can hold a pivot.
 
-    Internally rows are sparse maps {col: Poly} of their nonzero entries
-    (dense rows are converted first), and a pivot step updates only the
-    rows with an entry in its column, on the union of their columns and the
-    pivot row's.  A row without one would only be rescaled by D_new / D_old;
-    the factors telescope, so it is left as it is and brought up to date
-    (x D_now / D_then, again an exact division) only when it is read: as a
-    pivot candidate, as a row to update, or in the result.  The result is
-    dense rows either way.
+    A pivot step updates only the rows with an entry in its column, on the
+    union of their columns and the pivot row's.  A row without one would
+    only be rescaled by D_new / D_old; the factors telescope, so it is left
+    as it is and brought up to date (x D_now / D_then, again an exact
+    division) only when it is read: as a pivot candidate, as a row to
+    update, or in the result.
     """
-    if ncols is None:
-        rows = [dict(enumerate(row)) for row in rows]
-        ncols = len(rows[0]) if rows else 0
-        ring = rows[0][0].ring if ncols else None
     a = [{j: x for j, x in row.items() if x} for row in rows]
-    if not ncols:
-        return [[] for _ in a], [], 1
-    zero = ring.zero()
     nrows = len(a)
     level = [0] * nrows  # pivots taken when each row was last brought up to date
     dens = [None]  # D after k pivots; None stands for 1
@@ -722,7 +742,7 @@ def fraction_free_rref(rows, ncols=None, ring=None):
                 row[j] = x * now if then is None else exact_div(x * now, then)
         level[i] = len(pivots)
 
-    for c in range(ncols):
+    for c in sorted(set().union(*a)):
         r = len(pivots)
         if r == nrows:
             break
@@ -768,14 +788,14 @@ def fraction_free_rref(rows, ncols=None, ring=None):
         level[r] = r + 1  # the pivot row is not rescaled at its own step
     for i in range(nrows):
         catch_up(i)
-    return [[row.get(j, zero) for j in range(ncols)] for row in a], pivots, sign
+    return a, pivots, sign
 
 
 def _det_bareiss(m):
-    a, pivots, sign = fraction_free_rref(m.entries)
+    a, pivots, sign = fraction_free_rref([dict(enumerate(r)) for r in m.entries])
     if len(pivots) < m.rows:
         return m.ring.zero()
-    return a[-1][-1] * sign
+    return a[-1][pivots[-1]] * sign
 
 
 def det(m):

@@ -233,7 +233,7 @@ class Subbundle:
         if self.r:
             # the pivot columns are the lexicographically first r columns
             # with a nonzero maximal minor
-            pivots = fraction_free_rref(rows)[1]
+            pivots = fraction_free_rref([dict(enumerate(r)) for r in rows])[1]
             if len(pivots) < self.r:
                 raise QuadFormError("subbundle vectors are linearly dependent")
             self.witness_columns = tuple(pivots)
@@ -498,5 +498,13 @@ def parse_qf_text(text):
 
 
 def load_qf(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_qf_text(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as e:
+        raise ParseError(str(e)) from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") from None
+    return parse_qf_text(text)

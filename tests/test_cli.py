@@ -37,8 +37,9 @@ def test_degeneration_k0_exit_3(capsys):
     assert main(["degeneration", UNIVERSAL, "--k", "0"]) == 3
 
 
-def test_missing_file_exit_2():
+def test_missing_file_exit_2(tmp_path):
     assert main(["degeneration", "no_such_file.qf", "--k", "1"]) == 2
+    assert main(["degeneration", str(tmp_path), "--k", "1"]) == 2  # a directory
 
 
 def test_malformed_qf_exit_2(tmp_path):
@@ -54,6 +55,24 @@ def test_exponent_over_cap_exit_2(tmp_path, capsys):
     big.write_text(f'base_vars = [a]\nfiber_rank = 2\nq = "(a + 1)^{MAX_EXPONENT + 1}*x1*x2"\n')
     assert main(["degeneration", str(big), "--k", "1"]) == 2
     assert "exceeds" in capsys.readouterr().err
+
+
+def test_zero_denominator_exit_2(tmp_path, capsys):
+    """A literal 1/0 is a parse error in a .qf polynomial and in a Clifford
+    element, not a ZeroDivisionError."""
+    bad = tmp_path / "zero.qf"
+    bad.write_text('base_vars = [a]\nfiber_rank = 2\nq = "1/0*x1^2"\n')
+    assert main(["degeneration", str(bad), "--k", "1"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+    assert main(["clifford", UNIVERSAL, "--trace", "1/0*e1*e2*l^-1"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+def test_non_utf8_qf_exit_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.qf"
+    bad.write_bytes(b'base_vars = [a]\nfiber_rank = 2\nq = "x1*x2" # \xe9\n')
+    assert main(["degeneration", str(bad), "--k", "1"]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_clifford_table_lists_basis(capsys):
@@ -223,20 +242,30 @@ def test_verify_exit_4_on_failure(monkeypatch, capsys):
     assert main(["verify", UNIVERSAL, "--suite", "duality"]) == 4
 
 
-def test_verify_jobs_parallel_matches_serial(capsys):
-    assert main(["verify", UNIVERSAL, "--suite", "duality", "--json"]) == 0
-    serial = capsys.readouterr().out
-    assert main(["verify", UNIVERSAL, "--suite", "duality", "--json", "--jobs", "4"]) == 0
-    parallel = capsys.readouterr().out
-    assert serial == parallel
-
-
-@pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-3"), ("--jobs", "0")])
+@pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-3")])
 def test_verify_rejects_nonpositive_counts(flag, value, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", UNIVERSAL, "--suite", "duality", flag, value])
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_verify_all_odd_rank_skips_duality(tmp_path, capsys):
+    """On an odd rank `--suite all` runs every other suite and notes the
+    skipped duality pairing; `--suite duality` alone fails its
+    precondition."""
+    odd = tmp_path / "odd.qf"
+    odd.write_text('base_vars = [a, b]\nfiber_rank = 3\nq = "x1*x2 + a*x3^2 + b*x3*x1"\n')
+    assert main(["verify", str(odd), "--suite", "all", "--samples", "2", "--json"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["operation"] for r in reports].count("duality") == 1
+    duality = next(r for r in reports if r["operation"] == "duality")
+    assert duality["notes"] == ["skipped: the duality pairing needs even rank"]
+    assert {r["operation"] for r in reports} == {
+        "multiplication-iso", "cokernel", "flag", "duality", "matrix-factorization"
+    }
+    assert main(["verify", str(odd), "--suite", "duality"]) == 3
+    assert "even rank" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rank", [0, 40])

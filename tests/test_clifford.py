@@ -414,14 +414,14 @@ def _reference_center(ctx):
     )
     vec = next((v for v in constant if v is not None), None)
     if vec is None:
-        reduced, pivots, _ = fraction_free_rref(rows)
+        reduced, pivots, _ = fraction_free_rref([dict(enumerate(r)) for r in rows])
         kernel = []
         for f in range(dim):
             if f not in pivots:
                 v = [zero] * dim
                 v[f] = reduced[0][pivots[0]] if pivots else ctx.base.one()
                 for row, c in zip(reduced, pivots):
-                    v[c] = -row[f]
+                    v[c] = -row.get(f, zero)
                 kernel.append(v)
         vec = _solve_center_fraction(ctx, kernel, dim, unit, top)
     omega = CliffordElement(ctx, {basis0[k]: p for k, p in enumerate(vec) if p})

@@ -53,7 +53,8 @@ def _reference_pivots(rows):
     """Pivot columns of the reduced row echelon form over Q, from
     `polyalg.fraction_free_rref` on constant polynomials: an elimination
     independent of `linalg.Echelon`."""
-    return fraction_free_rref([[R0.const(Fraction(x)) for x in row] for row in rows])[1]
+    rows = [[R0.const(Fraction(x)) for x in row] for row in rows]
+    return fraction_free_rref([dict(enumerate(row)) for row in rows])[1]
 
 
 def _greedy_rows(rows):

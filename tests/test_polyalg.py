@@ -236,6 +236,14 @@ def _apply(a, x):
     return [sum((p * v for p, v in zip(row, x)), XY.zero()) for row in a]
 
 
+def _rref(rows):
+    """`fraction_free_rref` of dense rows, its sparse result made dense."""
+    reduced, pivots, sign = fraction_free_rref([dict(enumerate(row)) for row in rows])
+    ncols = len(rows[0]) if rows else 0
+    zero = XY.zero()
+    return [[row.get(j, zero) for j in range(ncols)] for row in reduced], pivots, sign
+
+
 def _check_form(reduced, pivots):
     if pivots:
         d = reduced[0][pivots[0]]
@@ -251,7 +259,7 @@ def test_fraction_free_solution_satisfies_system(system):
     a, x0 = system
     b = _apply(a, x0)
     cols = len(a[0])
-    reduced, pivots, _ = fraction_free_rref([row + [bv] for row, bv in zip(a, b)])
+    reduced, pivots, _ = _rref([row + [bv] for row, bv in zip(a, b)])
     _check_form(reduced, pivots)
     assert cols not in pivots
     # free variables 0; the solution is (D x) / D with D the common pivot
@@ -267,7 +275,7 @@ def test_fraction_free_solution_satisfies_system(system):
 def test_fraction_free_kernel_annihilates_rows(system):
     a, _ = system
     cols = len(a[0])
-    reduced, pivots, _ = fraction_free_rref(a)
+    reduced, pivots, _ = _rref(a)
     _check_form(reduced, pivots)
     d = reduced[0][pivots[0]] if pivots else XY.one()
     for f in range(cols):
@@ -288,7 +296,7 @@ def test_fraction_free_reports_inconsistent_system(system, g):
     # a new row g * row_0 whose right-hand side is off by one
     a = a + [[g * p for p in a[0]]]
     b = b + [g * b[0] + 1]
-    reduced, pivots, _ = fraction_free_rref([row + [bv] for row, bv in zip(a, b)])
+    reduced, pivots, _ = _rref([row + [bv] for row, bv in zip(a, b)])
     _check_form(reduced, pivots)
     assert len(a[0]) in pivots
 
@@ -364,19 +372,23 @@ def _sparse_matrices(draw):
 @given(_sparse_matrices())
 def test_fraction_free_matches_dense_reference(a):
     """Rows, pivots and sign equal the dense Bareiss loop's exactly."""
-    assert fraction_free_rref(a) == _dense_bareiss_reference(a)
+    assert _rref(a) == _dense_bareiss_reference(a)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(_sparse_matrices())
 def test_fraction_free_sparse_input_matches_dense(a):
-    """The same rows as {col: Poly} maps of their nonzero entries, with the
-    column count and ring, give the dense input's result exactly and are
-    left as they were."""
+    """The rows as {col: Poly} maps of their nonzero entries give the dense
+    reference's result, are left as they were, and the result rows hold
+    only nonzero entries."""
     sparse = [{j: x for j, x in enumerate(row) if x} for row in a]
     copy = [dict(row) for row in sparse]
-    assert fraction_free_rref(sparse, len(a[0]), XY) == _dense_bareiss_reference(a)
+    zero = XY.zero()
+    reduced, pivots, sign = fraction_free_rref(sparse)
+    dense = [[row.get(j, zero) for j in range(len(a[0]))] for row in reduced]
+    assert (dense, pivots, sign) == _dense_bareiss_reference(a)
     assert sparse == copy
+    assert all(all(row.values()) for row in reduced)
 
 
 def test_fraction_free_matches_dense_reference_edge_cases():
@@ -393,10 +405,11 @@ def test_fraction_free_matches_dense_reference_edge_cases():
         [[z, z, x], [x, z, one], [y, x, z], [z, y, x + 1]],
     ]
     for a in cases:
-        assert fraction_free_rref(a) == _dense_bareiss_reference(a)
+        assert _rref(a) == _dense_bareiss_reference(a)
     assert fraction_free_rref([]) == ([], [], 1)
-    assert fraction_free_rref([[z, z], [z, z]]) == ([[z, z], [z, z]], [], 1)
-    reduced, pivots, sign = fraction_free_rref(cases[4])
+    assert fraction_free_rref([{}, {0: z}]) == ([{}, {}], [], 1)
+    assert _rref([[z, z], [z, z]]) == ([[z, z], [z, z]], [], 1)
+    reduced, pivots, sign = _rref(cases[4])
     assert sign == -1 and pivots[0] == 0
 
 
