@@ -294,50 +294,35 @@ def _run_suites(q, suite, seed, samples):
     ctx = cl.CliffordContext(q)
     w = _pick_isotropic_generator(q)
     empty = Subbundle.empty(q.base, q.n)
+    target = w or empty
+    ideals = {}  # each (w, n, side) ideal is built once per run
+    sampled = {"samples": samples, "seed": seed}
+    shared = {**sampled, "ideals": ideals}
     reports = []
     wanted = SUITES[:-1] if suite == "all" else (suite,)
 
     if "multiplication-iso" in wanted:
-        target = w or empty
         for m, n in ((1, 0), (1, 1), (2, 0)):
-            reports.append(
-                cliffmod.verify_multiplication_iso(
-                    ctx, target, m, n, samples=samples, seed=seed
-                )
-            )
+            reports.append(cliffmod.verify_multiplication_iso(ctx, target, m, n, **shared))
     if "cokernel" in wanted:
-        target = w or empty
         for n in (0, 1):
-            reports.append(
-                cliffmod.verify_cokernel_sequence(
-                    ctx, target, n, samples=samples, seed=seed
-                )
-            )
+            reports.append(cliffmod.verify_cokernel_sequence(ctx, target, n, **sampled))
     if "flag" in wanted:
         if w is None:
             reports.append(_skipped("flag", "no isotropic coordinate generator"))
         else:
             for n in (0, 1):
-                reports.append(
-                    cliffmod.verify_flag_sequence(
-                        ctx, empty, w, n, samples=samples, seed=seed
-                    )
-                )
+                reports.append(cliffmod.verify_flag_sequence(ctx, empty, w, n, **shared))
     if suite == "all" and q.n % 2:
         # an explicit --suite duality still fails its precondition (exit 3)
         reports.append(_skipped("duality", "the duality pairing needs even rank"))
     elif "duality" in wanted:
-        target = w or empty
         for k in range(target.r + 1):
-            reports.append(
-                cliffmod.verify_duality(
-                    ctx, target, k, samples=samples, seed=seed
-                )
-            )
+            reports.append(cliffmod.verify_duality(ctx, target, k, **shared))
     if "matrix-factorization" in wanted:
-        if w is not None:
-            reports.append(cliffmod.verify_mf_report(ctx, w, [-1, 0, 1, 2], seed=seed))
-        reports.append(cliffmod.verify_mf_report(ctx, empty, [-1, 0, 1], seed=seed))
+        runs = ([(w, [-1, 0, 1, 2])] if w else []) + [(empty, [-1, 0, 1])]
+        for sub, degrees in runs:
+            reports.append(cliffmod.verify_mf_report(ctx, sub, degrees, seed=seed, ideals=ideals))
     return reports
 
 

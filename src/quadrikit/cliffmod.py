@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from quadrikit.polyalg import (
     PointRows,
+    Poly,
     PolyError,
     PolyMatrix,
     Ring,
@@ -50,7 +51,7 @@ class Specialization:
         nonzero there."""
         rejections = 0
         for _ in range(_MAX_TRIES):
-            assignment = {v: Fraction(rng.randint(*_SAMPLE_RANGE)) for v in ring.variables}
+            assignment = {v: rng.randint(*_SAMPLE_RANGE) for v in ring.variables}
             if avoid is None or avoid.evaluate(assignment) != 0:
                 return cls(assignment, seed=seed, rejections=rejections)
             rejections += 1
@@ -140,7 +141,7 @@ def _run_samples(draw, count, worker):
 
 class IdealBasis:
     """Certified generating set of a one-sided Clifford ideal in degree n,
-    with coordinates over the graded basis of that degree."""
+    with `rows` its coordinates over that degree's graded basis, {column: term map}."""
 
     __slots__ = (
         "ctx",
@@ -148,18 +149,18 @@ class IdealBasis:
         "n",
         "side",
         "generators",
-        "coord_matrix",
+        "rows",
         "spanning_monomials",
         "certification",
     )
 
-    def __init__(self, ctx, w, n, side, generators, coord_matrix, spanning_monomials, certification):
+    def __init__(self, ctx, w, n, side, generators, rows, spanning_monomials, certification):
         self.ctx = ctx
         self.w = w
         self.n = n
         self.side = side
         self.generators = generators
-        self.coord_matrix = coord_matrix
+        self.rows = rows
         self.spanning_monomials = spanning_monomials
         self.certification = certification
 
@@ -192,12 +193,13 @@ def clifford_ideal(ctx, w, n, side="left", seed=DEFAULT_SEED):
     omega_w = w_top_element(ctx, w)
     span_basis = graded_basis(ctx, n - w.r)
     target_basis = graded_basis(ctx, n)
-    if side == "left":
-        spanning = monomial_products(ctx, span_basis, omega_w)
-    else:
-        spanning = [cl_mul(omega_w, ctx.monomial(*key)) for key in span_basis]
     columns = basis_columns(target_basis)
-    sparse_rows = [e.sparse_coordinates(columns) for e in spanning]
+    if side == "left":
+        sparse_rows = monomial_products(ctx, span_basis, omega_w, columns)
+    else:
+        sparse_rows = [
+            cl_mul(omega_w, ctx.monomial(*key)).sparse_coordinates(columns) for key in span_basis
+        ]
 
     draw, degenerate_base = _generic_sampler(ctx, seed)
     point = draw()
@@ -212,6 +214,7 @@ def clifford_ideal(ctx, w, n, side="left", seed=DEFAULT_SEED):
             f"ideal rank {len(selected)} != expected {expected} at generic "
             f"point {point!r}"
         )
+    coords = [sparse_rows[i] for i in selected]
 
     certification = {
         "generic_point": point.as_strings(),
@@ -220,22 +223,26 @@ def clifford_ideal(ctx, w, n, side="left", seed=DEFAULT_SEED):
         "extra_points": [],
     }
     if not degenerate_base:
-        selected_rows = PointRows(ctx.base, [sparse_rows[i] for i in selected])
+        selected_rows = PointRows(ctx.base, coords)
         for _ in range(CERT_SAMPLES):
             extra = draw()
             ok = linalg.q_rank(selected_rows.at(extra.assignment)) == expected
-            certification["extra_points"].append(
-                {"point": extra.as_strings(), "full_rank": ok}
-            )
+            certification["extra_points"].append({"point": extra.as_strings(), "full_rank": ok})
             if not ok:
-                raise CliffModError(
-                    f"selected generators drop rank at {extra!r}"
-                )
+                raise CliffModError(f"selected generators drop rank at {extra!r}")
 
-    generators = [spanning[i] for i in selected]
-    matrix = PolyMatrix(ctx.base, [g.coordinates(target_basis) for g in generators])
+    generators = [ctx.element({target_basis[c]: t for c, t in row.items()}) for row in coords]
     monomials = [span_basis[i] for i in selected]
-    return IdealBasis(ctx, w, n, side, generators, matrix, monomials, certification)
+    return IdealBasis(ctx, w, n, side, generators, coords, monomials, certification)
+
+
+def _ideal(ideals, ctx, w, n, side, seed):
+    """`clifford_ideal`, built once per run's table {(w, n, side): IdealBasis}."""
+    if ideals is None:
+        return clifford_ideal(ctx, w, n, side, seed)
+    if (w, n, side) not in ideals:
+        ideals[w, n, side] = clifford_ideal(ctx, w, n, side, seed)
+    return ideals[w, n, side]
 
 
 def check_l_periodicity(ctx, w, n, side="left", seed=DEFAULT_SEED):
@@ -243,7 +250,7 @@ def check_l_periodicity(ctx, w, n, side="left", seed=DEFAULT_SEED):
     of the degree n ideal."""
     a = clifford_ideal(ctx, w, n, side, seed)
     b = clifford_ideal(ctx, w, n + 2, side, seed)
-    return a.coord_matrix == b.coord_matrix and a.spanning_monomials == [
+    return a.rows == b.rows and a.spanning_monomials == [
         (idx, m - 1) for idx, m in b.spanning_monomials
     ]
 
@@ -256,13 +263,13 @@ def _rank_with(echelon, rows):
     return echelon.rank
 
 
-def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED):
+def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED, ideals=None):
     """At off-locus points, multiplication by the degree-m component maps
     the degree-n ideal onto the degree-(m+n) ideal with the expected rank;
     a form degenerate everywhere is refused before the products are built."""
     basis_m = graded_basis(ctx, m)
-    ideal_n = clifford_ideal(ctx, w, n, "left", seed)
-    ideal_mn = clifford_ideal(ctx, w, m + n, "left", seed)
+    ideal_n = _ideal(ideals, ctx, w, n, "left", seed)
+    ideal_mn = _ideal(ideals, ctx, w, m + n, "left", seed)
     draw = _off_locus_sampler(ctx, seed)
     columns = basis_columns(graded_basis(ctx, m + n))
     expected = expected_ideal_rank(ctx, w)
@@ -270,11 +277,9 @@ def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_S
     # the products b_k g_j, one generator at a time, each prepared and
     # dropped before the next generator's are built
     product_rows = PointRows(ctx.base, (
-        p.sparse_coordinates(columns)
-        for g in ideal_n.generators
-        for p in monomial_products(ctx, basis_m, g)
+        row for g in ideal_n.generators for row in monomial_products(ctx, basis_m, g, columns)
     ))
-    ideal_rows = PointRows(ctx.base, ideal_mn.coord_matrix.entries)
+    ideal_rows = PointRows(ctx.base, ideal_mn.rows)
 
     def worker(point):
         ideal = ideal_rows.at(point.assignment)
@@ -293,7 +298,7 @@ def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_S
     notes = []
     ok = all(r.ok for r in results)
     if m == 2:
-        periodic = ideal_mn.coord_matrix == ideal_n.coord_matrix
+        periodic = ideal_mn.rows == ideal_n.rows
         notes.append(f"l-shift coordinate equality with degree {n}: {periodic}")
         ok = ok and periodic
     return Report(
@@ -315,18 +320,18 @@ def verify_cokernel_sequence(ctx, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED)
     expected = expected_ideal_rank(ctx, w)
     omega_w = w_top_element(ctx, w)
 
-    # the products b_k w_j of the degree n-1 basis with each subbundle vector
-    images = [
-        bw for vec in w.vectors for bw in monomial_products(ctx, basis_prev, ctx.from_vector(vec))
-    ]
-    composite_zero = all(cl_mul(bw, omega_w).is_zero() for bw in images)
+    # the products b_k w_j of the degree n-1 basis with each subbundle
+    # vector; the composite (b_k w_j) w_top is b_k (w_j w_top)
+    vectors = [ctx.from_vector(vec) for vec in w.vectors]
+    composite_zero = not any(
+        any(monomial_products(ctx, basis_prev, cl_mul(v, omega_w))) for v in vectors
+    )
     columns = basis_columns(basis_n)
-    image_rows = PointRows(ctx.base, [bw.sparse_coordinates(columns) for bw in images])
-    columns = basis_columns(graded_basis(ctx, n + w.r))
-    quotient_rows = PointRows(ctx.base, [
-        p.sparse_coordinates(columns)
-        for p in monomial_products(ctx, basis_n, omega_w)
+    image_rows = PointRows(ctx.base, [
+        row for v in vectors for row in monomial_products(ctx, basis_prev, v, columns)
     ])
+    columns = basis_columns(graded_basis(ctx, n + w.r))
+    quotient_rows = PointRows(ctx.base, monomial_products(ctx, basis_n, omega_w, columns))
 
     # this sequence needs no primitivity, so degenerate bases fall back to
     # unconstrained sample points
@@ -355,7 +360,7 @@ def verify_cokernel_sequence(ctx, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED)
     )
 
 
-def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED):
+def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED, ideals=None):
     """For nested isotropic subbundles of corank one, the degree-n ideal of
     the larger sits inside that of the smaller with quotient the degree
     n+1 ideal of the larger, realized by multiplication with the added
@@ -365,18 +370,18 @@ def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SE
     for a, b in zip(w_sub.vectors, w.vectors):
         if a != b:
             raise CliffModError("inner subbundle must be a prefix of the outer")
-    ideal_w = clifford_ideal(ctx, w, n, "left", seed)
-    ideal_sub = clifford_ideal(ctx, w_sub, n, "left", seed)
-    ideal_next = clifford_ideal(ctx, w, n + 1, "left", seed)
+    ideal_w = _ideal(ideals, ctx, w, n, "left", seed)
+    ideal_sub = _ideal(ideals, ctx, w_sub, n, "left", seed)
+    ideal_next = _ideal(ideals, ctx, w, n + 1, "left", seed)
     last = ctx.from_vector(w.vectors[-1])
-    basis_next = graded_basis(ctx, n + 1)
+    columns = basis_columns(graded_basis(ctx, n + 1))
 
     mult_rows = PointRows(
-        ctx.base, [cl_mul(g, last).coordinates(basis_next) for g in ideal_sub.generators]
+        ctx.base, [cl_mul(g, last).sparse_coordinates(columns) for g in ideal_sub.generators]
     )
-    w_rows = PointRows(ctx.base, ideal_w.coord_matrix.entries)
-    sub_rows = PointRows(ctx.base, ideal_sub.coord_matrix.entries)
-    next_rows = PointRows(ctx.base, ideal_next.coord_matrix.entries)
+    w_rows = PointRows(ctx.base, ideal_w.rows)
+    sub_rows = PointRows(ctx.base, ideal_sub.rows)
+    next_rows = PointRows(ctx.base, ideal_next.rows)
 
     # holds without primitivity; fall back on degenerate bases
     draw, degenerate = _generic_sampler(ctx, seed)
@@ -417,19 +422,17 @@ def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SE
     )
 
 
-def _duality_ideals(ctx, w, k, seed):
+def _duality_ideals(ctx, w, k, seed, ideals=None):
     if ctx.rank % 2:
         raise CliffModError("duality pairing needs even rank")
-    return clifford_ideal(ctx, w, k, "left", seed), clifford_ideal(ctx, w, w.r - k, "right", seed)
+    return _ideal(ideals, ctx, w, k, "left", seed), _ideal(ideals, ctx, w, w.r - k, "right", seed)
 
 
 def _pairing_matrix(ctx, left, right):
     # column j holds the traces of (right representative) * g_j
-    columns = [
-        monomial_products(ctx, right.spanning_monomials, g) for g in left.generators
-    ]
+    columns = [monomial_products(ctx, right.spanning_monomials, g) for g in left.generators]
     size = len(right.spanning_monomials)
-    return PolyMatrix(ctx.base, [[trace(col[r]) for col in columns] for r in range(size)])
+    return PolyMatrix(ctx.base, [[trace(ctx.element(c[r])) for c in columns] for r in range(size)])
 
 
 def duality_pairing(ctx, w, k, seed=DEFAULT_SEED):
@@ -439,12 +442,12 @@ def duality_pairing(ctx, w, k, seed=DEFAULT_SEED):
     return _pairing_matrix(ctx, *_duality_ideals(ctx, w, k, seed))
 
 
-def verify_duality(ctx, w, k, samples=CERT_SAMPLES, seed=DEFAULT_SEED):
+def verify_duality(ctx, w, k, samples=CERT_SAMPLES, seed=DEFAULT_SEED, ideals=None):
     """Pairing determinant is nonzero at every off-locus sample; a form
     degenerate everywhere is refused before the pairing is built."""
     from quadrikit.polyalg import det
 
-    left, right = _duality_ideals(ctx, w, k, seed)
+    left, right = _duality_ideals(ctx, w, k, seed, ideals)
     draw = _off_locus_sampler(ctx, seed)
     pairing = _pairing_matrix(ctx, left, right)
     d = det(pairing)
@@ -496,14 +499,14 @@ def spinor_phi(ctx, w, n, seed=DEFAULT_SEED, source=None, target=None):
     ring = fiber_ring(ctx)
     d = len(dst.generators)
     generators = [((i,), 0) for i in range(1, ctx.rank + 1)]
-    images = [p for g in src.generators for p in monomial_products(ctx, generators, g)]
+    columns = basis_columns(basis_n)
+    images = [row for g in src.generators for row in monomial_products(ctx, generators, g, columns)]
     # one elimination of the sparse [target coordinates | every image], a row
     # per basis monomial; image column d + j*rank + i-1 holds x_i g_j
-    columns = basis_columns(basis_n)
     rows = [{} for _ in basis_n]
-    for col, element in enumerate(dst.generators + images):
-        for c, p in element.sparse_coordinates(columns).items():
-            rows[c][col] = p
+    for col, coords in enumerate(dst.rows + images):
+        for c, t in coords.items():
+            rows[c][col] = Poly(ctx.base, t)
     reduced, pivots, _ = fraction_free_rref(rows)
     # image columns from the first pivot among them on are not expressible;
     # the ones before it are read off each pivot row's nonzeros
@@ -557,16 +560,14 @@ def verify_matrix_factorization(q, p1, p2):
     return True, None
 
 
-def verify_mf_report(ctx, w, degrees, seed=DEFAULT_SEED):
+def verify_mf_report(ctx, w, degrees, seed=DEFAULT_SEED, ideals=None):
     """Matrix-factorization products for consecutive degree pairs."""
-    ideals = {n: clifford_ideal(ctx, w, n, "left", seed) for n in degrees}
+    built = {n: _ideal(ideals, ctx, w, n, "left", seed) for n in degrees}
     presentations = {}
     results = []
     ok = True
     for n in degrees[1:]:
-        src = ideals[n - 1]
-        dst = ideals[n]
-        presentations[n] = spinor_phi(ctx, w, n, seed, source=src, target=dst)
+        presentations[n] = spinor_phi(ctx, w, n, seed, source=built[n - 1], target=built[n])
     for n in degrees[2:]:
         good, witness = verify_matrix_factorization(
             ctx.q, presentations[n - 1], presentations[n]
@@ -594,6 +595,6 @@ def phi_invertible_off_quadric(pres, seed=DEFAULT_SEED):
     for _ in range(_MAX_TRIES):
         assignment = {v: Fraction(rng.randint(*_SAMPLE_RANGE)) for v in ring.variables}
         if q_poly.evaluate(assignment) != 0:
-            values = PointRows(ring, pres.phi.entries).at(assignment)
+            values = [[p.evaluate(assignment) for p in row] for row in pres.phi.entries]
             return linalg.q_rank(values) == pres.size
     raise CliffModError("could not find a point off the quadric")

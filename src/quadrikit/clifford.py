@@ -8,6 +8,8 @@ degree-1 element v.  Elements are finite maps (strictly increasing index
 tuple, Laurent power of l) -> base polynomial.  One generator acts on a
 normal-form monomial in closed form (`CliffordContext.act`), and every
 product is a sequence of such actions: e_I y = e_i1 (e_i2 (... e_ik y)).
+Below the element API (`act`, `monomial_products`, the sums in `cl_mul`)
+coefficients are raw `Poly.terms` maps, wrapped as `Poly` only in elements.
 """
 
 import math
@@ -15,6 +17,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
+from quadrikit._kernel import add_terms, mul_terms, neg_terms, sub_terms
 from quadrikit.polyalg import ParseError, Poly, PolyError, check_degree, check_exponent
 from quadrikit.polyalg import _parse_rational, _parse_whole, check_terms, exact_div
 from quadrikit.quadform import QuadraticForm
@@ -25,8 +28,8 @@ class CliffordError(PolyError):
 
 
 class CliffordContext:
-    """Carrier for the algebra of a fixed quadratic form; `table[i]` maps
-    each j <= i to the nonzero coefficient c_ji."""
+    """Carrier for the algebra of a fixed quadratic form; `table[i]` lists
+    (j, c_ji) for each nonzero c_ji, j <= i: a term map, or None when c_ji = 1."""
 
     __slots__ = ("q", "rank", "base", "table")
 
@@ -34,9 +37,9 @@ class CliffordContext:
         self.q = q
         self.rank = q.n
         self.base = q.base
-        self.table = {i: {} for i in range(1, q.n + 1)}
+        self.table = {i: [] for i in range(1, q.n + 1)}
         for (i, j), c in q.coeff.items():
-            self.table[j][i] = c
+            self.table[j].append((i, None if c == 1 else c.terms))
 
     def __eq__(self, other):
         return isinstance(other, CliffordContext) and self.q == other.q
@@ -77,9 +80,13 @@ class CliffordContext:
     def monomial(self, idx, lpow):
         return CliffordElement(self, {(tuple(idx), lpow): self.base.one()})
 
+    def element(self, raw):
+        """The element of a raw term map {(idx, lpow): coefficient term map}."""
+        return CliffordElement(self, {key: Poly(self.base, t) for key, t in raw.items()})
+
     def act(self, i, terms):
-        """Term map of e_i times the element with term map `terms`.  For
-        J = (j_1 < ... < j_k) with p indices below i,
+        """Raw term map of e_i times the element with raw term map `terms`.
+        For J = (j_1 < ... < j_k) with p indices below i,
 
             e_i e_J = sum_{t <= p} (-1)^(t-1) c_{i j_t} l e_{J - j_t}
                       + (-1)^p (c_ii l e_{J - i} if i in J, else e_{J + i}),
@@ -88,10 +95,11 @@ class CliffordContext:
         j_t <= i (c_ii too), then e_i inserted when i is not in J."""
         out = {}
         for (idx, m), c in terms.items():
-            for j, cji in self.table[i].items():
+            for j, cji in self.table[i]:  # a unit c_ji needs no product
                 t = bisect_left(idx, j)
                 if t < len(idx) and idx[t] == j:
-                    _accumulate(out, (idx[:t] + idx[t + 1 :], m + 1), c * cji, t % 2 == 0)
+                    term = c if cji is None else mul_terms(c, cji)
+                    _accumulate(out, (idx[:t] + idx[t + 1 :], m + 1), term, t % 2 == 0)
             p = bisect_left(idx, i)
             if p == len(idx) or idx[p] != i:
                 _accumulate(out, (idx[:p] + (i,) + idx[p:], m), c, p % 2 == 0)
@@ -99,13 +107,11 @@ class CliffordContext:
 
 
 def _accumulate(out, key, c, positive):
-    """out[key] += c (or -= c), dropping a coefficient that cancels."""
+    """out[key] += c (or -= c) on term maps, dropping a coefficient that cancels."""
     prev = out.get(key)
     if prev is None:
-        out[key] = c if positive else -c
-        return
-    s = prev + c if positive else prev - c
-    if s.terms:
+        out[key] = c if positive else neg_terms(c)
+    elif s := add_terms(prev, c) if positive else sub_terms(prev, c):
         out[key] = s
     else:
         del out[key]
@@ -134,10 +140,10 @@ class CliffordElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
+        out = {key: c.terms for key, c in self.terms.items()}
         for key, c in other.terms.items():
-            _accumulate(out, key, c, True)
-        return CliffordElement(self.ctx, out)
+            _accumulate(out, key, c.terms, True)
+        return self.ctx.element(out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -186,10 +192,10 @@ class CliffordElement:
         return [self.terms.get(key, zero) for key in basis]
 
     def sparse_coordinates(self, columns):
-        """The nonzero coefficients as {column: Poly}; `columns` maps each
-        key of a basis to its column (`basis_columns`)."""
+        """The nonzero coefficients as a sparse row {column: term map};
+        `columns` maps each key of a basis to its column (`basis_columns`)."""
         try:
-            return {columns[key]: c for key, c in self.terms.items()}
+            return {columns[key]: c.terms for key, c in self.terms.items()}
         except KeyError as e:
             raise CliffordError(f"element has terms outside the basis: {e.args[0]}") from None
 
@@ -239,28 +245,28 @@ def cl_mul(x, y):
     x._check(y)
     out = {}
     for c, p in zip(x.terms.values(), monomial_products(x.ctx, x.terms, y)):
-        for key, c2 in p.terms.items():
-            _accumulate(out, key, c * c2, True)
-    return CliffordElement(x.ctx, out)
+        for key, c2 in p.items():
+            _accumulate(out, key, mul_terms(c.terms, c2), True)
+    return x.ctx.element(out)
 
 
-def monomial_products(ctx, keys, y):
+def monomial_products(ctx, keys, y, columns=None):
     """[e_I l^m y for (I, m) in keys]: the left products of monomials with
-    one element.  e_I y = e_i1 (e_(I - i1) y), and each suffix of an I is
-    computed once per call."""
-    if y.ctx != ctx:
+    one element as raw term maps, keyed by (idx, lpow) or, given `columns`
+    (`basis_columns`), by column.  e_I y = e_i1 (e_(I - i1) y), and each
+    suffix of an I is computed once per call."""
+    if y.ctx is not ctx and y.ctx != ctx:
         raise CliffordError("context mismatch")
-    memo = {(): y.terms}
+    memo = {(): {key: c.terms for key, c in y.terms.items()}}
 
     def product(idx):
         if idx not in memo:
             memo[idx] = ctx.act(idx[0], product(idx[1:]))
         return memo[idx]
 
-    return [
-        CliffordElement(ctx, {(i2, m2 + m): c for (i2, m2), c in product(idx).items()})
-        for idx, m in keys
-    ]
+    if columns is None:
+        return [{(i2, m2 + m): c for (i2, m2), c in product(idx).items()} for idx, m in keys]
+    return [{columns[i2, m2 + m]: c for (i2, m2), c in product(idx).items()} for idx, m in keys]
 
 
 def graded_basis(ctx, n):
@@ -277,7 +283,7 @@ def graded_basis(ctx, n):
 
 
 def basis_columns(basis):
-    """Map key -> column of a monomial list, for `sparse_coordinates`."""
+    """Map key -> column of a monomial list, for sparse coordinate rows."""
     return {key: col for col, key in enumerate(basis)}
 
 
@@ -411,11 +417,11 @@ def center_checks(ctx, rel):
     conj = rel.conjugate()
     basis0, basis1 = graded_basis(ctx, 0), graded_basis(ctx, 1)
     even_ok = all(
-        cl_mul(omega, ctx.monomial(*key)) == left
+        cl_mul(omega, ctx.monomial(*key)) == ctx.element(left)
         for key, left in zip(basis0, monomial_products(ctx, basis0, omega))
     )
     odd_twisted_ok = all(
-        left == cl_mul(conj, ctx.monomial(*key))
+        ctx.element(left) == cl_mul(conj, ctx.monomial(*key))
         for key, left in zip(basis1, monomial_products(ctx, basis1, omega))
     )
     return {"commutes_degree0": even_ok, "twisted_degree1": odd_twisted_ok}

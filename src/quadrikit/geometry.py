@@ -5,7 +5,7 @@ parameter space."""
 
 from fractions import Fraction
 
-from quadrikit.polyalg import PointRows, Poly, Ring
+from quadrikit.polyalg import Poly, Ring
 from quadrikit import linalg
 from quadrikit.quadform import (
     QuadraticForm,
@@ -107,8 +107,8 @@ def fiber_report(q, point):
         raise QuadFormError("fiber classification needs rank 4")
     assignment = point.assignment
     echelon = linalg.Echelon()
-    for row in PointRows(q.base, q.bilinear_matrix().entries).at(assignment):
-        echelon.add(row)
+    for row in q.bilinear_matrix().entries:
+        echelon.add([p.evaluate(assignment) for p in row])
     corank = 4 - echelon.rank
     report = {
         "point": {k: str(v) for k, v in sorted(assignment.items())},

@@ -7,9 +7,11 @@ An input row is a sequence of ints and Fractions or a sparse mapping
 `polyalg.PointRows.at` as sparse rows of their nonzero values, ints at an
 integral point.  Each row is scaled by the lcm of its denominators, which
 leaves its span unchanged, and kept as `{column: int}` without its zero
-entries.  A row is reduced against the pivot rows keyed by their leading
-column with `a*v - b*p` (`a`, `b` divided by their gcd) and then divided by
-its content, so every stored row is a primitive integer row.
+entries (a sparse row of nonzero ints with content 1 as the dict itself).
+A row is reduced against the pivot rows keyed by their leading column with
+`a*v - b*p` (`a`, `b` divided by their gcd) and then divided by its
+content, so every stored row is a primitive integer row.  Each step builds
+a new dict: no row, stored or passed in, is ever mutated.
 
 An `Echelon` grows one row at a time and its rank is that of every row
 added so far, so the verifiers take a stacked rank (of two row blocks
@@ -30,8 +32,8 @@ from math import gcd, lcm
 def _integer_row(row):
     """The nonzero entries of a row of ints and Fractions, dense or sparse
     {column: value}, as a primitive integer row {column: int}, a positive
-    rational multiple of the row."""
-    if isinstance(row, dict) and {*map(type, row.values())} == {int} and 0 not in row.values():
+    rational multiple of the row (the row itself when it already is one)."""
+    if isinstance(row, dict) and Fraction not in map(type, row.values()) and 0 not in row.values():
         ints = row  # sparse nonzero ints, as `PointRows.at` gives at an integral point
     else:
         items = row.items() if isinstance(row, dict) else enumerate(row)
@@ -40,8 +42,8 @@ def _integer_row(row):
             return {}
         scale = lcm(*[x.denominator for _, x in entries])
         ints = {c: x.numerator * (scale // x.denominator) for c, x in entries}
-    content = gcd(*ints.values())
-    return {c: x // content for c, x in ints.items()}
+    content = gcd(*ints.values())  # 0 for an empty row
+    return ints if content <= 1 else {c: x // content for c, x in ints.items()}
 
 
 def _eliminate(v, p, lead):
@@ -73,7 +75,8 @@ class Echelon:
 
     `add(row)` reduces a rational row against the pivot rows and keeps it
     as a new pivot row when it is independent of them; `rank` counts the
-    rows kept, `pivots` lists their leading columns and `kernel` solves."""
+    rows kept, `pivots` lists their leading columns and `kernel` solves.
+    A stored row, possibly the dict passed to `add`, is never mutated."""
 
     __slots__ = ("_pivots",)
 

@@ -392,15 +392,15 @@ def _evaluate_terms(ring, terms, vals):
 
 
 class PointRows:
-    """Rows of Poly over `ring`, dense or sparse {column: Poly}, prepared
-    once for evaluation at many points.  A structurally zero row is dropped,
-    and so is a rational multiple of an earlier row (same key: the entries
-    sorted by column and monomial, divided by their content, sign fixed);
-    `kept` lists the indices of the rows that stay.  A kept row is scaled
-    once to coprime int coefficients, a positive multiple, and stored as
-    its columns and the ids of its entries, each distinct entry stored once.
-    The row space at every point is unchanged, and with it ranks, pivots
-    and kernels."""
+    """Sparse rows {column: term map} of polynomials over `ring` (their
+    `Poly.terms`), prepared once for evaluation at many points.  A
+    structurally zero row is dropped, and so is a rational multiple of an
+    earlier row (same key: the entries sorted by column and monomial,
+    divided by their content, sign fixed); `kept` lists the indices of the
+    rows that stay.  A kept row is scaled once to coprime int coefficients,
+    a positive multiple, and stored as its columns and the ids of its
+    entries, each distinct entry stored once.  The row space at every point
+    is unchanged, and with it ranks, pivots and kernels."""
 
     __slots__ = ("ring", "kept", "_monos", "_entries", "_rows")
 
@@ -408,8 +408,7 @@ class PointRows:
         self.ring, self.kept, self._rows = ring, [], []
         monos, entries, seen = {}, {}, set()
         for idx, row in enumerate(rows):
-            items = row.items() if isinstance(row, dict) else enumerate(row)
-            nonzero = [(col, p.terms) for col, p in items if p.terms]
+            nonzero = [(col, terms) for col, terms in row.items() if terms]
             if not nonzero:
                 continue
             flat = sorted((col, m, c) for col, terms in nonzero for m, c in terms.items())
@@ -554,6 +553,8 @@ def _parse_atom(tokens, ring):
         return ring.const(_parse_rational(tokens))
     kind, text = tokens.next()
     if kind == "ident":
+        if text not in ring.variables:
+            raise ParseError(f"unknown identifier {text!r}")
         return ring.var(text)
     if kind == "(":
         inner = _parse_expr(tokens, ring)

@@ -22,6 +22,7 @@ from quadrikit.polyalg import (
     PolyError,
     PolyMatrix,
     Ring,
+    _Tokens,
     det,
     fraction_free_rref,
     minors_ideal,
@@ -483,6 +484,9 @@ def parse_qf_text(text):
         raise ParseError("base_vars must be a [bracketed, list]")
     inner = raw_vars[1:-1].strip()
     base_vars = [v.strip() for v in inner.split(",") if v.strip()] if inner else []
+    for v in base_vars:  # each name must scan as one identifier, as in q
+        if _Tokens._scan(v) != [("ident", v), ("end", "")]:
+            raise ParseError(f"base variable {v!r} is not an identifier")
     try:
         n = int(fields["fiber_rank"])
     except ValueError:

@@ -75,6 +75,33 @@ def test_non_utf8_qf_exit_2(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+def test_unknown_identifier_in_qf_exit_2(tmp_path, capsys):
+    """A name in q that is no base or fiber variable is a parse error
+    naming it, as it is in a Clifford element."""
+    bad = tmp_path / "bad.qf"
+    bad.write_text('base_vars = [a]\nfiber_rank = 2\nq = "x1x2 + a*x1^2"\n')
+    assert main(["degeneration", str(bad), "--k", "1"]) == 2
+    assert "unknown identifier 'x1x2'" in capsys.readouterr().err
+    assert main(["clifford", UNIVERSAL, "--trace", "e1*x1"]) == 2
+    assert "unknown identifier 'x1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("names", ["1a, b", "a, b c", "a, b@c", "a-b"])
+def test_base_variable_not_an_identifier_exit_2(tmp_path, names, capsys):
+    """A base variable name the expression grammar cannot read as one
+    identifier is refused when the file is read."""
+    bad = tmp_path / "bad.qf"
+    bad.write_text(f'base_vars = [{names}]\nfiber_rank = 2\nq = "x1*x2"\n')
+    assert main(["degeneration", str(bad), "--k", "1"]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_duplicate_base_variable_exit_3(tmp_path):
+    bad = tmp_path / "bad.qf"
+    bad.write_text('base_vars = [a, a]\nfiber_rank = 2\nq = "x1*x2"\n')
+    assert main(["degeneration", str(bad), "--k", "1"]) == 3
+
+
 def test_clifford_table_lists_basis(capsys):
     assert main(["clifford", UNIVERSAL, "--table", "0"]) == 0
     out = capsys.readouterr().out
@@ -384,6 +411,41 @@ def test_rational_form_pinned(pinned_name, args, monkeypatch, capsys):
     assert main([command, "tests/pinned/rat6.qf", *flags, "--json"]) == 0
     pinned = Path(__file__).resolve().parent / "pinned" / f"{pinned_name}.json"
     assert capsys.readouterr().out == pinned.read_text()
+
+
+@pytest.mark.parametrize(
+    "name, path",
+    [("universal", "data/universal.qf"), ("dense6", "tests/pinned/dense6.qf")],
+    ids=["universal", "dense6"],
+)
+def test_verify_all_pinned(name, path, monkeypatch, capsys):
+    """`verify --suite all --json` with default samples and seed, recorded
+    from Clifford products over `Poly` coefficients with every ideal rebuilt
+    per suite, before products ran on raw term maps: the universal form,
+    and the dense rank-6 form (no unit c_ij)."""
+    monkeypatch.chdir(DATA.parent)
+    assert main(["verify", path, "--suite", "all", "--json"]) == 0
+    pinned = Path(__file__).resolve().parent / "pinned" / f"{name}_verify.json"
+    assert capsys.readouterr().out == pinned.read_text()
+
+
+def test_run_suites_builds_each_ideal_once(monkeypatch):
+    """R6 `--suite all` uses 23 ideals, 9 of them distinct; the run's table
+    builds each distinct (w, n, side) ideal exactly once."""
+    from quadrikit import cli, cliffmod
+    from quadrikit.quadform import load_qf
+
+    built = []
+    build = cliffmod.clifford_ideal
+
+    def counted(ctx, w, n, side, seed):
+        built.append((w.r, n, side))
+        return build(ctx, w, n, side, seed)
+
+    monkeypatch.setattr(cliffmod, "clifford_ideal", counted)
+    reports = cli._run_suites(load_qf(DATA / "r6.qf"), "all", 5, 1)
+    assert all(r.ok for r in reports)
+    assert len(built) == len(set(built)) == 9
 
 
 @pytest.mark.parametrize(

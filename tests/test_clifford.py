@@ -28,6 +28,7 @@ from quadrikit.clifford import (
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+PINNED = Path(__file__).resolve().parent / "pinned"
 
 
 def universal_ctx():
@@ -215,22 +216,37 @@ def _random_sparse(ctx, rng, degree):
     return CliffordElement(ctx, terms)
 
 
-@pytest.mark.parametrize("name", ["universal", "corank2", "split", "g4", "r6", "r8"])
-def test_product_matches_rewriting_oracle(name):
-    """`cl_mul` and `monomial_products` equal the rewriting product on
-    seeded random elements of degrees -1..2."""
-    ctx = CliffordContext(load_qf(DATA / f"{name}.qf"))
-    rng = random.Random(f"product:{name}")
+def _raw(x):
+    return {key: c.terms for key, c in x.terms.items()}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [DATA / f"{name}.qf" for name in ("universal", "corank2", "split", "g4", "r6", "r8")]
+    + [PINNED / "rat6.qf", PINNED / "dense6.qf"],
+    ids=lambda path: path.stem,
+)
+def test_product_matches_rewriting_oracle(path):
+    """`cl_mul` and `monomial_products` (raw term maps, keyed and as sparse
+    rows) equal the rewriting product on seeded random elements of degrees
+    -1..2.  rat6 has rational coefficients and a unit c_34 among them;
+    every nonzero c_ij of dense6 is a non-unit."""
+    ctx = CliffordContext(load_qf(path))
+    rng = random.Random(f"product:{path.stem}")
     degrees = (-1, 0, 1, 2)
     for _ in range(25):
         x = _random_sparse(ctx, rng, rng.choice(degrees))
         y = _random_sparse(ctx, rng, rng.choice(degrees))
         assert cl_mul(x, y) == _rewrite_product(x, y)
     for degree in degrees:
-        y = _random_sparse(ctx, rng, rng.choice(degrees))
+        y_degree = rng.choice(degrees)
+        y = _random_sparse(ctx, rng, y_degree)
         keys = graded_basis(ctx, degree)
         expected = [_rewrite_product(ctx.monomial(*key), y) for key in keys]
-        assert monomial_products(ctx, keys, y) == expected
+        assert monomial_products(ctx, keys, y) == [_raw(e) for e in expected]
+        columns = basis_columns(graded_basis(ctx, degree + y_degree))
+        rows = monomial_products(ctx, keys, y, columns)
+        assert rows == [e.sparse_coordinates(columns) for e in expected]
 
 
 def test_sparse_coordinates_match_dense():
@@ -239,7 +255,7 @@ def test_sparse_coordinates_match_dense():
     elem = random_homogeneous(ctx, random.Random(3), 0)
     dense = elem.coordinates(basis)
     sparse = elem.sparse_coordinates(basis_columns(basis))
-    assert sparse == {col: c for col, c in enumerate(dense) if c}
+    assert sparse == {col: c.terms for col, c in enumerate(dense) if c}
     for bad in (lambda: ctx.generator(1).coordinates(basis),
                 lambda: ctx.generator(1).sparse_coordinates(basis_columns(basis))):
         with pytest.raises(CliffordError, match="outside the basis"):

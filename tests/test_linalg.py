@@ -194,6 +194,12 @@ def _poly_row_sets(draw):
     return rows
 
 
+def _term_rows(rows):
+    """Rows of Poly as the sparse rows of term maps that `PointRows` takes,
+    zero entries included."""
+    return [dict(enumerate(p.terms for p in row)) for row in rows]
+
+
 def _multiple_of(row, earlier):
     """True when `row` is c * `earlier` for a nonzero rational c."""
     pairs = [(p, q) for p, q in zip(row, earlier) if q]
@@ -208,7 +214,7 @@ def _multiple_of(row, earlier):
 @_settings
 @given(_poly_row_sets(), st.one_of(_int_points, _points))
 def test_point_rows_match_poly_evaluate(rows, point):
-    prepared = PointRows(ABC, rows)
+    prepared = PointRows(ABC, _term_rows(rows))
     # the first row of each class of nonzero rows equal up to a constant
     first = [
         next(j for j in range(i + 1) if _multiple_of(row, rows[j]))
@@ -227,8 +233,8 @@ def test_point_rows_match_poly_evaluate(rows, point):
         # one positive rational multiple of the row's values
         ratios = {Fraction(x) / expected[c] for c, x in row.items()}
         assert len(ratios) <= 1 and all(r > 0 for r in ratios)
-    # the same rows as sparse {column: Poly} maps of their nonzero entries
-    sparse = PointRows(ABC, [{c: p for c, p in enumerate(row) if p} for row in rows])
+    # the same rows without their zero entries
+    sparse = PointRows(ABC, [{c: p.terms for c, p in enumerate(row) if p} for row in rows])
     assert sparse.kept == prepared.kept
     assert sparse.at(point) == values
 
@@ -237,7 +243,7 @@ def test_point_rows_match_poly_evaluate(rows, point):
 @given(_poly_row_sets(), _int_points, _points)
 def test_point_rows_scale_is_independent_of_the_point(rows, p1, p2):
     """A kept row's multiple is fixed when it is prepared, not per point."""
-    prepared = PointRows(ABC, rows)
+    prepared = PointRows(ABC, _term_rows(rows))
     for i, r1, r2 in zip(prepared.kept, prepared.at(p1), prepared.at(p2)):
         ratios = {
             Fraction(x) / rows[i][c].evaluate(p)
@@ -251,20 +257,20 @@ def test_point_rows_rejects_unknown_and_missing_variables():
     a = Poly(ABC, {(1, 0, 0): Fraction(1)})
     b = Poly(ABC, {(0, 1, 0): Fraction(1)})
     with pytest.raises(PolyError, match="unknown variable 'z'"):
-        PointRows(ABC, [[ABC.zero()]]).at({"a": 1, "b": 1, "c": 1, "z": 1})
+        PointRows(ABC, [{0: {}}]).at({"a": 1, "b": 1, "c": 1, "z": 1})
     with pytest.raises(PolyError, match="unknown variable 'z'"):
         a.evaluate({"a": 1, "z": 1})
     # a variable without a value raises only where it occurs
-    assert PointRows(ABC, [[a, ABC.zero()]]).at({"a": 2}) == [{0: 2}]
-    assert PointRows(ABC, [[ABC.zero()], [ABC.zero(), a * 3]]).at({"a": 2}) == [{1: 2}]
+    assert PointRows(ABC, [{0: a.terms, 1: {}}]).at({"a": 2}) == [{0: 2}]
+    assert PointRows(ABC, [{0: {}}, {0: {}, 1: (a * 3).terms}]).at({"a": 2}) == [{1: 2}]
     with pytest.raises(PolyError, match="no value for variable 'b'"):
-        PointRows(ABC, [[a, b]]).at({"a": 2})
+        PointRows(ABC, [{0: a.terms, 1: b.terms}]).at({"a": 2})
     with pytest.raises(PolyError, match="no value for variable 'b'"):
-        PointRows(ABC, [{3: a}, {0: a * b}]).at({"a": 2})
+        PointRows(ABC, [{3: a.terms}, {0: (a * b).terms}]).at({"a": 2})
     # the first variable without a value, in row, column and term order
     c = Poly(ABC, {(0, 0, 1): Fraction(1)})
     with pytest.raises(PolyError, match="no value for variable 'b'"):
-        PointRows(ABC, [[ABC.zero(), b], [c]]).at({"a": 2})
+        PointRows(ABC, [{0: {}, 1: b.terms}, {0: c.terms}]).at({"a": 2})
 
 
 
@@ -300,3 +306,25 @@ def test_echelon_sparse_rows_match_dense_rows(rows):
         assert sparse.rank == dense.rank
         assert sparse.pivots == dense.pivots
         assert sparse.kernel(ncols) == dense.kernel(ncols)
+
+
+def test_echelon_dict_rows_are_never_mutated():
+    """Dict rows holding Fractions, explicit zeros and a non-primitive int
+    row give the ranks, pivots and kernel of their dense forms.  A primitive
+    row of nonzero ints is stored as the dict passed in, and no row dict,
+    kept or not, is changed by later rows or by `kernel`."""
+    rows = [
+        {0: 1, 1: 3, 3: -2},  # primitive nonzero ints: kept as it is
+        {0: 2, 2: 4},  # content 2
+        {1: Fraction(1, 2), 2: Fraction(3, 4)},
+        {0: 1, 1: 0, 2: 5, 4: 0},  # explicit zeros
+        {0: 2, 1: Fraction(3, 2), 2: Fraction(25, 4)},  # row 1 + 3 * row 2
+    ]
+    before = [dict(row) for row in rows]
+    echelon, dense = linalg.Echelon(), linalg.Echelon()
+    kept = [echelon.add(row) for row in rows]
+    assert kept == [dense.add([row.get(c, 0) for c in range(5)]) for row in rows]
+    assert kept == [True, True, True, True, False]
+    assert echelon._pivots[0] is rows[0]
+    assert echelon.pivots == dense.pivots and echelon.kernel(5) == dense.kernel(5)
+    assert rows == before
