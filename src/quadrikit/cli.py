@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from quadrikit.polyalg import ParseError, PolyError
+from quadrikit.polyalg import ParseError, PolyError, parse_rational
 from quadrikit import quadform
 from quadrikit.quadform import QuadFormError, Subbundle, load_qf
 from quadrikit import clifford as cl
@@ -42,9 +42,9 @@ def _positive_int(text):
 
 def _parse_fraction(text):
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"not a rational number: {text!r}") from None
+        return Fraction(parse_rational(text))
+    except ParseError as e:
+        raise ParseError(f"not a rational number: {text!r} ({e})") from None
 
 
 def _parse_vector(text, n):
@@ -354,74 +354,60 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help, seed=False, samples=False):
+        # --json everywhere; --seed and --samples only where they are read
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--samples", type=_positive_int, default=5)
+        if seed:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        if samples:
+            p.add_argument("--samples", type=_positive_int, default=5)
+        return p
 
-    p = sub.add_parser("degeneration", help="degeneration locus ideal")
+    p = command("degeneration", cmd_degeneration, "degeneration locus ideal")
     p.add_argument("input")
     p.add_argument("--k", type=int, required=True, help="corank bound k >= 1")
-    common(p)
-    p.set_defaults(func=cmd_degeneration)
 
-    p = sub.add_parser("reduce", help="hyperbolic reduction by a pair")
+    p = command("reduce", cmd_reduce, "hyperbolic reduction by a pair")
     p.add_argument("input")
     p.add_argument("--v", required=True, help="isotropic vector, comma-separated")
     p.add_argument("--w", help="partner vector; computed when omitted")
-    common(p)
-    p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("clifford", help="graded basis, center, or trace")
+    p = command("clifford", cmd_clifford, "graded basis, center, or trace")
     p.add_argument("input")
     p.add_argument("--table", type=int, help="list the degree-n basis")
     p.add_argument("--center", action="store_true")
     p.add_argument("--trace", help="element expression to trace")
-    common(p)
-    p.set_defaults(func=cmd_clifford)
 
-    p = sub.add_parser("ideal", help="one-sided ideal basis")
+    p = command("ideal", cmd_ideal, "one-sided ideal basis", seed=True)
     p.add_argument("input")
     p.add_argument("--w", default="", help="subbundle vectors 'v1;v2;...'")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--side", choices=("left", "right"), default="left")
-    common(p)
-    p.set_defaults(func=cmd_ideal)
 
-    p = sub.add_parser("spinor", help="presentation matrix in degree n")
+    p = command("spinor", cmd_spinor, "presentation matrix in degree n", seed=True)
     p.add_argument("input")
     p.add_argument("--w", default="")
     p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_spinor)
 
-    p = sub.add_parser("lines", help="chart equations for the scheme of lines")
+    p = command("lines", cmd_lines, "chart equations for the scheme of lines")
     p.add_argument("input")
-    common(p)
-    p.set_defaults(func=cmd_lines)
 
-    p = sub.add_parser("node-rank", help="rank of the chart node equation")
+    p = command("node-rank", cmd_node_rank, "rank of the chart node equation")
     p.add_argument("lam")
     p.add_argument("mu")
-    common(p)
-    p.set_defaults(func=cmd_node_rank)
 
-    p = sub.add_parser("fiber", help="fiber classification at a base point")
+    p = command("fiber", cmd_fiber, "fiber classification at a base point")
     p.add_argument("input")
     p.add_argument("--point", default="", help="assignments 'a=1,b=0,c=-1'")
-    common(p)
-    p.set_defaults(func=cmd_fiber)
 
-    p = sub.add_parser("net", help="net of quadrics from constant forms")
+    p = command("net", cmd_net, "net of quadrics from constant forms")
     p.add_argument("inputs", nargs="+")
-    common(p)
-    p.set_defaults(func=cmd_net)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = command("verify", cmd_verify, "run a verification suite", seed=True, samples=True)
     p.add_argument("input")
     p.add_argument("--suite", choices=SUITES, default="all")
-    common(p)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 

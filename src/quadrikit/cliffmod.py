@@ -56,8 +56,7 @@ class Specialization:
                 return cls(assignment, seed=seed, rejections=rejections)
             rejections += 1
         raise CliffModError(
-            "could not sample a point off the degeneration locus "
-            f"after {_MAX_TRIES} tries"
+            f"could not sample a point off the avoided locus after {_MAX_TRIES} tries"
         )
 
     def as_strings(self):
@@ -588,13 +587,7 @@ def verify_mf_report(ctx, w, degrees, seed=DEFAULT_SEED, ideals=None):
 def phi_invertible_off_quadric(pres, seed=DEFAULT_SEED):
     """Evaluate the presentation at a total-space point with q nonzero and
     test invertibility over Q."""
-    ctx = pres.ctx
-    ring = pres.ring
-    rng = random.Random(seed)
-    q_poly = ctx.q.q_poly(ring)
-    for _ in range(_MAX_TRIES):
-        assignment = {v: Fraction(rng.randint(*_SAMPLE_RANGE)) for v in ring.variables}
-        if q_poly.evaluate(assignment) != 0:
-            values = [[p.evaluate(assignment) for p in row] for row in pres.phi.entries]
-            return linalg.q_rank(values) == pres.size
-    raise CliffModError("could not find a point off the quadric")
+    q_poly = pres.ctx.q.q_poly(pres.ring)
+    point = Specialization.generic(pres.ring, random.Random(seed), avoid=q_poly)
+    values = [[p.evaluate(point.assignment) for p in row] for row in pres.phi.entries]
+    return linalg.q_rank(values) == pres.size

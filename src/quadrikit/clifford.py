@@ -10,6 +10,10 @@ normal-form monomial in closed form (`CliffordContext.act`), and every
 product is a sequence of such actions: e_I y = e_i1 (e_i2 (... e_ik y)).
 Below the element API (`act`, `monomial_products`, the sums in `cl_mul`)
 coefficients are raw `Poly.terms` maps, wrapped as `Poly` only in elements.
+
+`parse_element` reads elements in the expression grammar of `polyalg`,
+whose one recursive descent it shares: `_ElementGrammar` adds l and the
+generators e1..en (no other e<i> names one) to the base variables.
 """
 
 import math
@@ -18,8 +22,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from quadrikit._kernel import add_terms, mul_terms, neg_terms, sub_terms
-from quadrikit.polyalg import ParseError, Poly, PolyError, check_degree, check_exponent
-from quadrikit.polyalg import _parse_rational, _parse_whole, check_terms, exact_div
+from quadrikit.polyalg import ParseError, Poly, PolyError, check_degree, check_terms
+from quadrikit.polyalg import _integer_terms, _parse_whole, exact_div
 from quadrikit.quadform import QuadraticForm
 
 
@@ -393,11 +397,9 @@ def center_element(ctx):
             coeff = pf * 2 ** (k // 2)
             sign = (n - k) // 2 + sum(subset) - k * (k + 1) // 2
             terms[(subset, -(k // 2))] = -coeff if sign % 2 else coeff
-    rationals = [c for p in terms.values() for c in p.terms.values()]
-    scale = Fraction(
-        math.lcm(*(c.denominator for c in rationals)),
-        math.gcd(*(c.numerator for c in rationals)),
-    )
+    flat = {(key, m): c for key, p in terms.items() for m, c in p.terms.items()}
+    _, num, den = _integer_terms(flat)  # num/den is the content of omega
+    scale = Fraction(den, num)
     omega = CliffordElement(ctx, {key: p * scale for key, p in terms.items()})
 
     square = cl_mul(omega, omega)
@@ -445,33 +447,8 @@ def orthogonal_sum_ranks(q, split):
 
 
 def parse_element(source, ctx):
-    """Parse the polynomial grammar extended with e<i> and the central l
-    (negative powers allowed on l only); products are taken in written
-    order."""
-    return _parse_whole(source, _parse_el_expr, ctx)
-
-
-def _parse_el_expr(tokens, ctx):
-    sign = 1
-    if tokens.peek() in ("+", "-"):
-        if tokens.next()[0] == "-":
-            sign = -1
-    total = _parse_el_term(tokens, ctx)
-    if sign < 0:
-        total = -total
-    while tokens.peek() in ("+", "-"):
-        op = tokens.next()[0]
-        term = _parse_el_term(tokens, ctx)
-        total = total + term if op == "+" else total - term
-    return total
-
-
-def _parse_el_term(tokens, ctx):
-    product = _parse_el_factor(tokens, ctx)
-    while tokens.peek() == "*":
-        tokens.next()
-        product = _bounded_mul(product, _parse_el_factor(tokens, ctx))
-    return product
+    """Parse an element of the algebra of `ctx` (grammar: `polyalg`)."""
+    return _parse_whole(source, _ElementGrammar(ctx))
 
 
 def _coefficient_degree(elem):
@@ -496,45 +473,38 @@ def _bounded_mul(a, b):
     return out
 
 
-def _parse_el_factor(tokens, ctx):
-    base, is_l = _parse_el_atom(tokens, ctx)
-    if tokens.peek() == "^":
-        tokens.next()
-        negative = False
-        if tokens.peek() == "-":
-            tokens.next()
-            negative = True
-        tok = tokens.expect("num")
-        n = check_exponent(int(tok[1]))
-        if negative:
-            if not is_l:
+class _ElementGrammar:
+    """The expression grammar in the algebra of `ctx`: identifiers are l,
+    e1..en and the base variables, products are `_bounded_mul` in written
+    order, a power is a chain of them, and only l takes a negative power."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.generators = {f"e{i}": i for i in range(1, ctx.rank + 1)}
+
+    def const(self, c):
+        return self.ctx.scalar(c)
+
+    def name(self, text):
+        ctx = self.ctx
+        if text == "l":
+            return ctx.l_power(1)
+        if text in self.generators:
+            return ctx.generator(self.generators[text])
+        if text in ctx.base.variables:
+            return ctx.scalar(ctx.base.var(text))
+        raise ParseError(f"unknown identifier {text!r}")
+
+    mul = staticmethod(_bounded_mul)
+
+    def power(self, base, n):
+        ctx = self.ctx
+        if n < 0:
+            if base != ctx.l_power(1):
                 raise ParseError("negative powers are only allowed on l")
-            return base.ctx.l_power(-n)
+            return ctx.l_power(n)
         check_degree(_coefficient_degree(base) * n)
-        out = base.ctx.one()
+        out = ctx.one()
         for _ in range(n):
             out = _bounded_mul(out, base)
         return out
-    return base
-
-
-def _parse_el_atom(tokens, ctx):
-    if tokens.peek() == "num":
-        return ctx.scalar(_parse_rational(tokens)), False
-    kind, text = tokens.next()
-    if kind == "ident":
-        if text == "l":
-            return ctx.l_power(1), True
-        if text.startswith("e") and text[1:].isascii() and text[1:].isdigit():
-            return ctx.generator(int(text[1:])), False
-        if text in ctx.base.variables:
-            return ctx.scalar(ctx.base.var(text)), False
-        raise ParseError(f"unknown identifier {text!r}")
-    if kind == "(":
-        inner = _parse_el_expr(tokens, ctx)
-        tokens.expect(")")
-        return inner, False
-    if kind == "-":
-        atom, _ = _parse_el_atom(tokens, ctx)
-        return -atom, False
-    raise ParseError(f"unexpected token {text!r}")

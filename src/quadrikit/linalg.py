@@ -26,7 +26,9 @@ the base ring are solved by `polyalg.fraction_free_rref`, on sparse rows
 {column: Poly} in and out."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from quadrikit.polyalg import _integer_terms
 
 
 def _integer_row(row):
@@ -34,16 +36,11 @@ def _integer_row(row):
     {column: value}, as a primitive integer row {column: int}, a positive
     rational multiple of the row (the row itself when it already is one)."""
     if isinstance(row, dict) and Fraction not in map(type, row.values()) and 0 not in row.values():
-        ints = row  # sparse nonzero ints, as `PointRows.at` gives at an integral point
-    else:
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        entries = [(c, x) for c, x in items if x]
-        if not entries:
-            return {}
-        scale = lcm(*[x.denominator for _, x in entries])
-        ints = {c: x.numerator * (scale // x.denominator) for c, x in entries}
-    content = gcd(*ints.values())  # 0 for an empty row
-    return ints if content <= 1 else {c: x // content for c, x in ints.items()}
+        # sparse nonzero ints, as `PointRows.at` gives at an integral point
+        content = gcd(*row.values())  # 0 for an empty row
+        return row if content <= 1 else {c: x // content for c, x in row.items()}
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return _integer_terms({c: x for c, x in items if x})[0]
 
 
 def _eliminate(v, p, lead):

@@ -6,9 +6,16 @@ Expression grammar (EBNF, whitespace insignificant):
     expr     = [sign] term { sign term } ;
     sign     = "+" | "-" ;
     term     = factor { "*" factor } ;
-    factor   = atom [ "^" natural ] ;
-    atom     = rational | identifier | "(" expr ")" ;
+    factor   = atom [ "^" ["-"] natural ] ;
+    atom     = rational | identifier | "(" expr ")" | sign atom ;
     rational = natural [ "/" natural ] ;
+    natural  = digit { digit } ;  (* ASCII 0-9, at most MAX_DIGITS *)
+
+One recursive descent reads it for a grammar object, which gives the values
+of numerals (`const`) and identifiers (`name`) and bounded products (`mul`)
+and powers (`power`): `parse_poly` over a ring, and `clifford.parse_element`
+(adds e1..en and l, the one atom with negative powers).  `parse_rational`
+reads a lone `[sign] rational`, as every number outside an expression is.
 
 Exponents, and the total degree of every power and product, are capped at
 MAX_EXPONENT, and a bound on the number of terms of every power and
@@ -496,48 +503,44 @@ class _Tokens:
         return tok
 
 
-def _parse_expr(tokens, ring):
+def _parse_expr(tokens, grammar):
     sign = 1
     if tokens.peek() in ("+", "-"):
         if tokens.next()[0] == "-":
             sign = -1
-    total = _parse_term(tokens, ring) * sign
+    total = _parse_term(tokens, grammar) * sign
     while tokens.peek() in ("+", "-"):
         op = tokens.next()[0]
-        term = _parse_term(tokens, ring)
+        term = _parse_term(tokens, grammar)
         total = total + term if op == "+" else total - term
     return total
 
 
-def _parse_term(tokens, ring):
-    product = _parse_factor(tokens, ring)
+def _parse_term(tokens, grammar):
+    product = _parse_factor(tokens, grammar)
     while tokens.peek() == "*":
         tokens.next()
-        factor = _parse_factor(tokens, ring)
-        check_degree(product.total_degree() + factor.total_degree())
-        check_terms(len(product.terms) * len(factor.terms))
-        product = product * factor
+        product = grammar.mul(product, _parse_factor(tokens, grammar))
     return product
 
 
-def _parse_factor(tokens, ring):
-    base = _parse_atom(tokens, ring)
-    if tokens.peek() == "^":
+def _parse_factor(tokens, grammar):
+    base = _parse_atom(tokens, grammar)
+    if tokens.peek() != "^":
+        return base
+    tokens.next()
+    negative = tokens.peek() == "-"
+    if negative:
         tokens.next()
-        tok = tokens.next()
-        if tok[0] != "num":
-            raise ParseError("exponent must be a nonnegative integer")
-        n = check_exponent(int(tok[1]))
-        check_degree(base.total_degree() * n)
-        if len(base.terms) > 1:
-            check_terms(math.comb(len(base.terms) + n - 1, n))
-        base = base ** n
-    return base
+    tok = tokens.next()
+    if tok[0] != "num":
+        raise ParseError("exponent must be an integer")
+    n = check_exponent(int(tok[1]))
+    return grammar.power(base, -n if negative else n)
 
 
 def _parse_rational(tokens):
-    """rational = natural [ "/" natural ], as an int or a Fraction; shared
-    with clifford.parse_element."""
+    """rational = natural [ "/" natural ], as an int or a Fraction."""
     num = int(tokens.expect("num")[1])
     if tokens.peek() != "/":
         return num
@@ -548,41 +551,83 @@ def _parse_rational(tokens):
     return Fraction(num, den)
 
 
-def _parse_atom(tokens, ring):
+def _parse_atom(tokens, grammar):
     if tokens.peek() == "num":
-        return ring.const(_parse_rational(tokens))
+        return grammar.const(_parse_rational(tokens))
     kind, text = tokens.next()
     if kind == "ident":
-        if text not in ring.variables:
-            raise ParseError(f"unknown identifier {text!r}")
-        return ring.var(text)
+        return grammar.name(text)
     if kind == "(":
-        inner = _parse_expr(tokens, ring)
+        inner = _parse_expr(tokens, grammar)
         tokens.expect(")")
         return inner
     if kind == "-":
-        return -_parse_atom(tokens, ring)
+        return -_parse_atom(tokens, grammar)
     if kind == "+":
-        return _parse_atom(tokens, ring)
+        return _parse_atom(tokens, grammar)
     raise ParseError(f"unexpected token {text!r}")
 
 
-def _parse_whole(source, parse_expr, context):
-    """parse_expr(tokens, context) over the whole of `source`; nesting too
-    deep for the recursive descent is a ParseError too."""
-    tokens = _Tokens(source)
-    try:
-        value = parse_expr(tokens, context)
-    except RecursionError:
-        raise ParseError("expression nested too deeply") from None
+def _expect_end(tokens):
     if tokens.peek() != "end":
         raise ParseError(f"trailing input at token {tokens.next()[1]!r}")
+
+
+def _parse_whole(source, grammar):
+    """An expression of `grammar` that is the whole of `source`; nesting
+    too deep for the recursive descent is a ParseError too."""
+    tokens = _Tokens(source)
+    try:
+        value = _parse_expr(tokens, grammar)
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
+    _expect_end(tokens)
     return value
+
+
+class _PolyGrammar:
+    """The polynomial grammar over `ring`: numerals, the ring's variables,
+    and products and powers refused before expanding past MAX_EXPONENT or
+    MAX_TERMS."""
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def const(self, c):
+        return self.ring.const(c)
+
+    def name(self, text):
+        if text not in self.ring.variables:
+            raise ParseError(f"unknown identifier {text!r}")
+        return self.ring.var(text)
+
+    def mul(self, a, b):
+        check_degree(a.total_degree() + b.total_degree())
+        check_terms(len(a.terms) * len(b.terms))
+        return a * b
+
+    def power(self, base, n):
+        if n < 0:
+            raise ParseError("exponent must be a nonnegative integer")
+        check_degree(base.total_degree() * n)
+        if len(base.terms) > 1:
+            check_terms(math.comb(len(base.terms) + n - 1, n))
+        return base ** n
 
 
 def parse_poly(source, ring):
     """Parse an expression into canonical Poly form over `ring`."""
-    return _parse_whole(source, _parse_expr, ring)
+    return _parse_whole(source, _PolyGrammar(ring))
+
+
+def parse_rational(text):
+    """The `[sign] rational` that is the whole of `text`: an int, or a
+    Fraction when written with "/"."""
+    tokens = _Tokens(text)
+    sign = tokens.next()[0] if tokens.peek() in ("+", "-") else "+"
+    value = _parse_rational(tokens)
+    _expect_end(tokens)
+    return -value if sign == "-" else value
 
 
 # -- exact division and matrices ----------------------------------------

@@ -27,6 +27,7 @@ from quadrikit.polyalg import (
     fraction_free_rref,
     minors_ideal,
     parse_poly,
+    parse_rational,
 )
 from quadrikit import linalg
 
@@ -488,9 +489,11 @@ def parse_qf_text(text):
         if _Tokens._scan(v) != [("ident", v), ("end", "")]:
             raise ParseError(f"base variable {v!r} is not an identifier")
     try:
-        n = int(fields["fiber_rank"])
-    except ValueError:
-        raise ParseError("fiber_rank must be an integer") from None
+        n = parse_rational(fields["fiber_rank"])
+    except ParseError as e:
+        raise ParseError(f"fiber_rank: {e}") from None
+    if not isinstance(n, int):
+        raise ParseError(f"fiber_rank must be an integer, got {n}")
     if not 1 <= n <= MAX_FIBER_RANK:
         raise QuadFormError(
             f"fiber_rank must be between 1 and {MAX_FIBER_RANK}, got {n}"

@@ -86,6 +86,30 @@ def test_unknown_identifier_in_qf_exit_2(tmp_path, capsys):
     assert "unknown identifier 'x1'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("number", ["1.5", "1e3", "1_0", "\u0664"])
+def test_cli_numbers_follow_the_numeral_rule(number, capsys):
+    """Vector entries, point values and node-rank arguments are numerals of
+    the expression grammar; Python literal forms are parse errors."""
+    assert main(["node-rank", number, "1"]) == 2
+    assert main(["reduce", UNIVERSAL, "--v", f"{number},0,0,0"]) == 2
+    assert main(["fiber", UNIVERSAL, "--point", f"a={number},b=0,c=1"]) == 2
+    assert capsys.readouterr().err.count("not a rational number") == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["degeneration", UNIVERSAL, "--k", "1", "--samples", "3"],
+        ["node-rank", "1", "2", "--seed", "1"],
+    ],
+)
+def test_options_only_where_read(args):
+    """--seed and --samples belong to the commands that read them."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("names", ["1a, b", "a, b c", "a, b@c", "a-b"])
 def test_base_variable_not_an_identifier_exit_2(tmp_path, names, capsys):
     """A base variable name the expression grammar cannot read as one

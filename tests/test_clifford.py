@@ -623,6 +623,57 @@ def test_parse_element_rewrites_products():
     assert parse_element("e3*e3", ctx) == ctx.scalar(ctx.base.var("a")).l_shift(1)
 
 
+def test_parse_element_unary_plus_and_parenthesized_l():
+    """Element atoms take a unary + as polynomial atoms do, and l keeps its
+    negative powers inside parentheses."""
+    ctx = universal_ctx()
+    assert parse_element("e1*+e2", ctx) == parse_element("e1*e2", ctx)
+    assert parse_element("(l)^-2", ctx) == parse_element("l^-2", ctx) == ctx.l_power(-2)
+    with pytest.raises(ParseError, match="only allowed on l"):
+        parse_element("(-l)^-2", ctx)
+
+
+@pytest.mark.parametrize("name", ["e0", "e5", "e9", "e01"])
+def test_parse_element_generator_names(name):
+    """At rank 4 the generators are exactly e1..e4; any other e<i> names none."""
+    with pytest.raises(ParseError, match=f"unknown identifier '{name}'"):
+        parse_element(f"a*{name}", universal_ctx())
+
+
+def _outcome(parse, source, context):
+    try:
+        return parse(source, context)
+    except ParseError:
+        return ParseError
+
+
+_BASE_TOKENS = ["a", "b", "c", "+", "-", "*", "/", "(", ")", " ", "0", "1", "2", "3", "1/2"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_BASE_TOKENS), max_size=14).map("".join))
+def test_element_grammar_agrees_with_polynomial_grammar(source):
+    """Without ^, an expression in the base variables is the same scalar
+    element as polynomial, or a ParseError in both grammars."""
+    ctx = universal_ctx()
+    as_poly = _outcome(parse_poly, source, ctx.base)
+    expected = as_poly if as_poly is ParseError else ctx.scalar(as_poly)
+    assert _outcome(parse_element, source, ctx) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_BASE_TOKENS + ["^", "^", "^-", "9"]), max_size=14).map("".join))
+def test_element_powers_agree_with_polynomial_powers(source):
+    """With ^ the grammars bound powers differently (one pre-check of the
+    term count for polynomials, a chain of bounded products for elements),
+    so they agree on the value wherever both accept."""
+    ctx = universal_ctx()
+    as_poly = _outcome(parse_poly, source, ctx.base)
+    as_element = _outcome(parse_element, source, ctx)
+    if ParseError not in (as_poly, as_element):
+        assert as_element == ctx.scalar(as_poly)
+
+
 def test_parse_element_rejects_negative_generator_power():
     with pytest.raises(Exception):
         parse_element("e1^-1", universal_ctx())

@@ -1,7 +1,7 @@
 """No input ends in a traceback: token soups and random bytes fed to the
 parsers give a value or a PolyError (the base of every documented error),
-and fed to the CLI as .qf files give exit 0, 2, 3 or 4.  Forms are kept
-cheap: fiber rank at most 4, at most 2 base variables."""
+and fed to the CLI as .qf files, elements or numbers give exit 0, 2, 3 or
+4.  Forms are kept cheap: fiber rank at most 4, at most 2 base variables."""
 
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +19,9 @@ TOKENS = [
 ]
 
 soups = st.lists(st.sampled_from(TOKENS), max_size=16).map("".join)
+# pieces of numbers, with the Python literal forms the numeral rule refuses
+NUMERALS = ["0", "1", "-2", "+", "-", "/", "3/4", "1/0", " ", "1.5", "1e3", "1_0", "\u0664"]
+numbers = st.one_of(st.lists(st.sampled_from(NUMERALS), max_size=4).map("".join), soups)
 texts = st.one_of(soups, st.text(max_size=40))
 
 RING = Ring(("a", "b", "x1", "x2", "x3", "x4"))
@@ -86,13 +89,19 @@ def test_parse_qf_text_no_traceback(text):
     _documented(parse_qf_text, text)
 
 
+QF = "<qf>"  # stands for the path of the drawn .qf file
 COMMANDS = [
-    ["degeneration", "--k", "1"],
-    ["degeneration", "--k", "2"],
-    ["clifford", "--table", "1"],
-    ["clifford", "--center"],
-    ["fiber", "--point", "a=1,b=0"],
+    ["degeneration", QF, "--k", "1"],
+    ["degeneration", QF, "--k", "2"],
+    ["clifford", QF, "--table", "1"],
+    ["clifford", QF, "--center"],
+    ["fiber", QF, "--point", "a=1,b=0"],
 ]
+number_commands = st.one_of(
+    st.tuples(numbers, numbers).map(lambda pair: ["node-rank", *pair]),
+    st.lists(numbers, min_size=1, max_size=4).map(lambda v: ["reduce", QF, f"--v={','.join(v)}"]),
+    numbers.map(lambda value: ["fiber", QF, f"--point=a={value},b=0"]),
+)
 
 
 @settings(_settings, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -101,16 +110,18 @@ COMMANDS = [
     data=st.one_of(*[qf_texts().map(str.encode)] * 2, st.binary(max_size=80)),
     command=st.one_of(
         st.sampled_from(COMMANDS),
-        st.one_of(elements, soups).map(lambda s: ["clifford", f"--trace={s}"]),
+        st.one_of(elements, soups).map(lambda s: ["clifford", QF, f"--trace={s}"]),
+        number_commands,
     ),
 )
 @example(data=b'base_vars = [a]\nfiber_rank = 2\nq = "x1*x2" \xff\n', command=COMMANDS[0])
 @example(data=b'base_vars = [a]\nfiber_rank = 3\nq = "1/0*x1^2"\n', command=COMMANDS[0])
+@example(data=b"", command=["node-rank", "1e300000000", "1"])
 def test_cli_no_traceback(data, command, tmp_path, capsys):
     path = tmp_path / "input.qf"
     path.write_bytes(data)
     try:
-        code = cli.main([command[0], str(path), *command[1:]])
+        code = cli.main([str(path) if arg is QF else arg for arg in command])
     except SystemExit as e:  # argparse refusing the arguments
         code = e.code
     capsys.readouterr()

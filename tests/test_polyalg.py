@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import quadrikit
 from quadrikit import _kernel as K
 from quadrikit.polyalg import (
+    MAX_DIGITS,
     MAX_EXPONENT,
     MAX_TERMS,
     Ideal,
@@ -26,6 +27,7 @@ from quadrikit.polyalg import (
     minors_ideal,
     normal_form,
     parse_poly,
+    parse_rational,
 )
 
 ABC = Ring(("a", "b", "c"))
@@ -93,6 +95,27 @@ def test_parse_rejects_unknown_identifier():
 def test_parse_rejects_negative_exponent():
     with pytest.raises(ParseError):
         parse_poly("a^-2", ABC)
+
+
+@pytest.mark.parametrize(
+    "text, value", [("3", 3), ("-3/6", Fraction(-1, 2)), (" +07 ", 7), ("4/2", Fraction(2))]
+)
+def test_parse_rational(text, value):
+    """A lone number is read by the numeral rule of expressions: an int, or
+    a Fraction when written with "/"."""
+    number = parse_rational(text)
+    assert number == value and type(number) is type(value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1.5", "1e3", "1_0", "\u0664", "1/0", "", "-", "1/", "--1", "(1)", "1 2", "1" * (MAX_DIGITS + 1)],
+)
+def test_parse_rational_refuses(text):
+    """Python literal forms (decimals, exponents, underscores, non-ASCII
+    digits) are not numerals; neither is anything but one signed rational."""
+    with pytest.raises(ParseError):
+        parse_rational(text)
 
 
 def test_parse_rational_literals_and_parens():

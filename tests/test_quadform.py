@@ -399,6 +399,14 @@ def test_qf_bad_rank():
         parse_qf_text('base_vars = []\nfiber_rank = two\nq = "x1*x2"')
 
 
+@pytest.mark.parametrize("rank", ["0_4", "\u0664", "4/2", "4.0", "+4x"])
+def test_qf_rank_follows_the_numeral_rule(rank):
+    """fiber_rank is read by the numeral rule of q: an underscore or an
+    Arabic-Indic four is no integer there, as it is none in q."""
+    with pytest.raises(ParseError, match="fiber_rank"):
+        parse_qf_text(f'base_vars = []\nfiber_rank = {rank}\nq = "x1*x2"')
+
+
 @pytest.mark.parametrize("rank", [0, MAX_FIBER_RANK + 1, 100000])
 def test_qf_rank_out_of_range(rank):
     with pytest.raises(QuadFormError, match="fiber_rank"):
