@@ -29,14 +29,17 @@ SUITES = (
 )
 
 
-def _positive_int(text):
-    """argparse type for counts that must be at least 1."""
+def _integer(text, minimum=None):
+    """argparse type for counts: an integer by the numeral rule of
+    `parse_rational`, at least `minimum` when one is given."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        value = parse_rational(text)
+    except ParseError:
+        value = None
+    if not isinstance(value, int):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if minimum is not None and value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
 
 
@@ -295,15 +298,13 @@ def _run_suites(q, suite, seed, samples):
     w = _pick_isotropic_generator(q)
     empty = Subbundle.empty(q.base, q.n)
     target = w or empty
-    ideals = {}  # each (w, n, side) ideal is built once per run
     sampled = {"samples": samples, "seed": seed}
-    shared = {**sampled, "ideals": ideals}
     reports = []
     wanted = SUITES[:-1] if suite == "all" else (suite,)
 
     if "multiplication-iso" in wanted:
         for m, n in ((1, 0), (1, 1), (2, 0)):
-            reports.append(cliffmod.verify_multiplication_iso(ctx, target, m, n, **shared))
+            reports.append(cliffmod.verify_multiplication_iso(ctx, target, m, n, **sampled))
     if "cokernel" in wanted:
         for n in (0, 1):
             reports.append(cliffmod.verify_cokernel_sequence(ctx, target, n, **sampled))
@@ -312,17 +313,17 @@ def _run_suites(q, suite, seed, samples):
             reports.append(_skipped("flag", "no isotropic coordinate generator"))
         else:
             for n in (0, 1):
-                reports.append(cliffmod.verify_flag_sequence(ctx, empty, w, n, **shared))
+                reports.append(cliffmod.verify_flag_sequence(ctx, empty, w, n, **sampled))
     if suite == "all" and q.n % 2:
         # an explicit --suite duality still fails its precondition (exit 3)
         reports.append(_skipped("duality", "the duality pairing needs even rank"))
     elif "duality" in wanted:
         for k in range(target.r + 1):
-            reports.append(cliffmod.verify_duality(ctx, target, k, **shared))
+            reports.append(cliffmod.verify_duality(ctx, target, k, **sampled))
     if "matrix-factorization" in wanted:
         runs = ([(w, [-1, 0, 1, 2])] if w else []) + [(empty, [-1, 0, 1])]
         for sub, degrees in runs:
-            reports.append(cliffmod.verify_mf_report(ctx, sub, degrees, seed=seed, ideals=ideals))
+            reports.append(cliffmod.verify_mf_report(ctx, sub, degrees, seed=seed))
     return reports
 
 
@@ -360,14 +361,14 @@ def build_parser():
         p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="emit JSON")
         if seed:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            p.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
         if samples:
-            p.add_argument("--samples", type=_positive_int, default=5)
+            p.add_argument("--samples", type=functools.partial(_integer, minimum=1), default=5)
         return p
 
     p = command("degeneration", cmd_degeneration, "degeneration locus ideal")
     p.add_argument("input")
-    p.add_argument("--k", type=int, required=True, help="corank bound k >= 1")
+    p.add_argument("--k", type=_integer, required=True, help="corank bound k >= 1")
 
     p = command("reduce", cmd_reduce, "hyperbolic reduction by a pair")
     p.add_argument("input")
@@ -376,20 +377,20 @@ def build_parser():
 
     p = command("clifford", cmd_clifford, "graded basis, center, or trace")
     p.add_argument("input")
-    p.add_argument("--table", type=int, help="list the degree-n basis")
+    p.add_argument("--table", type=_integer, help="list the degree-n basis")
     p.add_argument("--center", action="store_true")
     p.add_argument("--trace", help="element expression to trace")
 
     p = command("ideal", cmd_ideal, "one-sided ideal basis", seed=True)
     p.add_argument("input")
     p.add_argument("--w", default="", help="subbundle vectors 'v1;v2;...'")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--side", choices=("left", "right"), default="left")
 
     p = command("spinor", cmd_spinor, "presentation matrix in degree n", seed=True)
     p.add_argument("input")
     p.add_argument("--w", default="")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
 
     p = command("lines", cmd_lines, "chart equations for the scheme of lines")
     p.add_argument("input")

@@ -4,6 +4,9 @@ matrices checked as matrix factorizations of the quadratic form.
 
 Local freeness is certified sample-wise: a generic base point plus five
 further points off the first degeneration locus, drawn from a fixed seed.
+A context owns its ideals: `_ideal` builds each (subbundle, degree, side,
+seed) ideal once per context and keeps it in `CliffordContext.ideals`; an
+ideal's rows are prepared for sample points once, as its `point_rows`.
 """
 
 import random
@@ -140,7 +143,8 @@ def _run_samples(draw, count, worker):
 
 class IdealBasis:
     """Certified generating set of a one-sided Clifford ideal in degree n,
-    with `rows` its coordinates over that degree's graded basis, {column: term map}."""
+    with `rows` its coordinates over that degree's graded basis, {column:
+    term map}, and `point_rows` those rows prepared for sample points."""
 
     __slots__ = (
         "ctx",
@@ -149,6 +153,7 @@ class IdealBasis:
         "side",
         "generators",
         "rows",
+        "point_rows",
         "spanning_monomials",
         "certification",
     )
@@ -160,6 +165,7 @@ class IdealBasis:
         self.side = side
         self.generators = generators
         self.rows = rows
+        self.point_rows = PointRows(ctx.base, rows)
         self.spanning_monomials = spanning_monomials
         self.certification = certification
 
@@ -214,61 +220,51 @@ def clifford_ideal(ctx, w, n, side="left", seed=DEFAULT_SEED):
             f"point {point!r}"
         )
     coords = [sparse_rows[i] for i in selected]
-
+    generators = [ctx.element({target_basis[c]: t for c, t in row.items()}) for row in coords]
+    monomials = [span_basis[i] for i in selected]
     certification = {
         "generic_point": point.as_strings(),
         "rejections": point.rejections,
         "degenerate_base": degenerate_base,
         "extra_points": [],
     }
+    ideal = IdealBasis(ctx, w, n, side, generators, coords, monomials, certification)
     if not degenerate_base:
-        selected_rows = PointRows(ctx.base, coords)
         for _ in range(CERT_SAMPLES):
             extra = draw()
-            ok = linalg.q_rank(selected_rows.at(extra.assignment)) == expected
+            ok = linalg.q_rank(ideal.point_rows.at(extra.assignment)) == expected
             certification["extra_points"].append({"point": extra.as_strings(), "full_rank": ok})
             if not ok:
                 raise CliffModError(f"selected generators drop rank at {extra!r}")
-
-    generators = [ctx.element({target_basis[c]: t for c, t in row.items()}) for row in coords]
-    monomials = [span_basis[i] for i in selected]
-    return IdealBasis(ctx, w, n, side, generators, coords, monomials, certification)
+    return ideal
 
 
-def _ideal(ideals, ctx, w, n, side, seed):
-    """`clifford_ideal`, built once per run's table {(w, n, side): IdealBasis}."""
-    if ideals is None:
-        return clifford_ideal(ctx, w, n, side, seed)
-    if (w, n, side) not in ideals:
-        ideals[w, n, side] = clifford_ideal(ctx, w, n, side, seed)
-    return ideals[w, n, side]
+def _ideal(ctx, w, n, side, seed):
+    """`clifford_ideal`, built once per context and kept in `ctx.ideals`;
+    the subbundle is keyed by identity."""
+    key = (w, n, side, seed)
+    if key not in ctx.ideals:
+        ctx.ideals[key] = clifford_ideal(ctx, w, n, side, seed)
+    return ctx.ideals[key]
 
 
 def check_l_periodicity(ctx, w, n, side="left", seed=DEFAULT_SEED):
     """Exact coordinate equality of the degree n+2 ideal with the l-shift
     of the degree n ideal."""
-    a = clifford_ideal(ctx, w, n, side, seed)
-    b = clifford_ideal(ctx, w, n + 2, side, seed)
+    a = _ideal(ctx, w, n, side, seed)
+    b = _ideal(ctx, w, n + 2, side, seed)
     return a.rows == b.rows and a.spanning_monomials == [
         (idx, m - 1) for idx, m in b.spanning_monomials
     ]
 
 
-def _rank_with(echelon, rows):
-    """Add `rows` to `echelon` and return its rank: the rank of every row
-    added so far, so a stacked rank reuses the elimination of one block."""
-    for row in rows:
-        echelon.add(row)
-    return echelon.rank
-
-
-def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED, ideals=None):
+def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED):
     """At off-locus points, multiplication by the degree-m component maps
     the degree-n ideal onto the degree-(m+n) ideal with the expected rank;
     a form degenerate everywhere is refused before the products are built."""
     basis_m = graded_basis(ctx, m)
-    ideal_n = _ideal(ideals, ctx, w, n, "left", seed)
-    ideal_mn = _ideal(ideals, ctx, w, m + n, "left", seed)
+    ideal_n = _ideal(ctx, w, n, "left", seed)
+    ideal_mn = _ideal(ctx, w, m + n, "left", seed)
     draw = _off_locus_sampler(ctx, seed)
     columns = basis_columns(graded_basis(ctx, m + n))
     expected = expected_ideal_rank(ctx, w)
@@ -278,14 +274,13 @@ def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_S
     product_rows = PointRows(ctx.base, (
         row for g in ideal_n.generators for row in monomial_products(ctx, basis_m, g, columns)
     ))
-    ideal_rows = PointRows(ctx.base, ideal_mn.rows)
 
     def worker(point):
-        ideal = ideal_rows.at(point.assignment)
+        ideal = ideal_mn.point_rows.at(point.assignment)
         echelon = linalg.Echelon()
-        r_prod = _rank_with(echelon, product_rows.at(point.assignment))
+        r_prod = echelon.extend(product_rows.at(point.assignment))
         r_ideal = linalg.q_rank(ideal)
-        r_stack = _rank_with(echelon, ideal)
+        r_stack = echelon.extend(ideal)
         ok = r_prod == r_ideal == r_stack == expected
         return SampleResult(
             point.as_strings(),
@@ -359,7 +354,7 @@ def verify_cokernel_sequence(ctx, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED)
     )
 
 
-def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED, ideals=None):
+def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED):
     """For nested isotropic subbundles of corank one, the degree-n ideal of
     the larger sits inside that of the smaller with quotient the degree
     n+1 ideal of the larger, realized by multiplication with the added
@@ -369,32 +364,29 @@ def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SE
     for a, b in zip(w_sub.vectors, w.vectors):
         if a != b:
             raise CliffModError("inner subbundle must be a prefix of the outer")
-    ideal_w = _ideal(ideals, ctx, w, n, "left", seed)
-    ideal_sub = _ideal(ideals, ctx, w_sub, n, "left", seed)
-    ideal_next = _ideal(ideals, ctx, w, n + 1, "left", seed)
+    ideal_w = _ideal(ctx, w, n, "left", seed)
+    ideal_sub = _ideal(ctx, w_sub, n, "left", seed)
+    ideal_next = _ideal(ctx, w, n + 1, "left", seed)
     last = ctx.from_vector(w.vectors[-1])
     columns = basis_columns(graded_basis(ctx, n + 1))
 
     mult_rows = PointRows(
         ctx.base, [cl_mul(g, last).sparse_coordinates(columns) for g in ideal_sub.generators]
     )
-    w_rows = PointRows(ctx.base, ideal_w.rows)
-    sub_rows = PointRows(ctx.base, ideal_sub.rows)
-    next_rows = PointRows(ctx.base, ideal_next.rows)
 
     # holds without primitivity; fall back on degenerate bases
     draw, degenerate = _generic_sampler(ctx, seed)
 
     def worker(point):
-        a = w_rows.at(point.assignment)
-        nxt = next_rows.at(point.assignment)
+        a = ideal_w.point_rows.at(point.assignment)
+        nxt = ideal_next.point_rows.at(point.assignment)
         r_w, r_next = linalg.q_rank(a), linalg.q_rank(nxt)
         echelon = linalg.Echelon()
-        r_sub = _rank_with(echelon, sub_rows.at(point.assignment))
-        contained = _rank_with(echelon, a) == r_sub
+        r_sub = echelon.extend(ideal_sub.point_rows.at(point.assignment))
+        contained = echelon.extend(a) == r_sub
         echelon = linalg.Echelon()
-        r_mult = _rank_with(echelon, mult_rows.at(point.assignment))
-        surjective = r_mult == r_next == _rank_with(echelon, nxt)
+        r_mult = echelon.extend(mult_rows.at(point.assignment))
+        surjective = r_mult == r_next == echelon.extend(nxt)
         ok = contained and surjective and r_sub - r_w == r_next
         return SampleResult(
             point.as_strings(),
@@ -421,10 +413,10 @@ def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SE
     )
 
 
-def _duality_ideals(ctx, w, k, seed, ideals=None):
+def _duality_ideals(ctx, w, k, seed):
     if ctx.rank % 2:
         raise CliffModError("duality pairing needs even rank")
-    return _ideal(ideals, ctx, w, k, "left", seed), _ideal(ideals, ctx, w, w.r - k, "right", seed)
+    return _ideal(ctx, w, k, "left", seed), _ideal(ctx, w, w.r - k, "right", seed)
 
 
 def _pairing_matrix(ctx, left, right):
@@ -441,12 +433,12 @@ def duality_pairing(ctx, w, k, seed=DEFAULT_SEED):
     return _pairing_matrix(ctx, *_duality_ideals(ctx, w, k, seed))
 
 
-def verify_duality(ctx, w, k, samples=CERT_SAMPLES, seed=DEFAULT_SEED, ideals=None):
+def verify_duality(ctx, w, k, samples=CERT_SAMPLES, seed=DEFAULT_SEED):
     """Pairing determinant is nonzero at every off-locus sample; a form
     degenerate everywhere is refused before the pairing is built."""
     from quadrikit.polyalg import det
 
-    left, right = _duality_ideals(ctx, w, k, seed, ideals)
+    left, right = _duality_ideals(ctx, w, k, seed)
     draw = _off_locus_sampler(ctx, seed)
     pairing = _pairing_matrix(ctx, left, right)
     d = det(pairing)
@@ -489,11 +481,11 @@ def fiber_ring(ctx):
     )
 
 
-def spinor_phi(ctx, w, n, seed=DEFAULT_SEED, source=None, target=None):
+def spinor_phi(ctx, w, n, seed=DEFAULT_SEED):
     """Presentation matrix in degree n: expresses x g_j over the degree-n
     generators, x = sum x_i e_i the generic fiber vector."""
-    src = source or clifford_ideal(ctx, w, n - 1, "left", seed)
-    dst = target or clifford_ideal(ctx, w, n, "left", seed)
+    src = _ideal(ctx, w, n - 1, "left", seed)
+    dst = _ideal(ctx, w, n, "left", seed)
     basis_n = graded_basis(ctx, n)
     ring = fiber_ring(ctx)
     d = len(dst.generators)
@@ -559,14 +551,11 @@ def verify_matrix_factorization(q, p1, p2):
     return True, None
 
 
-def verify_mf_report(ctx, w, degrees, seed=DEFAULT_SEED, ideals=None):
+def verify_mf_report(ctx, w, degrees, seed=DEFAULT_SEED):
     """Matrix-factorization products for consecutive degree pairs."""
-    built = {n: _ideal(ideals, ctx, w, n, "left", seed) for n in degrees}
-    presentations = {}
+    presentations = {n: spinor_phi(ctx, w, n, seed) for n in degrees[1:]}
     results = []
     ok = True
-    for n in degrees[1:]:
-        presentations[n] = spinor_phi(ctx, w, n, seed, source=built[n - 1], target=built[n])
     for n in degrees[2:]:
         good, witness = verify_matrix_factorization(
             ctx.q, presentations[n - 1], presentations[n]

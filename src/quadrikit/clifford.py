@@ -33,14 +33,16 @@ class CliffordError(PolyError):
 
 class CliffordContext:
     """Carrier for the algebra of a fixed quadratic form; `table[i]` lists
-    (j, c_ji) for each nonzero c_ji, j <= i: a term map, or None when c_ji = 1."""
+    (j, c_ji) for each nonzero c_ji, j <= i: a term map, or None when c_ji = 1;
+    `cliffmod` fills `ideals`, {(subbundle, degree, side, seed): IdealBasis}."""
 
-    __slots__ = ("q", "rank", "base", "table")
+    __slots__ = ("q", "rank", "base", "table", "ideals")
 
     def __init__(self, q):
         self.q = q
         self.rank = q.n
         self.base = q.base
+        self.ideals = {}
         self.table = {i: [] for i in range(1, q.n + 1)}
         for (i, j), c in q.coeff.items():
             self.table[j].append((i, None if c == 1 else c.terms))

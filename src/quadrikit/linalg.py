@@ -15,7 +15,7 @@ a new dict: no row, stored or passed in, is ever mutated.
 
 An `Echelon` grows one row at a time and its rank is that of every row
 added so far, so the verifiers take a stacked rank (of two row blocks
-together) by adding the second block to the echelon of the first.
+together) by extending the echelon of the first block with the second.
 
 `q_rank` reads the number of pivot rows.  `Echelon.kernel` back-substitutes
 the pivot rows into the reduced row echelon form R and returns the
@@ -103,6 +103,12 @@ class Echelon:
             v = _eliminate(v, p, lead)
         return False
 
+    def extend(self, rows):
+        """Add each of `rows` and return the rank of every row added so far."""
+        for row in rows:
+            self.add(row)
+        return self.rank
+
     def kernel(self, ncols):
         """Basis of the right kernel over Q of the rows added, as lists of
         `ncols` Fractions: for each free column f in ascending order, the
@@ -131,8 +137,5 @@ class Echelon:
 
 def q_rank(rows):
     """Rank over Q of a list of rows of ints and Fractions."""
-    echelon = Echelon()
-    for row in rows:
-        echelon.add(row)
-    return echelon.rank
+    return Echelon().extend(rows)
 

@@ -99,6 +99,31 @@ def test_cli_numbers_follow_the_numeral_rule(number, capsys):
 @pytest.mark.parametrize(
     "args",
     [
+        ["degeneration", UNIVERSAL, "--k", "\u0664"],
+        ["verify", UNIVERSAL, "--suite", "duality", "--samples", "1_0"],
+        ["verify", UNIVERSAL, "--suite", "duality", "--seed", "\u0661"],
+        ["clifford", UNIVERSAL, "--table", "1/2"],
+        ["spinor", UNIVERSAL, "--n", "1e3"],
+    ],
+)
+def test_cli_counts_follow_the_numeral_rule(args, capsys):
+    """--k, --n, --table, --seed and --samples are integers by the same
+    numeral rule; Python literal forms and fractions are usage errors."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "not an integer" in capsys.readouterr().err
+
+
+def test_cli_count_may_be_negative(capsys):
+    """The matrix-factorization suite starts at degree -1, and so can --n."""
+    assert main(["ideal", UNIVERSAL, "--w", "1,0,0,0", "--n", "-1"]) == 0
+    assert capsys.readouterr().out.startswith("left ideal, degree -1: 4 generators")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ["degeneration", UNIVERSAL, "--k", "1", "--samples", "3"],
         ["node-rank", "1", "2", "--seed", "1"],
     ],
@@ -182,6 +207,12 @@ def test_clifford_trace(capsys):
 
 def test_node_rank_degenerate_message(capsys):
     assert main(["node-rank", "1", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "rank 2 (degenerate: 1 - lambda*mu = 0)"
+
+
+def test_node_rank_negative_fraction_after_double_dash(capsys):
+    """`--` ends the options, so a negative fraction reads as lambda."""
+    assert main(["node-rank", "--", "-1/2", "-2"]) == 0
     assert capsys.readouterr().out.strip() == "rank 2 (degenerate: 1 - lambda*mu = 0)"
 
 

@@ -194,6 +194,28 @@ def test_l_periodicity_exact():
     assert check_l_periodicity(corank2_ctx(), span_e13(corank2_ctx()), 0)
 
 
+def test_context_builds_each_ideal_once(monkeypatch):
+    """Every caller on one context shares its ideals: each (w, n, side)
+    ideal is built once, and an equal but distinct subbundle builds its own."""
+    ctx = universal_ctx()
+    w = span_e1(ctx)
+    built = []
+    build = cliffmod.clifford_ideal
+
+    def counted(ctx, w, n, side, seed):
+        built.append((n, side))
+        return build(ctx, w, n, side, seed)
+
+    monkeypatch.setattr(cliffmod, "clifford_ideal", counted)
+    spinor_phi(ctx, w, 0)
+    spinor_phi(ctx, w, 1)
+    assert check_l_periodicity(ctx, w, -1)
+    assert verify_mf_report(ctx, w, [-1, 0, 1]).ok
+    assert built == [(-1, "left"), (0, "left"), (1, "left")]
+    spinor_phi(ctx, span_e1(ctx), 0)
+    assert len(built) == 5
+
+
 # -- specializations ---------------------------------------------------------
 
 
@@ -291,6 +313,25 @@ def test_flag_corank2_nested():
         assert s.data["outer_rank"] == 2
         assert s.data["next_rank"] == 2
     assert any("degenerate base" in n for n in report.notes)
+
+
+def test_flag_prepares_only_its_product_rows(monkeypatch):
+    """The flag verifier reads its three ideals at each point from their
+    `point_rows`; the one row set it prepares is the products with the
+    added vector."""
+    ctx = universal_ctx()
+    empty, w = Subbundle.empty(ctx.base, 4), span_e1(ctx)
+    first = verify_flag_sequence(ctx, empty, w, 0)  # builds the ideals
+    made = []
+
+    def counted(ring, rows):
+        made.append(rows)
+        return PointRows(ring, rows)
+
+    monkeypatch.setattr(cliffmod, "PointRows", counted)
+    again = verify_flag_sequence(ctx, empty, w, 0)
+    assert len(made) == 1
+    assert again.to_dict() == first.to_dict()
 
 
 def test_flag_requires_prefix():
@@ -431,9 +472,8 @@ def test_phi_consecutive_product_is_q_on_r6(lam, axis, n):
     vec = [0] * 6
     vec[axis] = lam
     w = Subbundle([vec], _R6.base)
-    ideals = [clifford_ideal(_R6, w, k) for k in (n - 1, n, n + 1)]
-    phi_n = spinor_phi(_R6, w, n, source=ideals[0], target=ideals[1])
-    phi_next = spinor_phi(_R6, w, n + 1, source=ideals[1], target=ideals[2])
+    phi_n = spinor_phi(_R6, w, n)  # the context shares the degree-n ideal
+    phi_next = spinor_phi(_R6, w, n + 1)
     ring = phi_n.ring
     q = _R6.q.q_poly(ring)
     product = phi_next.phi * phi_n.phi

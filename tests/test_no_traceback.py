@@ -1,7 +1,8 @@
 """No input ends in a traceback: token soups and random bytes fed to the
 parsers give a value or a PolyError (the base of every documented error),
-and fed to the CLI as .qf files, elements or numbers give exit 0, 2, 3 or
-4.  Forms are kept cheap: fiber rank at most 4, at most 2 base variables."""
+and fed to the CLI as .qf files, elements or numbers (the counts `--k`
+and `--table` among them) give exit 0, 2, 3 or 4.  Forms are kept cheap:
+fiber rank at most 4, at most 2 base variables."""
 
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
@@ -101,6 +102,10 @@ number_commands = st.one_of(
     st.tuples(numbers, numbers).map(lambda pair: ["node-rank", *pair]),
     st.lists(numbers, min_size=1, max_size=4).map(lambda v: ["reduce", QF, f"--v={','.join(v)}"]),
     numbers.map(lambda value: ["fiber", QF, f"--point=a={value},b=0"]),
+    # counts whose every value ends at once; a drawn --samples, --seed or
+    # --n can be large and valid, and the run would not end
+    numbers.map(lambda value: ["degeneration", QF, f"--k={value}"]),
+    numbers.map(lambda value: ["clifford", QF, f"--table={value}"]),
 )
 
 
