@@ -9,10 +9,6 @@ from quadrikit.polyalg import (
     PolyMatrix,
     Ring,
     det,
-    groebner,
-    ideal_membership,
-    ideals_equal,
-    is_unit_ideal,
     minors_ideal,
     parse_poly,
 )
@@ -58,7 +54,6 @@ from quadrikit.geometry import (
     NetOfQuadrics,
     fiber_report,
     lines_chart,
-    net_of_quadrics,
     node_rank,
 )
 

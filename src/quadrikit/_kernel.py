@@ -100,15 +100,11 @@ def _grevlex_gt(m1, m2):
     return False
 
 
-def _lex_gt(m1, m2):
-    return m1 > m2
-
-
-def leading_monomial(terms, lex):
-    """Largest monomial of a nonzero term map under grevlex (lex if `lex`)."""
-    gt = _lex_gt if lex else _grevlex_gt
+def leading_monomial(terms):
+    """Largest monomial of a nonzero term map in grevlex, the one monomial
+    order of quadrikit (`polyalg._grevlex_key` sorts by the same order)."""
     best = None
     for m in terms:
-        if best is None or gt(m, best):
+        if best is None or _grevlex_gt(m, best):
             best = m
     return best

@@ -242,6 +242,8 @@ def cmd_fiber(args):
             name = name.strip()
             if name not in q.base.variables:
                 raise ParseError(f"{name!r} is not a base variable")
+            if name in assignment:
+                raise ParseError(f"{name!r} is given twice in --point")
             assignment[name] = _parse_fraction(value.strip())
     point = cliffmod.Specialization(assignment)
     report = geometry.fiber_report(q, point)
@@ -257,7 +259,7 @@ def cmd_fiber(args):
 
 def cmd_net(args):
     forms = [load_qf(path) for path in args.inputs]
-    net = geometry.net_of_quadrics(forms)
+    net = geometry.NetOfQuadrics(forms)
     degree = net.discriminant_degree_report()
     payload = {
         "command": "net",

@@ -18,14 +18,13 @@ from quadrikit.polyalg import (
     Poly,
     PolyError,
     PolyMatrix,
-    Ring,
     exact_div,
     fraction_free_rref,
 )
 from quadrikit import linalg
 from quadrikit.clifford import CliffordError, basis_columns, cl_mul, graded_basis
 from quadrikit.clifford import monomial_products, trace
-from quadrikit.quadform import QuadFormError, fiber_names, is_isotropic
+from quadrikit.quadform import QuadFormError, is_isotropic
 
 DEFAULT_SEED = 24237
 CERT_SAMPLES = 5
@@ -38,25 +37,24 @@ class CliffModError(CliffordError):
 
 
 class Specialization:
-    """A rational base point with seed provenance; `generic` points are
-    rejection-sampled off the zero locus of a given polynomial."""
+    """A rational base point; `generic` points are rejection-sampled off the
+    zero locus of a given polynomial, counting the rejected draws."""
 
-    __slots__ = ("assignment", "seed", "rejections")
+    __slots__ = ("assignment", "rejections")
 
-    def __init__(self, assignment, seed=None, rejections=0):
+    def __init__(self, assignment, rejections=0):
         self.assignment = {k: Fraction(v) for k, v in assignment.items()}
-        self.seed = seed
         self.rejections = rejections
 
     @classmethod
-    def generic(cls, ring, rng, avoid=None, seed=None):
+    def generic(cls, ring, rng, avoid=None):
         """Sample integer coordinates in `_SAMPLE_RANGE` until `avoid` is
         nonzero there."""
         rejections = 0
         for _ in range(_MAX_TRIES):
             assignment = {v: rng.randint(*_SAMPLE_RANGE) for v in ring.variables}
             if avoid is None or avoid.evaluate(assignment) != 0:
-                return cls(assignment, seed=seed, rejections=rejections)
+                return cls(assignment, rejections=rejections)
             rejections += 1
         raise CliffModError(
             f"could not sample a point off the avoided locus after {_MAX_TRIES} tries"
@@ -78,7 +76,7 @@ def _generic_sampler(ctx, seed):
     rng = random.Random(seed)
 
     def draw():
-        return Specialization.generic(ctx.base, rng, avoid=avoid, seed=seed)
+        return Specialization.generic(ctx.base, rng, avoid=avoid)
 
     return draw, avoid is None
 
@@ -475,19 +473,13 @@ class SpinorPresentation:
         return self.phi.rows
 
 
-def fiber_ring(ctx):
-    return Ring(
-        ctx.base.variables + tuple(fiber_names(ctx.rank)), ctx.base.order
-    )
-
-
 def spinor_phi(ctx, w, n, seed=DEFAULT_SEED):
     """Presentation matrix in degree n: expresses x g_j over the degree-n
     generators, x = sum x_i e_i the generic fiber vector."""
     src = _ideal(ctx, w, n - 1, "left", seed)
     dst = _ideal(ctx, w, n, "left", seed)
     basis_n = graded_basis(ctx, n)
-    ring = fiber_ring(ctx)
+    ring = ctx.q.combined_ring()
     d = len(dst.generators)
     generators = [((i,), 0) for i in range(1, ctx.rank + 1)]
     columns = basis_columns(basis_n)

@@ -25,7 +25,7 @@ def lines_chart(q):
     generators are q(r1), b_q(r1, r2), q(r2)."""
     if q.n != 4:
         raise QuadFormError("lines chart needs fiber rank exactly 4")
-    ring = Ring(q.base.variables + CHART_VARS, q.base.order)
+    ring = Ring(q.base.variables + CHART_VARS)
     one, zero = ring.one(), ring.zero()
     r1 = [one, zero, ring.var("y13"), ring.var("y14")]
     r2 = [zero, one, ring.var("y23"), ring.var("y24")]
@@ -66,7 +66,7 @@ def node_rank(lam, mu):
     ring = chart.ring
     g1, g2, g3 = chart.generators
     # g1 = t1 + y13^2 + y14^2 and g3 = t2 + y23^2 + y24^2 are linear in t
-    y_ring = Ring(CHART_VARS, base.order)
+    y_ring = Ring(CHART_VARS)
     sub = {
         "t1": -(y_ring.var("y13") ** 2 + y_ring.var("y14") ** 2),
         "t2": -(y_ring.var("y23") ** 2 + y_ring.var("y24") ** 2),
@@ -211,7 +211,3 @@ class NetOfQuadrics:
             "homogeneous": len(degrees) <= 1,
             "bound": self.form.n,
         }
-
-
-def net_of_quadrics(forms):
-    return NetOfQuadrics(forms)

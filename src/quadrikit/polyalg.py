@@ -94,48 +94,37 @@ def _quo(a, b):
 
 
 def _grevlex_key(m):
-    # larger degree first, then the smaller last differing exponent
+    # m1 > m2 in grevlex, as `_kernel.leading_monomial` compares, iff
+    # key(m1) > key(m2): larger degree first, then the smaller last
+    # differing exponent
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def _lex_key(m):
-    return m
-
-
 class Ring:
-    """A polynomial ring Q[variables] with a fixed monomial order."""
+    """A polynomial ring Q[variables], its monomials ordered by grevlex
+    (graded reverse lexicographic, the variables ranked as listed)."""
 
-    __slots__ = ("variables", "order", "_index", "_lex", "monomial_key")
+    __slots__ = ("variables", "_index")
 
-    def __init__(self, variables, order="grevlex"):
+    def __init__(self, variables):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise PolyError("duplicate variable names")
-        if order not in ("grevlex", "lex"):
-            raise PolyError(f"unknown monomial order: {order}")
         self.variables = variables
-        self.order = order
         self._index = {v: i for i, v in enumerate(variables)}
-        self._lex = order == "lex"
-        # sort key: m1 > m2 in the ring order iff key(m1) > key(m2)
-        self.monomial_key = _lex_key if self._lex else _grevlex_key
 
     @property
     def arity(self):
         return len(self.variables)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Ring)
-            and self.variables == other.variables
-            and self.order == other.order
-        )
+        return isinstance(other, Ring) and self.variables == other.variables
 
     def __hash__(self):
-        return hash((self.variables, self.order))
+        return hash(self.variables)
 
     def __repr__(self):
-        return f"Q[{', '.join(self.variables)}; {self.order}]"
+        return f"Q[{', '.join(self.variables)}]"
 
     def zero(self):
         return Poly(self, {})
@@ -173,8 +162,8 @@ class Ring:
         return vals
 
     def sort_monomials(self, monos):
-        """Monomials in descending ring order."""
-        return sorted(monos, key=self.monomial_key, reverse=True)
+        """Monomials in descending grevlex order."""
+        return sorted(monos, key=_grevlex_key, reverse=True)
 
     def embed(self, poly, target):
         """Rename-based coefficient embedding into a ring with a superset
@@ -285,7 +274,7 @@ class Poly:
     def leading_monomial(self):
         if not self.terms:
             raise PolyError("zero polynomial has no leading monomial")
-        return K.leading_monomial(self.terms, self.ring._lex)
+        return K.leading_monomial(self.terms)
 
     def leading_coeff(self):
         return self.terms[self.leading_monomial()]
@@ -310,7 +299,10 @@ class Poly:
     def evaluate(self, assignment):
         """Evaluate at a dict variable name -> Fraction/int; must cover every
         variable that occurs."""
-        return _evaluate_terms(self.ring, self.terms, self.ring.point(assignment))
+        vals = self.ring.point(assignment)
+        return Fraction(
+            sum(c * _monomial_value(self.ring, m, vals) for m, c in self.terms.items())
+        )
 
     def substitute(self, mapping, target=None):
         """Substitute polynomials for variables.  `mapping` sends variable
@@ -380,22 +372,6 @@ def _monomial_value(ring, m, vals):
                 raise PolyError(f"no value for variable {ring.variables[i]!r}")
             v *= vals[i] ** e
     return v
-
-
-def _evaluate_terms(ring, terms, vals):
-    """Value of a term map at the resolved point `vals`, as a Fraction,
-    summed as num/den: only a new coefficient denominator rescales the sum,
-    so at an integral point one Fraction is built per value."""
-    num, den = 0, 1
-    for m, c in terms.items():
-        v = _monomial_value(ring, m, vals)
-        d = c.denominator
-        if d == den:
-            num += c.numerator * v
-        else:
-            num = num * d + c.numerator * v * den
-            den *= d
-    return Fraction(num, den)
 
 
 class PointRows:
@@ -643,7 +619,7 @@ def exact_div(f, g):
     quotient = {}
     rest = f.terms
     while rest:
-        lm = K.leading_monomial(rest, ring._lex)
+        lm = K.leading_monomial(rest)
         q = tuple(map(sub, lm, lm_g))
         if min(q, default=0) < 0:
             raise PolyError("polynomial division is not exact")
@@ -879,7 +855,7 @@ def _lead_data(g):
     """(leading monomial, int leading coefficient, int term map of the other
     terms) of the primitive integer multiple of a nonzero g."""
     tail = _integer_terms(g.terms)[0]
-    lm = K.leading_monomial(tail, g.ring._lex)
+    lm = K.leading_monomial(tail)
     return lm, tail.pop(lm), tail
 
 
@@ -900,11 +876,10 @@ def normal_form(f, basis, *, _lead=None):
     scaled by m = lc_g/d, d = gcd(c, lc_g), and den by m; a term no leading
     monomial divides is kept as s*c, so the remainder is exact over Q."""
     lead = [_lead_data(g) for g in basis] if _lead is None else _lead
-    lex = f.ring._lex
     rest, num, den = _integer_terms(f.terms)
     remainder = {}
     while rest:
-        lm = K.leading_monomial(rest, lex)
+        lm = K.leading_monomial(rest)
         c = rest.pop(lm)
         for lm_g, lc_g, tail_g in lead:
             for a, b in zip(lm, lm_g):
@@ -972,10 +947,10 @@ def _buchberger(gens, ring):
             n = len(basis) - 1
             for t in range(n):
                 push(n, t)
-    return _reduce_basis(basis, lead, ring)
+    return _reduce_basis(basis, lead)
 
 
-def _reduce_basis(basis, lead, ring):
+def _reduce_basis(basis, lead):
     # minimalize: drop elements whose leading monomial is divisible by
     # another's, then fully inter-reduce and sort descending
     lms = [data[0] for data in lead]
@@ -988,7 +963,7 @@ def _reduce_basis(basis, lead, ring):
         ):
             continue
         minimal.append(i)
-    minimal.sort(key=lambda i: ring.monomial_key(lms[i]), reverse=True)
+    minimal.sort(key=lambda i: _grevlex_key(lms[i]), reverse=True)
     reduced = []
     for i in minimal:
         others = [k for k in minimal if k != i]
@@ -1019,7 +994,7 @@ class Ideal:
         self._groebner = None
 
     def groebner(self):
-        """The unique reduced Groebner basis for the ring's order."""
+        """The unique reduced Groebner basis in grevlex."""
         if self._groebner is None:
             self._groebner = tuple(_buchberger(list(self.generators), self.ring))
         return list(self._groebner)
@@ -1044,19 +1019,3 @@ class Ideal:
         if not self.generators:
             return "(0)"
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
-
-
-def groebner(ideal):
-    return ideal.groebner()
-
-
-def ideal_membership(f, ideal):
-    return ideal.contains(f)
-
-
-def is_unit_ideal(ideal):
-    return ideal.is_unit()
-
-
-def ideals_equal(i, j):
-    return i.equals(j)

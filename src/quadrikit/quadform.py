@@ -78,10 +78,10 @@ class QuadraticForm:
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def from_expression(cls, base_vars, n, source, order="grevlex"):
+    def from_expression(cls, base_vars, n, source):
         """Parse q from an expression in base variables and x1..xn."""
-        base = Ring(tuple(base_vars), order)
-        combined = Ring(tuple(base_vars) + tuple(fiber_names(n)), order)
+        base = Ring(base_vars)
+        combined = Ring(tuple(base_vars) + tuple(fiber_names(n)))
         poly = parse_poly(source, combined)
         nb = len(base_vars)
         coeff = {}
@@ -108,7 +108,7 @@ class QuadraticForm:
         return not self.coeff
 
     def combined_ring(self):
-        return Ring(self.base.variables + tuple(fiber_names(self.n)), self.base.order)
+        return Ring(self.base.variables + tuple(fiber_names(self.n)))
 
     def q_poly(self, ring=None):
         """The defining polynomial over base + fiber variables."""
@@ -199,7 +199,7 @@ class QuadraticForm:
 
     def specialize(self, assignment):
         """Constant-coefficient form at a base point (empty base ring)."""
-        point_base = Ring((), self.base.order)
+        point_base = Ring(())
         table = {
             ij: point_base.const(c.evaluate(assignment)) for ij, c in self.coeff.items()
         }
@@ -453,10 +453,9 @@ def reduction_presentation(split):
     q = split.reduced
     n_orig = split.form.n
     if q.n == 0:
-        ring = Ring(q.base.variables, q.base.order)
-        return SchemePresentation(ring, [], label="hyperbolic reduction (rank 0)")
+        return SchemePresentation(q.base, [], label="hyperbolic reduction (rank 0)")
     names = [f"x{i}" for i in range(3, n_orig + 1)]
-    ring = Ring(q.base.variables + tuple(names), q.base.order)
+    ring = Ring(q.base.variables + tuple(names))
     total = ring.zero()
     for (i, j), c in sorted(q.coeff.items()):
         total = total + q.base.embed(c, ring) * ring.var(names[i - 1]) * ring.var(names[j - 1])
@@ -476,7 +475,10 @@ def parse_qf_text(text):
         if "=" not in line:
             raise ParseError(f"line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise ParseError(f"line {lineno}: duplicate key {key!r}")
+        fields[key] = value.strip()
     for key in ("base_vars", "fiber_rank", "q"):
         if key not in fields:
             raise ParseError(f"missing field {key!r}")

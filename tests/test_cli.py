@@ -75,6 +75,14 @@ def test_non_utf8_qf_exit_2(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+def test_repeated_qf_key_exit_2(tmp_path, capsys):
+    """A key given twice is refused, not overwritten by its last value."""
+    bad = tmp_path / "twice.qf"
+    bad.write_text('base_vars = [a]\nfiber_rank = 2\nq = "x1*x2"\nq = "a*x1^2"\n')
+    assert main(["degeneration", str(bad), "--k", "1"]) == 2
+    assert "line 4: duplicate key 'q'" in capsys.readouterr().err
+
+
 def test_unknown_identifier_in_qf_exit_2(tmp_path, capsys):
     """A name in q that is no base or fiber variable is a parse error
     naming it, as it is in a Clifford element."""
@@ -260,6 +268,15 @@ def test_fiber_command(capsys):
 def test_fiber_unknown_point_variable_exit_2(capsys):
     assert main(["fiber", UNIVERSAL, "--point", "z=1"]) == 2
     assert "'z' is not a base variable" in capsys.readouterr().err
+
+
+def test_fiber_repeated_point_variable_exit_2(capsys):
+    """A name given twice in --point is refused, not overwritten by its
+    last value (a=1 would make this fiber a smooth conic)."""
+    assert main(["fiber", UNIVERSAL, "--point", "a=0,b=0,c=0,a=1"]) == 2
+    captured = capsys.readouterr()
+    assert "'a' is given twice in --point" in captured.err
+    assert captured.out == ""
 
 
 def test_fiber_missing_point_variable_exit_3(capsys):

@@ -225,7 +225,7 @@ def test_specialization_avoids_locus_and_counts_rejections():
     hit = None
     for seed in range(200):
         rng = random.Random(seed)
-        point = Specialization.generic(ctx.base, rng, avoid=detb, seed=seed)
+        point = Specialization.generic(ctx.base, rng, avoid=detb)
         assert detb.evaluate(point.assignment) != 0
         if point.rejections > 0:
             hit = point

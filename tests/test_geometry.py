@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from quadrikit.polyalg import Ideal, Ring, ideals_equal, parse_poly
+from quadrikit.polyalg import Ideal, Ring, parse_poly
 from quadrikit.quadform import QuadFormError, QuadraticForm, Subbundle, is_isotropic
 from quadrikit.cliffmod import Specialization
 from quadrikit.geometry import (
+    NetOfQuadrics,
     fiber_report,
     lines_chart,
-    net_of_quadrics,
     node_rank,
 )
 
@@ -32,8 +32,8 @@ def binary_plus_squares():
 def chart_oracle(q):
     """Independent oracle: substitute the two chart rows into the defining
     polynomial and polarize."""
-    ring = Ring(q.base.variables + ("y13", "y14", "y23", "y24"), q.base.order)
-    qp = q.q_poly(Ring(q.base.variables + ("x1", "x2", "x3", "x4"), q.base.order))
+    ring = Ring(q.base.variables + ("y13", "y14", "y23", "y24"))
+    qp = q.q_poly(Ring(q.base.variables + ("x1", "x2", "x3", "x4")))
     zero, one = ring.zero(), ring.one()
     r1 = {"x1": one, "x2": zero, "x3": ring.var("y13"), "x4": ring.var("y14")}
     r2 = {"x1": zero, "x2": one, "x3": ring.var("y23"), "x4": ring.var("y24")}
@@ -77,7 +77,7 @@ def test_chart_published_scaling():
         "c": parse_poly("2*a", ring),
     }
     rescaled = Ideal(ring, [g.substitute(sub) for g in pres.generators])
-    assert ideals_equal(rescaled, published)
+    assert rescaled.equals(published)
     assert "(a,b,c) -> (2c,-2b,2a)" in pres.label
 
 
@@ -210,13 +210,13 @@ def test_net_diagonal_triple_degree_six():
         diagonal_form([7, 1, 2, 1, 3, 1]),
         diagonal_form([1, 1, 1, 2, 1, 4]),
     ]
-    net = net_of_quadrics(forms)
+    net = NetOfQuadrics(forms)
     report = net.discriminant_degree_report()
     assert report == {"degree": 6, "homogeneous": True, "bound": 6}
 
 
 def test_net_single_rank4_form():
-    net = net_of_quadrics([diagonal_form([1, 2, 3, 4])])
+    net = NetOfQuadrics([diagonal_form([1, 2, 3, 4])])
     d = net.discriminant()
     # det(a1 b) = a1^4 det(b)
     assert d == parse_poly("384*a1^4", net.form.base)
@@ -224,7 +224,7 @@ def test_net_single_rank4_form():
 
 def test_net_two_identical_forms():
     f = diagonal_form([1, 2, 3, 4])
-    net = net_of_quadrics([f, f])
+    net = NetOfQuadrics([f, f])
     d = net.discriminant()
     expect = parse_poly("384*(a1 + a2)^4", net.form.base)
     assert d == expect
@@ -237,17 +237,17 @@ def test_net_unit_specialization_recovers_inputs():
         diagonal_form([7, 1, 2, 1, 3, 1]),
         diagonal_form([1, 1, 1, 2, 1, 4]),
     ]
-    net = net_of_quadrics(forms)
+    net = NetOfQuadrics(forms)
     for t, f in enumerate(forms, start=1):
         assert net.specialize_unit(t).coeff == f.specialize({}).coeff
 
 
 def test_net_rejects_mixed_ranks():
     with pytest.raises(QuadFormError):
-        net_of_quadrics([diagonal_form([1, 2]), diagonal_form([1, 2, 3])])
+        NetOfQuadrics([diagonal_form([1, 2]), diagonal_form([1, 2, 3])])
 
 
 def test_net_requires_constant_coefficients():
     q = universal()
     with pytest.raises(QuadFormError):
-        net_of_quadrics([q])
+        NetOfQuadrics([q])

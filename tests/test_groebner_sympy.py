@@ -30,7 +30,7 @@ def sympy_basis(ideal):
         for g in ideal.generators
         if not g.is_zero()
     ]
-    basis = sympy.groebner(polys, *gens, order=ring.order, domain="QQ")
+    basis = sympy.groebner(polys, *gens, order="grevlex", domain="QQ")
     return [
         {m: Fraction(int(c.p), int(c.q)) for m, c in p.as_dict().items()}
         for p in basis.polys
@@ -57,9 +57,8 @@ def _random_ideal(rng, ring):
     return Ideal(ring, gens)
 
 
-@pytest.mark.parametrize("order", ["grevlex", "lex"])
-def test_random_ideals_match_sympy(order):
-    rng = random.Random(f"groebner-{order}")
-    ring = Ring(("x", "y", "z"), order)
+def test_random_ideals_match_sympy():
+    rng = random.Random("groebner-grevlex")
+    ring = Ring(("x", "y", "z"))
     for _ in range(10):
         assert_same_basis(_random_ideal(rng, ring))

@@ -20,10 +20,8 @@ from quadrikit.polyalg import (
     Ring,
     det,
     exact_div,
+    _grevlex_key,
     fraction_free_rref,
-    ideal_membership,
-    ideals_equal,
-    is_unit_ideal,
     minors_ideal,
     normal_form,
     parse_poly,
@@ -132,7 +130,7 @@ def test_print_parse_roundtrip_seeded():
 
 
 _print_rings = st.sampled_from(
-    [ABC, XY, Ring(("x1", "x2", "a"), "lex"), Ring(("u", "v"), "grevlex")]
+    [ABC, XY, Ring(("x1", "x2", "a")), Ring(("u", "v"))]
 )
 
 
@@ -177,15 +175,13 @@ def test_pow_matches_repeated_mul():
     assert p ** 0 == XY.one()
 
 
-# -- monomial orders ---------------------------------------------------------
+# -- the monomial order (grevlex) ---------------------------------------------
 
 
 def test_grevlex_vs_lex_leading():
-    ring_g = Ring(("x", "y", "z"), order="grevlex")
-    ring_l = Ring(("x", "y", "z"), order="lex")
-    # x beats y^2 under lex but not under grevlex
+    ring_g = Ring(("x", "y", "z"))
+    # x beats y^2 under lex but not under grevlex: the degree decides first
     assert parse_poly("x + y^2", ring_g).leading_monomial() == (0, 2, 0)
-    assert parse_poly("x + y^2", ring_l).leading_monomial() == (1, 0, 0)
     # grevlex tie-break: xz < y^2 because the last nonzero difference is positive
     assert parse_poly("x*z + y^2", ring_g).leading_monomial() == (0, 2, 0)
 
@@ -453,21 +449,21 @@ def test_exact_div_roundtrip():
         exact_div(parse_poly("x + 1", XY), parse_poly("y", XY))
 
 
-# -- monomial order keys (hypothesis) -----------------------------------------
+# -- the monomial order key (hypothesis) --------------------------------------
 
 _monos = st.tuples(*[st.integers(0, 3)] * 4)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.sampled_from(["grevlex", "lex"]), _monos, _monos)
-def test_monomial_key_agrees_with_kernel(order, m1, m2):
+@given(_monos, _monos)
+def test_monomial_key_agrees_with_kernel(m1, m2):
     # the kernel's leading_monomial is the reference order
-    ring = Ring(("w", "x", "y", "z"), order)
-    key = ring.monomial_key
+    ring = Ring(("w", "x", "y", "z"))
+    key = _grevlex_key
     if m1 == m2:
         assert key(m1) == key(m2)
     else:
-        assert K.leading_monomial({m1: 1, m2: 1}, ring._lex) == max(m1, m2, key=key)
+        assert K.leading_monomial({m1: 1, m2: 1}) == max(m1, m2, key=key)
         assert ring.sort_monomials([m2, m1])[0] == max(m1, m2, key=key)
 
 
@@ -596,7 +592,7 @@ def test_minors_ideal_3x3_of_universal_matrix():
     # multiples of a, b, c
     ideal = minors_ideal(univ_bq(), 3)
     abc = Ideal(ABC, list(ABC.gens()))
-    assert ideals_equal(ideal, abc)
+    assert ideal.equals(abc)
 
 
 def test_minors_ideal_zero_matrix():
@@ -623,24 +619,24 @@ def test_unit_ideal_detection():
     x = XY.var("x")
     ideal = Ideal(XY, [x, x + 1])
     assert ideal.groebner() == [XY.one()]
-    assert is_unit_ideal(ideal)
+    assert ideal.is_unit()
 
 
 def test_membership_by_factor():
     x, y = XY.gens()
     ideal = Ideal(XY, [x - y])
-    assert ideal_membership(x * x - y * y, ideal)
-    assert not ideal_membership(x + y, ideal)
+    assert ideal.contains(x * x - y * y)
+    assert not ideal.contains(x + y)
 
 
 def test_scalar_generators_equal():
     a, b, c = ABC.gens()
-    assert ideals_equal(Ideal(ABC, [a * 2, b, c * 2]), Ideal(ABC, [a, b, c]))
+    assert Ideal(ABC, [a * 2, b, c * 2]).equals(Ideal(ABC, [a, b, c]))
 
 
 def test_zero_vs_principal():
     x = XY.var("x")
-    assert not ideals_equal(Ideal(XY, []), Ideal(XY, [x]))
+    assert not Ideal(XY, []).equals(Ideal(XY, [x]))
 
 
 def test_groebner_idempotent():
@@ -670,11 +666,10 @@ def test_normal_form_reduces_to_zero_inside_ideal():
 def _normal_form_oracle(f, basis):
     """The Fraction division loop the integer `normal_form` replaced: each
     step subtracts (c / lc_g) * x^q * g from a copy of the remainder."""
-    lex = f.ring._lex
     lead = [(g.leading_monomial(), g.leading_coeff(), g.terms) for g in basis]
     remainder, rest = {}, f.terms
     while rest:
-        lm = K.leading_monomial(rest, lex)
+        lm = K.leading_monomial(rest)
         c = rest[lm]
         for lm_g, lc_g, terms_g in lead:
             q = tuple(a - b for a, b in zip(lm, lm_g))
@@ -688,17 +683,17 @@ def _normal_form_oracle(f, basis):
     return remainder
 
 
-XYZ = {order: Ring(("x", "y", "z"), order) for order in ("grevlex", "lex")}
+XYZ = Ring(("x", "y", "z"))
 _nf_coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool)
 
 
 @st.composite
 def _division_cases(draw):
-    """(f, basis) over Q[x,y,z] in grevlex or lex.  Basis elements are not
+    """(f, basis) over Q[x,y,z].  Basis elements are not
     monic: Fraction and negative leading coefficients are drawn, and the
     basis may be empty.  f is zero, a constant, a random polynomial (most
     leave a nonzero remainder) or a combination of the basis plus one."""
-    ring = XYZ[draw(st.sampled_from(sorted(XYZ)))]
+    ring = XYZ
     monos = st.tuples(*[st.integers(0, 2)] * 3)
     polys = st.dictionaries(monos, _nf_coeffs, min_size=1, max_size=4).map(
         lambda terms: Poly(ring, terms)
@@ -717,9 +712,10 @@ def _division_cases(draw):
 
 
 def _non_monic_case():
-    # negative Fraction leading coefficients and a nonzero remainder
-    x, y, z = XYZ["lex"].gens()
-    return x**3 * y + x / 3 + z, [x * x * Fraction(-3, 2) + y * z, y * Fraction(-2, 5) + z * z * 7]
+    # negative Fraction leading coefficients (x^2 > yz and y > z in grevlex)
+    # and a nonzero remainder
+    x, y, z = XYZ.gens()
+    return x**3 * y + x / 3 + z, [x * x * Fraction(-3, 2) + y * z, y * Fraction(-2, 5) + z * 7]
 
 
 @_settings

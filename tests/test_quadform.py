@@ -13,7 +13,6 @@ from quadrikit.polyalg import (
     PolyMatrix,
     Ring,
     det,
-    ideals_equal,
     parse_poly,
 )
 from quadrikit.quadform import (
@@ -119,7 +118,7 @@ def test_degeneration_k1_is_principal_det():
 def test_degeneration_k2_equals_coordinate_ideal():
     q = universal()
     abc = Ideal(q.base, list(q.base.gens()))
-    assert ideals_equal(q.degeneration_locus(2), abc)
+    assert q.degeneration_locus(2).equals(abc)
 
 
 def test_degeneration_k3_is_unit():
@@ -143,9 +142,7 @@ def test_reduced_form_has_same_loci():
     q = universal()
     split = hyperbolic_reduce(q, e(1), e(2))
     for k in (1, 2):
-        assert ideals_equal(
-            q.degeneration_locus(k), split.reduced.degeneration_locus(k)
-        )
+        assert q.degeneration_locus(k).equals(split.reduced.degeneration_locus(k))
 
 
 # -- isotropy -------------------------------------------------------------------
