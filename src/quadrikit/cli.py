@@ -102,7 +102,7 @@ def cmd_reduce(args):
         "input": args.input,
         "v": [str(x) for x in v],
         "w": [str(x) for x in w],
-        "transform": [[str(p) for p in row] for row in split.transform.entries],
+        "transform": [[str(p) for p in row] for row in split.transform.dense()],
         "reduced": str(split.reduced.q_poly()) if split.reduced.n else "0",
         "presentation": pres.to_dict(),
         "certified": split.verify(),
@@ -197,7 +197,7 @@ def cmd_spinor(args):
         "command": "spinor",
         "n": args.n,
         "size": pres.size,
-        "phi": [[str(p) for p in row] for row in pres.phi.entries],
+        "phi": [[str(p) for p in row] for row in pres.phi.dense()],
     }
     lines = [f"phi_{args.n}: {pres.size} x {pres.size}", str(pres.phi)]
     _emit(args, payload, lines)
@@ -326,6 +326,9 @@ def _run_suites(q, suite, seed, samples):
         runs = ([(w, [-1, 0, 1, 2])] if w else []) + [(empty, [-1, 0, 1])]
         for sub, degrees in runs:
             reports.append(cliffmod.verify_mf_report(ctx, sub, degrees, seed=seed))
+    # the ideals refer back to the context: clearing them lets reference
+    # counting, not the cyclic collector, free the finished run
+    ctx.ideals.clear()
     return reports
 
 

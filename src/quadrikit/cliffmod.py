@@ -421,7 +421,8 @@ def _pairing_matrix(ctx, left, right):
     # column j holds the traces of (right representative) * g_j
     columns = [monomial_products(ctx, right.spanning_monomials, g) for g in left.generators]
     size = len(right.spanning_monomials)
-    return PolyMatrix(ctx.base, [[trace(ctx.element(c[r])) for c in columns] for r in range(size)])
+    rows = [{j: trace(ctx.element(c[r])) for j, c in enumerate(columns)} for r in range(size)]
+    return PolyMatrix(ctx.base, rows, len(columns))
 
 
 def duality_pairing(ctx, w, k, seed=DEFAULT_SEED):
@@ -495,10 +496,12 @@ def spinor_phi(ctx, w, n, seed=DEFAULT_SEED):
     # the ones before it are read off each pivot row's nonzeros
     ncols = d + len(images)
     limit = next((c for c in pivots if c >= d), ncols)
-    zero = ring.zero()  # Poly is immutable: one zero for every empty entry
-    phi_entries = [[zero] * d for _ in range(d)]
+    phi_rows = [{} for _ in range(d)]
     xs = [ring.var(f"x{i}") for i in range(1, ctx.rank + 1)]
     for row, kk in zip(reduced, pivots):
+        if kk >= d:
+            break
+        phi_row = phi_rows[kk]
         for col in sorted(c for c in row if d <= c < limit):
             try:
                 coeff = exact_div(row[col], row[kk])
@@ -508,14 +511,15 @@ def spinor_phi(ctx, w, n, seed=DEFAULT_SEED):
                     "inconsistent generator bases"
                 ) from None
             j, i = divmod(col - d, ctx.rank)
-            phi_entries[kk][j] = phi_entries[kk][j] + ctx.base.embed(coeff, ring) * xs[i]
+            term = ctx.base.embed(coeff, ring) * xs[i]
+            phi_row[j] = phi_row[j] + term if j in phi_row else term
     if limit < ncols:
         j, i = divmod(limit - d, ctx.rank)
         raise CliffModError(
             "image is not expressible in the target generators "
             f"(generator {j}, fiber index {i + 1})"
         )
-    return SpinorPresentation(ctx, w, n, PolyMatrix(ring, phi_entries), ring)
+    return SpinorPresentation(ctx, w, n, PolyMatrix(ring, phi_rows, d), ring)
 
 
 def verify_matrix_factorization(q, p1, p2):
@@ -526,18 +530,19 @@ def verify_matrix_factorization(q, p1, p2):
         raise CliffModError("presentations must have consecutive degrees")
     if p1.w is not p2.w and p1.w.vectors != p2.w.vectors:
         raise CliffModError("presentations must share the subbundle")
-    ring = p1.ring
     product = p2.phi * p1.phi
-    q_poly = q.q_poly(ring)
-    d = product.rows
-    for i in range(d):
-        for j in range(d):
-            expected = q_poly if i == j else ring.zero()
-            if product.entries[i][j] != expected:
+    q_poly = q.q_poly(p1.ring)
+    for i, row in enumerate(product.entries):
+        if row == {i: q_poly}:
+            continue
+        # the witness is the first mismatch in row-major order
+        for j in sorted(row.keys() | {i}):
+            expected = q_poly if i == j else product.zero
+            if product[i, j] != expected:
                 return False, {
                     "row": i,
                     "col": j,
-                    "got": str(product.entries[i][j]),
+                    "got": str(product[i, j]),
                     "expected": str(expected),
                 }
     return True, None
@@ -563,12 +568,3 @@ def verify_mf_report(ctx, w, degrees, seed=DEFAULT_SEED):
         samples=results,
         ok=ok,
     )
-
-
-def phi_invertible_off_quadric(pres, seed=DEFAULT_SEED):
-    """Evaluate the presentation at a total-space point with q nonzero and
-    test invertibility over Q."""
-    q_poly = pres.ctx.q.q_poly(pres.ring)
-    point = Specialization.generic(pres.ring, random.Random(seed), avoid=q_poly)
-    values = [[p.evaluate(point.assignment) for p in row] for row in pres.phi.entries]
-    return linalg.q_rank(values) == pres.size

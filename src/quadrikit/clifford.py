@@ -266,9 +266,15 @@ def monomial_products(ctx, keys, y, columns=None):
     memo = {(): {key: c.terms for key, c in y.terms.items()}}
 
     def product(idx):
-        if idx not in memo:
-            memo[idx] = ctx.act(idx[0], product(idx[1:]))
-        return memo[idx]
+        # act from the longest suffix already known; a loop, not recursion,
+        # so that no closure refers to itself and the memo dies with the call
+        k = 0
+        while idx[k:] not in memo:
+            k += 1
+        terms = memo[idx[k:]]
+        for j in range(k - 1, -1, -1):
+            terms = memo[idx[j:]] = ctx.act(idx[j], terms)
+        return terms
 
     if columns is None:
         return [{(i2, m2 + m): c for (i2, m2), c in product(idx).items()} for idx, m in keys]

@@ -108,7 +108,7 @@ def fiber_report(q, point):
     assignment = point.assignment
     echelon = linalg.Echelon()
     for row in q.bilinear_matrix().entries:
-        echelon.add([p.evaluate(assignment) for p in row])
+        echelon.add({j: p.evaluate(assignment) for j, p in row.items()})
     corank = 4 - echelon.rank
     report = {
         "point": {k: str(v) for k, v in sorted(assignment.items())},
@@ -190,13 +190,6 @@ class NetOfQuadrics:
                 coeff[ij] = coeff.get(ij, base.zero()) + add
         self.inputs = list(forms)
         self.form = QuadraticForm(base, n, coeff)
-
-    def specialize_unit(self, t):
-        """Recover the t-th input by setting a to the t-th unit vector."""
-        assignment = {
-            v: Fraction(1 if v == f"a{t}" else 0) for v in self.form.base.variables
-        }
-        return self.form.specialize(assignment)
 
     def discriminant(self):
         return self.form.det_bilinear()

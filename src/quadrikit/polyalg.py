@@ -630,79 +630,82 @@ def exact_div(f, g):
 
 
 class PolyMatrix:
-    """Rectangular matrix of Poly entries sharing one ring."""
+    """Matrix of Poly entries over one ring, kept as its rows' nonzero
+    entries: `entries[i]` maps each column j with a nonzero entry to it,
+    the row format `fraction_free_rref` takes and returns.  `m[i, j]`
+    reads one entry, a zero one as the matrix's shared `zero`; `dense()`
+    lists every entry, for printing."""
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "entries", "zero")
 
-    def __init__(self, ring, entries):
-        self.ring = ring
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise PolyError("ragged matrix")
-            for p in row:
+    def __init__(self, ring, rows, cols):
+        entries = []
+        for row in rows:
+            kept = {}
+            for j, p in row.items():
                 if not isinstance(p, Poly) or p.ring is not ring and p.ring != ring:
                     raise PolyError("matrix entry over the wrong ring")
+                if not (isinstance(j, int) and 0 <= j < cols):
+                    raise PolyError(f"matrix column {j!r} outside 0..{cols - 1}")
+                if p.terms:
+                    kept[j] = p
+            entries.append(kept)
+        self.ring = ring
+        self.entries = entries
+        self.rows = len(entries)
+        self.cols = cols
+        self.zero = ring.zero()
 
-    @classmethod
-    def identity(cls, ring, n):
-        return cls(
-            ring,
-            [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)],
-        )
+    def __getitem__(self, index):
+        i, j = index
+        if not 0 <= j < self.cols:
+            raise IndexError(f"matrix column {j} outside 0..{self.cols - 1}")
+        return self.entries[i].get(j, self.zero)
 
-    @classmethod
-    def zeros(cls, ring, rows, cols):
-        return cls(ring, [[ring.zero()] * cols for _ in range(rows)])
+    def dense(self):
+        """Every entry, as a list of `cols` Polys per row."""
+        return [[row.get(j, self.zero) for j in range(self.cols)] for row in self.entries]
 
     def __eq__(self, other):
         return (
             isinstance(other, PolyMatrix)
             and self.ring == other.ring
+            and self.cols == other.cols
             and self.entries == other.entries
         )
 
     def transpose(self):
-        return PolyMatrix(
-            self.ring,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.entries):
+            for j, p in row.items():
+                out[j][i] = p
+        return PolyMatrix(self.ring, out, self.rows)
 
     def __mul__(self, other):
-        if isinstance(other, PolyMatrix):
-            if self.cols != other.rows:
-                raise PolyError("dimension mismatch in matrix product")
-            # each column of `other` as its nonzero (k, terms) pairs
-            columns = [
-                [(k, row[j].terms) for k, row in enumerate(other.entries) if row[j].terms]
-                for j in range(other.cols)
-            ]
-            zero = self.ring.zero()  # shared by every empty entry
-            out = []
-            for left in self.entries:
-                row = []
-                for column in columns:
-                    acc = {}
-                    for k, b in column:
-                        a = left[k].terms
-                        if a:
-                            acc = K.add_terms(acc, K.mul_terms(a, b))
-                    row.append(Poly(self.ring, acc) if acc else zero)
-                out.append(row)
-            return PolyMatrix(self.ring, out)
-        return PolyMatrix(
-            self.ring, [[p * other for p in row] for row in self.entries]
-        )
+        if self.cols != other.rows:
+            raise PolyError("dimension mismatch in matrix product")
+        out = []
+        for left in self.entries:
+            # row i of the product: the rows of `other` scaled by the
+            # nonzeros of row i of `self`, summed as term maps
+            acc = {}
+            for k, a in left.items():
+                for j, b in other.entries[k].items():
+                    t = K.mul_terms(a.terms, b.terms)
+                    acc[j] = K.add_terms(acc[j], t) if j in acc else t
+            out.append({j: Poly(self.ring, t) for j, t in acc.items()})
+        return PolyMatrix(self.ring, out, other.cols)
 
     def submatrix(self, row_idx, col_idx):
+        position = {c: k for k, c in enumerate(col_idx)}
         return PolyMatrix(
-            self.ring, [[self.entries[i][j] for j in col_idx] for i in row_idx]
+            self.ring,
+            [{position[j]: p for j, p in self.entries[i].items() if j in position} for i in row_idx],
+            len(position),
         )
 
     def __str__(self):
-        cells = [[str(p) for p in row] for row in self.entries]
+        cells = [[str(p) for p in row] for row in self.dense()]
         widths = [max(len(cells[i][j]) for i in range(self.rows)) for j in range(self.cols)]
         lines = []
         for row in cells:
@@ -711,18 +714,16 @@ class PolyMatrix:
 
 
 def _det_cofactor(m):
+    """Laplace expansion along the first row's nonzeros."""
     n = m.rows
     if n == 1:
-        return m.entries[0][0]
+        return m[0, 0]
     if n == 2:
-        a, b = m.entries[0]
-        c, d = m.entries[1]
-        return a * d - b * c
-    total = m.ring.zero()
-    cols = list(range(n))
-    for j in range(n):
-        minor = m.submatrix(range(1, n), [c for c in cols if c != j])
-        term = m.entries[0][j] * _det_cofactor(minor)
+        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    total = m.zero
+    for j, p in m.entries[0].items():
+        minor = m.submatrix(range(1, n), [c for c in range(n) if c != j])
+        term = p * _det_cofactor(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
 
@@ -814,9 +815,9 @@ def fraction_free_rref(rows):
 
 
 def _det_bareiss(m):
-    a, pivots, sign = fraction_free_rref([dict(enumerate(r)) for r in m.entries])
+    a, pivots, sign = fraction_free_rref(m.entries)
     if len(pivots) < m.rows:
-        return m.ring.zero()
+        return m.zero
     return a[-1][pivots[-1]] * sign
 
 

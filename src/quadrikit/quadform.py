@@ -2,7 +2,8 @@
 bilinear form, degeneration loci, isotropy tests, hyperbolic pairs and the
 hyperbolic reduction with a certified change of basis.
 
-Input file format (.qf, UTF-8 key = value lines, # comments):
+Input file format (.qf, UTF-8 key = value lines, # comments; each of the
+three keys once, and no other key):
 
     base_vars = [a, b, c]
     fiber_rank = 4
@@ -104,9 +105,6 @@ class QuadraticForm:
             i, j = j, i
         return self.coeff.get((i, j), self.base.zero())
 
-    def is_zero_form(self):
-        return not self.coeff
-
     def combined_ring(self):
         return Ring(self.base.variables + tuple(fiber_names(self.n)))
 
@@ -160,26 +158,22 @@ class QuadraticForm:
         ring = ring or self.base
         v = self._coerce_vector(v, ring)
         w = self._coerce_vector(w, ring)
-        b = self.bilinear_matrix()
         total = ring.zero()
-        for i in range(self.n):
-            for j in range(self.n):
-                entry = b.entries[i][j]
-                if not entry.is_zero():
-                    total = total + self.base.embed(entry, ring) * v[i] * w[j]
+        for i, row in enumerate(self.bilinear_matrix().entries):
+            for j, entry in row.items():
+                total = total + self.base.embed(entry, ring) * v[i] * w[j]
         return total
 
     def bilinear_matrix(self):
         if self._bilinear is None:
-            n = self.n
-            rows = [[self.base.zero()] * n for _ in range(n)]
+            rows = [{} for _ in range(self.n)]
             for (i, j), c in self.coeff.items():
                 if i == j:
                     rows[i - 1][i - 1] = c * 2
                 else:
                     rows[i - 1][j - 1] = c
                     rows[j - 1][i - 1] = c
-            self._bilinear = PolyMatrix(self.base, rows)
+            self._bilinear = PolyMatrix(self.base, rows, self.n)
         return self._bilinear
 
     # -- degeneration ------------------------------------------------------
@@ -235,7 +229,7 @@ class Subbundle:
         if self.r:
             # the pivot columns are the lexicographically first r columns
             # with a nonzero maximal minor
-            pivots = fraction_free_rref([dict(enumerate(r)) for r in rows])[1]
+            pivots = fraction_free_rref(self.column_matrix().transpose().entries)[1]
             if len(pivots) < self.r:
                 raise QuadFormError("subbundle vectors are linearly dependent")
             self.witness_columns = tuple(pivots)
@@ -253,7 +247,8 @@ class Subbundle:
     def column_matrix(self):
         return PolyMatrix(
             self.ring,
-            [[self.vectors[j][i] for j in range(self.r)] for i in range(self.n)],
+            [{j: vec[i] for j, vec in enumerate(self.vectors)} for i in range(self.n)],
+            self.r,
         )
 
     def prefix(self, k):
@@ -301,13 +296,11 @@ def hyperbolic_pair(q, v):
     vconst = [x.constant_term() if isinstance(x, Poly) else x for x in v]
     if not q.apply(vconst).is_zero():
         raise QuadFormError("vector is not isotropic")
-    b = q.bilinear_matrix()
-    row = []
-    for j in range(q.n):
-        s = q.base.zero()
-        for i in range(q.n):
-            s = s + b.entries[i][j] * vconst[i]
-        row.append(s)
+    # row j of the system: b_q(v, e_j) = sum_i v_i B[i][j]
+    row = [q.base.zero()] * q.n
+    for i, b_row in enumerate(q.bilinear_matrix().entries):
+        for j, p in b_row.items():
+            row[j] = row[j] + p * vconst[i]
     monomials = sorted(set().union(*(p.terms.keys() for p in row if p)) or set())
     unit_mono = (0,) * q.base.arity
     if unit_mono not in monomials:
@@ -345,16 +338,11 @@ class HyperbolicSplitting:
     def verify(self):
         t = self.transform
         g = t.transpose() * self.form.bilinear_matrix() * t
-        n = self.form.n
-        base = self.form.base
-        expected = [[base.zero()] * n for _ in range(n)]
-        expected[0][1] = base.one()
-        expected[1][0] = base.one()
-        rb = self.reduced.bilinear_matrix()
-        for i in range(n - 2):
-            for j in range(n - 2):
-                expected[i + 2][j + 2] = rb.entries[i][j]
-        return g == PolyMatrix(base, expected)
+        one = self.form.base.one()
+        expected = [{1: one}, {0: one}] + [
+            {j + 2: p for j, p in row.items()} for row in self.reduced.bilinear_matrix().entries
+        ]
+        return g == PolyMatrix(self.form.base, expected, self.form.n)
 
 
 def hyperbolic_reduce(q, v, w):
@@ -387,7 +375,7 @@ def hyperbolic_reduce(q, v, w):
         bv = q.bilinear(e_i, v)
         u = [e_i[k] - bw * v[k] - bv * w[k] for k in range(n)]
         basis.append(u)
-    t = PolyMatrix(base, [[basis[j][i] for j in range(n)] for i in range(n)])
+    t = PolyMatrix(base, [{j: u[i] for j, u in enumerate(basis)} for i in range(n)], n)
     dt = det(t)
     if dt.is_zero():
         raise QuadFormError("projected vectors are not independent")
@@ -395,26 +383,23 @@ def hyperbolic_reduce(q, v, w):
         raise QuadFormError("change of basis does not have constant determinant")
 
     g = t.transpose() * q.bilinear_matrix() * t
-    hyper = [[base.zero(), base.one()], [base.one(), base.zero()]]
-    for i in range(2):
-        for j in range(2):
-            if g.entries[i][j] != hyper[i][j]:
-                raise QuadFormError("hyperbolic block certification failed")
-        for j in range(2, n):
-            if not g.entries[i][j].is_zero() or not g.entries[j][i].is_zero():
-                raise QuadFormError("hyperbolic block certification failed")
+    # rows 0, 1 are the hyperbolic block [[0, 1], [1, 0]] and no other row
+    # has an entry in columns 0, 1
+    one = base.one()
+    lower = g.entries[2:]
+    if g.entries[:2] != [{1: one}, {0: one}] or any(j < 2 for row in lower for j in row):
+        raise QuadFormError("hyperbolic block certification failed")
 
-    m = n - 2
+    # the lower block, on columns 2..n-1, is the bilinear matrix of the
+    # reduced form in x1..x(n-2)
     coeff = {}
-    for i in range(m):
-        diag = g.entries[i + 2][i + 2]
-        if not diag.is_zero():
-            coeff[(i + 1, i + 1)] = diag / 2
-        for j in range(i + 1, m):
-            off = g.entries[i + 2][j + 2]
-            if not off.is_zero():
-                coeff[(i + 1, j + 1)] = off
-    reduced = QuadraticForm(base, m, coeff)
+    for i, row in enumerate(lower, start=1):
+        for j, p in row.items():
+            if j - 1 == i:
+                coeff[(i, i)] = p / 2
+            elif j - 1 > i:
+                coeff[(i, j - 1)] = p
+    reduced = QuadraticForm(base, n - 2, coeff)
     split = HyperbolicSplitting(q, v, w, t, reduced, (drop_v, drop_w))
     if not split.verify():
         raise QuadFormError("splitting invariant failed")
@@ -465,6 +450,9 @@ def reduction_presentation(split):
 # -- .qf files -----------------------------------------------------------
 
 
+_QF_KEYS = ("base_vars", "fiber_rank", "q")  # each required, none other allowed
+
+
 def parse_qf_text(text):
     """Parse the key = value quadratic-form file format."""
     fields = {}
@@ -476,10 +464,12 @@ def parse_qf_text(text):
             raise ParseError(f"line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key not in _QF_KEYS:
+            raise ParseError(f"line {lineno}: unknown key {key!r}")
         if key in fields:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
         fields[key] = value.strip()
-    for key in ("base_vars", "fiber_rank", "q"):
+    for key in _QF_KEYS:
         if key not in fields:
             raise ParseError(f"missing field {key!r}")
     raw_vars = fields["base_vars"]

@@ -172,7 +172,7 @@ def test_criterion_3_clifford_algebra_suite():
                     anti = cl_mul(rank4.generator(i), rank4.generator(j)) + cl_mul(
                         rank4.generator(j), rank4.generator(i)
                     )
-                    assert anti == rank4.scalar(b.entries[i - 1][j - 1]).l_shift(1)
+                    assert anti == rank4.scalar(b[i - 1, j - 1]).l_shift(1)
 
         # center: commutes with the degree-0 component exactly; against the
         # degree-1 component it satisfies the cover-involution law
@@ -301,9 +301,9 @@ def test_criterion_7_negative_controls():
 
         p0 = spinor_phi(ctx, w, 0)
         p1 = spinor_phi(ctx, w, 1)
-        tampered = [row[:] for row in p1.phi.entries]
-        tampered[0][0] = tampered[0][0] + p1.ring.one()
-        bad = SpinorPresentation(ctx, w, 1, PolyMatrix(p1.ring, tampered), p1.ring)
+        tampered = [dict(row) for row in p1.phi.entries]
+        tampered[0][0] = p1.phi[0, 0] + p1.ring.one()
+        bad = SpinorPresentation(ctx, w, 1, PolyMatrix(p1.ring, tampered, p1.size), p1.ring)
         ok, witness = verify_matrix_factorization(q, p0, bad)
         assert not ok
         assert witness is not None and witness["row"] == 0 and witness["col"] == 0

@@ -83,6 +83,15 @@ def test_repeated_qf_key_exit_2(tmp_path, capsys):
     assert "line 4: duplicate key 'q'" in capsys.readouterr().err
 
 
+def test_unknown_qf_key_exit_2(tmp_path, capsys):
+    """A key the format does not define, such as a misspelled one, is
+    refused with its name and line, not ignored."""
+    bad = tmp_path / "typo.qf"
+    bad.write_text('base_vars = [a]\nfiber_rank = 2\nq = "x1*x2"\nfiber_rnak = 3\n')
+    assert main(["degeneration", str(bad), "--k", "1"]) == 2
+    assert "line 4: unknown key 'fiber_rnak'" in capsys.readouterr().err
+
+
 def test_unknown_identifier_in_qf_exit_2(tmp_path, capsys):
     """A name in q that is no base or fiber variable is a parse error
     naming it, as it is in a Clifford element."""
@@ -455,14 +464,33 @@ def test_verify_r6_pinned(suite, monkeypatch, capsys):
         ("r8_spinor_n1", ["spinor", "data/r8.qf", "--w", "1,0,0,0,0,0,0,0", "--n", "1"]),
         ("r6_mf", ["verify", "data/r6.qf", "--suite", "matrix-factorization"]),
         ("r8_mf", ["verify", "data/r8.qf", "--suite", "matrix-factorization"]),
+        ("universal_reduce", ["reduce", "data/universal.qf", "--v", "1,0,0,0"]),
+        ("split_reduce", ["reduce", "data/split.qf", "--v", "1,2,3,-2/3"]),
     ],
 )
 def test_fraction_free_paths_pinned(pinned_name, args, monkeypatch, capsys):
-    """Outputs built on `fraction_free_rref` (spinor_phi and the matrix
-    factorization suite), recorded from the dense elimination."""
+    """Outputs built on `fraction_free_rref` and `PolyMatrix` (spinor_phi,
+    the matrix factorization suite and the `reduce` transform), recorded
+    from the dense elimination and dense matrix rows."""
     monkeypatch.chdir(DATA.parent)
     assert main(args + ["--json"]) == 0
     pinned = Path(__file__).resolve().parent / "pinned" / f"{pinned_name}.json"
+    assert capsys.readouterr().out == pinned.read_text()
+
+
+@pytest.mark.parametrize(
+    "pinned_name, args",
+    [
+        ("r8_spinor_n1", ["spinor", "data/r8.qf", "--w", "1,0,0,0,0,0,0,0", "--n", "1"]),
+        ("split_reduce", ["reduce", "data/split.qf", "--v", "1,2,3,-2/3"]),
+    ],
+)
+def test_matrix_text_pinned(pinned_name, args, monkeypatch, capsys):
+    """Text-mode matrices, every entry right-aligned to its column's width,
+    recorded from dense matrix rows."""
+    monkeypatch.chdir(DATA.parent)
+    assert main(args) == 0
+    pinned = Path(__file__).resolve().parent / "pinned" / f"{pinned_name}.txt"
     assert capsys.readouterr().out == pinned.read_text()
 
 
@@ -518,6 +546,31 @@ def test_run_suites_builds_each_ideal_once(monkeypatch):
     reports = cli._run_suites(load_qf(DATA / "r6.qf"), "all", 5, 1)
     assert all(r.ok for r in reports)
     assert len(built) == len(set(built)) == 9
+
+
+def test_run_suites_leaves_no_context_to_the_cyclic_collector():
+    """A context and its ideals refer to each other; a finished run breaks
+    the cycle, so reference counting alone frees the run's context."""
+    import gc
+
+    from quadrikit import cli
+    from quadrikit.clifford import CliffordContext
+    from quadrikit.quadform import load_qf
+
+    def contexts():
+        return {id(x) for x in gc.get_objects() if isinstance(x, CliffordContext)}
+
+    q = load_qf(DATA / "universal.qf")
+    gc.collect()
+    gc.disable()
+    try:
+        alive = contexts()  # other tests' contexts, held by their modules
+        reports = cli._run_suites(q, "all", 5, 1)
+        left = contexts() - alive
+    finally:
+        gc.enable()
+    assert all(r.ok for r in reports)
+    assert left == set()
 
 
 @pytest.mark.parametrize(

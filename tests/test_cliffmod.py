@@ -18,7 +18,6 @@ from quadrikit.cliffmod import (
     clifford_ideal,
     duality_pairing,
     expected_ideal_rank,
-    phi_invertible_off_quadric,
     spinor_phi,
     verify_cokernel_sequence,
     verify_duality,
@@ -413,8 +412,8 @@ def test_spinor_corank2_2x2_factorization():
     assert ok and witness is None
     product = p1.phi * p0.phi
     q_poly = parse_poly("x1*x2", p0.ring)
-    assert product.entries[0][0] == q_poly
-    assert product.entries[0][1].is_zero()
+    assert product[0, 0] == q_poly
+    assert product[0, 1].is_zero()
 
 
 def test_spinor_universal_4x4_all_degrees():
@@ -439,7 +438,7 @@ def test_spinor_entries_linear_in_fiber_vars():
     pres = spinor_phi(ctx, span_e1(ctx), 1)
     nb = ctx.base.arity
     for row in pres.phi.entries:
-        for p in row:
+        for p in row.values():
             for mono in p.terms:
                 assert sum(mono[nb:]) == 1
 
@@ -449,15 +448,33 @@ def test_perturbed_phi_fails_with_witness():
     w = span_e1(ctx)
     p0 = spinor_phi(ctx, w, 0)
     p1 = spinor_phi(ctx, w, 1)
-    tampered = [row[:] for row in p1.phi.entries]
-    tampered[2][1] = tampered[2][1] + p1.ring.one()
+    tampered = [dict(row) for row in p1.phi.entries]
+    tampered[2][1] = p1.phi[2, 1] + p1.ring.one()
     import quadrikit.cliffmod as cm
 
-    bad = cm.SpinorPresentation(ctx, w, 1, PolyMatrix(p1.ring, tampered), p1.ring)
+    bad = cm.SpinorPresentation(ctx, w, 1, PolyMatrix(p1.ring, tampered, p1.size), p1.ring)
     ok, witness = verify_matrix_factorization(ctx.q, p0, bad)
     assert not ok
     assert witness["row"] == 2
     assert "got" in witness and "expected" in witness
+
+    # phi_0 = Id makes the product phi_1 itself: a q*Id with an off-diagonal
+    # zero cell and a diagonal cell tampered; the witness is whichever
+    # comes first in row-major order
+    ring, d = p1.ring, p1.size
+    q_poly = ctx.q.q_poly(ring)
+    identity = cm.SpinorPresentation(ctx, w, 0, PolyMatrix(ring, [{i: ring.one()} for i in range(d)], d), ring)
+    x1 = ring.var("x1")
+    for off, diag, first in [((1, 3), 2, (1, 3)), ((2, 3), 2, (2, 2)), ((2, 1), 2, (2, 1)), ((3, 0), 1, (1, 1))]:
+        rows = [{i: q_poly} for i in range(d)]
+        rows[off[0]][off[1]] = x1
+        rows[diag][diag] = q_poly + ring.one()
+        bad = cm.SpinorPresentation(ctx, w, 1, PolyMatrix(ring, rows, d), ring)
+        ok, witness = verify_matrix_factorization(ctx.q, identity, bad)
+        assert not ok
+        assert (witness["row"], witness["col"]) == first
+        assert witness["got"] == str(x1 if first == off else q_poly + ring.one())
+        assert witness["expected"] == ("0" if first == off else str(q_poly))
 
 
 _R6 = CliffordContext(load_qf(Path(__file__).resolve().parent.parent / "data" / "r6.qf"))
@@ -478,7 +495,7 @@ def test_phi_consecutive_product_is_q_on_r6(lam, axis, n):
     q = _R6.q.q_poly(ring)
     product = phi_next.phi * phi_n.phi
     assert product.rows == product.cols == 16
-    for i, row in enumerate(product.entries):
+    for i, row in enumerate(product.dense()):
         for j, entry in enumerate(row):
             assert entry == (q if i == j else ring.zero())
 
@@ -487,7 +504,7 @@ def test_r6_spinor_phi_and_center_hold_only_ints():
     """On the integral form R6 every coefficient of the spinor matrices and
     of the center relation is stored as an int, none as a Fraction."""
     w = Subbundle([[1, 0, 0, 0, 0, 0]], _R6.base)
-    polys = [p for n in (0, 1) for row in spinor_phi(_R6, w, n).phi.entries for p in row]
+    polys = [p for n in (0, 1) for row in spinor_phi(_R6, w, n).phi.entries for p in row.values()]
     rel = center_element(_R6)
     polys += [*rel.omega.terms.values(), rel.alpha, rel.beta]
     coeffs = [c for p in polys for c in p.terms.values()]
@@ -495,10 +512,14 @@ def test_r6_spinor_phi_and_center_hold_only_ints():
 
 
 def test_phi_invertible_off_quadric():
+    """At a total-space point off the quadric, phi_n is invertible over Q."""
     ctx = universal_ctx()
     for n in (0, 1):
         pres = spinor_phi(ctx, span_e1(ctx), n)
-        assert phi_invertible_off_quadric(pres)
+        q_poly = ctx.q.q_poly(pres.ring)
+        point = Specialization.generic(pres.ring, random.Random(DEFAULT_SEED), avoid=q_poly)
+        values = [{j: p.evaluate(point.assignment) for j, p in row.items()} for row in pres.phi.entries]
+        assert linalg.q_rank(values) == pres.size
 
 
 def test_mf_requires_consecutive_degrees():

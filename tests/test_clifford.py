@@ -150,7 +150,7 @@ def test_anticommutator_matches_bilinear_matrix():
             lhs = cl_mul(ctx.generator(i), ctx.generator(j)) + cl_mul(
                 ctx.generator(j), ctx.generator(i)
             )
-            assert lhs == ctx.scalar(b.entries[i - 1][j - 1]).l_shift(1)
+            assert lhs == ctx.scalar(b[i - 1, j - 1]).l_shift(1)
 
 
 def test_degree_additivity_seeded():
@@ -521,7 +521,7 @@ def test_center_on_the_generic_form(rank, ratio):
     rel = center_element(ctx)
     assert center_checks(ctx, rel) == {"commutes_degree0": True, "twisted_degree1": True}
     # det b_q by cofactor expansion: `det` (Bareiss) takes ~36 s on the generic 6x6
-    assert rel.discriminant() == _cofactor_det(q.bilinear_matrix().entries) * ratio
+    assert rel.discriminant() == _cofactor_det(q.bilinear_matrix().dense()) * ratio
     if rank <= 4:
         assert rel.discriminant_comparison() == (Fraction(ratio), Fraction(1))
 

@@ -239,7 +239,8 @@ def test_net_unit_specialization_recovers_inputs():
     ]
     net = NetOfQuadrics(forms)
     for t, f in enumerate(forms, start=1):
-        assert net.specialize_unit(t).coeff == f.specialize({}).coeff
+        unit = {v: 1 if v == f"a{t}" else 0 for v in net.form.base.variables}
+        assert net.form.specialize(unit).coeff == f.specialize({}).coeff
 
 
 def test_net_rejects_mixed_ranks():

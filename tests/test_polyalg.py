@@ -42,11 +42,33 @@ def random_poly(rng, ring, nterms=4, max_exp=3, lo=-9, hi=9):
     return Poly(ring, {m: c for m, c in terms.items() if c})
 
 
+def _matrix(ring, grid):
+    """A PolyMatrix of a nonempty grid of Polys, zeros included."""
+    return PolyMatrix(ring, [dict(enumerate(row)) for row in grid], len(grid[0]))
+
+
+def _dense_det(grid):
+    """The determinant oracle: the Leibniz sum over permutations of a
+    nonempty square grid."""
+    from itertools import permutations
+
+    n = len(grid)
+    ring = grid[0][0].ring
+    total = ring.zero()
+    for perm in permutations(range(n)):
+        term = ring.one()
+        for i, j in enumerate(perm):
+            term = term * grid[i][j]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
 def univ_bq():
     ring = ABC
     a, b, c = ring.gens()
     z, one = ring.zero(), ring.one()
-    return PolyMatrix(
+    return _matrix(
         ring,
         [
             [z, one, z, z],
@@ -190,11 +212,11 @@ def test_grevlex_vs_lex_leading():
 
 
 def test_det_identity():
-    assert det(PolyMatrix.identity(ABC, 4)) == ABC.one()
+    assert det(PolyMatrix(ABC, [{i: ABC.one()} for i in range(4)], 4)) == ABC.one()
 
 
 def test_det_1x1():
-    m = PolyMatrix(ABC, [[ABC.var("a") * 2]])
+    m = PolyMatrix(ABC, [{0: ABC.var("a") * 2}], 1)
     assert det(m) == parse_poly("2*a", ABC)
 
 
@@ -207,14 +229,47 @@ def test_det_universal_bilinear_matrix():
 def test_det_multiplicative_seeded():
     rng = random.Random(17)
     for _ in range(5):
-        m1 = PolyMatrix(XY, [[random_poly(rng, XY, 2, 2) for _ in range(3)] for _ in range(3)])
-        m2 = PolyMatrix(XY, [[random_poly(rng, XY, 2, 2) for _ in range(3)] for _ in range(3)])
+        m1 = _matrix(XY, [[random_poly(rng, XY, 2, 2) for _ in range(3)] for _ in range(3)])
+        m2 = _matrix(XY, [[random_poly(rng, XY, 2, 2) for _ in range(3)] for _ in range(3)])
         assert det(m1 * m2) == det(m1) * det(m2)
+    # about half the entries zero, on both sides of the cofactor/Bareiss
+    # switch at 4x4
+    for n in (2, 3, 4, 5):
+        for _ in range(3):
+            m1, m2 = (_half_zero_matrix(rng, n, n) for _ in range(2))
+            assert det(m1 * m2) == det(m1) * det(m2)
+
+
+def _half_zero_matrix(rng, nrows, ncols):
+    """A matrix over XY with each entry zero with probability 1/2."""
+    grid = [
+        [random_poly(rng, XY, 2, 2, -3, 3) if rng.random() < 0.5 else XY.zero() for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    return _matrix(XY, grid)
+
+
+def test_matrix_entries_checked_and_zeros_dropped():
+    """The constructor keeps a row's nonzero entries only, and refuses an
+    entry over another ring or a column outside 0..cols-1."""
+    x, y = XY.gens()
+    m = PolyMatrix(XY, [{0: x, 2: XY.zero()}, {}], 3)
+    assert m.entries == [{0: x}, {}]
+    assert (m.rows, m.cols) == (2, 3)
+    assert m[0, 2] is m[1, 1] is m.zero
+    assert m.dense() == [[x, XY.zero(), XY.zero()], [XY.zero()] * 3]
+    with pytest.raises(PolyError):
+        PolyMatrix(XY, [{0: ABC.var("a")}], 1)
+    for col in (3, -1, "0"):
+        with pytest.raises(PolyError):
+            PolyMatrix(XY, [{col: y}], 3)
+    with pytest.raises(PolyError):
+        PolyMatrix(XY, [{0: 1}], 1)
 
 
 def test_bareiss_agrees_with_cofactor():
     rng = random.Random(23)
-    m = PolyMatrix(XY, [[random_poly(rng, XY, 2, 1, -3, 3) for _ in range(4)] for _ in range(4)])
+    m = _matrix(XY, [[random_poly(rng, XY, 2, 1, -3, 3) for _ in range(4)] for _ in range(4)])
     from quadrikit.polyalg import _det_bareiss, _det_cofactor
 
     assert _det_bareiss(m) == _det_cofactor(m)
@@ -222,13 +277,25 @@ def test_bareiss_agrees_with_cofactor():
     # matrices with a repeated row
     for n in (1, 2, 3, 4, 5):
         for nterms in (1, 2):
-            m = PolyMatrix(
+            m = _matrix(
                 XY, [[random_poly(rng, XY, nterms, 2, -3, 3) for _ in range(n)] for _ in range(n)]
             )
             assert _det_bareiss(m) == _det_cofactor(m)
             if n > 1:
-                singular = PolyMatrix(XY, m.entries[:-1] + [m.entries[0]])
+                singular = PolyMatrix(XY, m.entries[:-1] + [m.entries[0]], n)
                 assert _det_bareiss(singular) == _det_cofactor(singular) == XY.zero()
+    # about half the entries zero: `det` (cofactor below 4x4, Bareiss from
+    # 4x4) of each matrix and of its minors equals the Leibniz sum over
+    # the entries read as m[i, j]
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(4):
+            m = _half_zero_matrix(rng, n, n)
+            assert det(m) == _dense_det([[m[i, j] for j in range(n)] for i in range(n)])
+            for size in range(1, n):
+                rows = sorted(rng.sample(range(n), size))
+                cols = sorted(rng.sample(range(n), size))
+                minor = [[m[i, j] for j in cols] for i in rows]
+                assert det(m.submatrix(rows, cols)) == _dense_det(minor)
 
 
 # -- fraction-free elimination (hypothesis) ------------------------------------
@@ -434,7 +501,7 @@ def test_fraction_free_matches_dense_reference_edge_cases():
 
 def test_det_rejects_nonsquare():
     with pytest.raises(PolyError):
-        det(PolyMatrix.zeros(ABC, 2, 3))
+        det(PolyMatrix(ABC, [{}, {}], 3))
 
 
 def test_exact_div_roundtrip():
@@ -476,10 +543,13 @@ def test_mul_cancellation_drops_zero_terms():
 
 
 _matrix_entries = st.one_of(
-    st.sampled_from(["0", "0", "x", "-x", "y", "1", "x + y", "x - y"]).map(
-        lambda src: parse_poly(src, XY)
+    st.just(XY.zero()),  # about half the entries are zero
+    st.one_of(
+        st.sampled_from(["0", "x", "-x", "y", "1", "x + y", "x - y"]).map(
+            lambda src: parse_poly(src, XY)
+        ),
+        _polys,
     ),
-    _polys,
 )
 
 
@@ -518,10 +588,16 @@ def test_matrix_product_matches_triple_loop(pair):
         ]
         for i in range(len(a))
     ]
-    product = PolyMatrix(XY, a) * PolyMatrix(XY, b)
+    ma, mb = _matrix(XY, a), _matrix(XY, b)
+    product = ma * mb
     assert (product.rows, product.cols) == (len(a), len(b[0]))
-    assert product.entries == naive
-    assert all(c for row in product.entries for p in row for c in p.terms.values())
+    assert [[product[i, j] for j in range(product.cols)] for i in range(product.rows)] == naive
+    assert all(p and all(p.terms.values()) for row in product.entries for p in row.values())
+    # transpose and submatrix against the entries read as m[i, j]
+    n, k = len(a), len(b)
+    assert ma.transpose().dense() == [[ma[i, j] for i in range(n)] for j in range(k)]
+    rows, cols = range(0, n, 2), range(k - 1, -1, -2)
+    assert ma.submatrix(rows, cols).dense() == [[ma[i, j] for j in cols] for i in rows]
 
 
 # cheap to expand at any degree up to the cap: at most 65 terms
@@ -596,7 +672,7 @@ def test_minors_ideal_3x3_of_universal_matrix():
 
 
 def test_minors_ideal_zero_matrix():
-    ideal = minors_ideal(PolyMatrix.zeros(ABC, 3, 3), 1)
+    ideal = minors_ideal(PolyMatrix(ABC, [{}] * 3, 3), 1)
     assert all(g.is_zero() for g in ideal.generators)
     assert not ideal.is_unit()
 
