@@ -193,6 +193,7 @@ def cmd_spinor(args):
     ctx = cl.CliffordContext(q)
     w = _parse_subbundle(args.w, q)
     pres = cliffmod.spinor_phi(ctx, w, args.n, seed=args.seed)
+    ctx.ideals.clear()  # break the context's cycle with its ideals, as `_run_suites` does
     payload = {
         "command": "spinor",
         "n": args.n,

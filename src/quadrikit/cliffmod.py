@@ -23,7 +23,7 @@ from quadrikit.polyalg import (
 )
 from quadrikit import linalg
 from quadrikit.clifford import CliffordError, basis_columns, cl_mul, graded_basis
-from quadrikit.clifford import monomial_products, trace
+from quadrikit.clifford import monomial_products
 from quadrikit.quadform import QuadFormError, is_isotropic
 
 DEFAULT_SEED = 24237
@@ -142,7 +142,8 @@ def _run_samples(draw, count, worker):
 class IdealBasis:
     """Certified generating set of a one-sided Clifford ideal in degree n,
     with `rows` its coordinates over that degree's graded basis, {column:
-    term map}, and `point_rows` those rows prepared for sample points."""
+    term map}, `columns` the map from basis key to column, and `point_rows`
+    the rows prepared for sample points."""
 
     __slots__ = (
         "ctx",
@@ -151,18 +152,22 @@ class IdealBasis:
         "side",
         "generators",
         "rows",
+        "columns",
         "point_rows",
         "spanning_monomials",
         "certification",
     )
 
-    def __init__(self, ctx, w, n, side, generators, rows, spanning_monomials, certification):
+    def __init__(
+        self, ctx, w, n, side, generators, rows, columns, spanning_monomials, certification
+    ):
         self.ctx = ctx
         self.w = w
         self.n = n
         self.side = side
         self.generators = generators
         self.rows = rows
+        self.columns = columns
         self.point_rows = PointRows(ctx.base, rows)
         self.spanning_monomials = spanning_monomials
         self.certification = certification
@@ -211,7 +216,8 @@ def clifford_ideal(ctx, w, n, side="left", seed=DEFAULT_SEED):
 
     # a dropped row is zero or a multiple of an earlier one, never independent
     echelon = linalg.Echelon()
-    selected = [i for i, row in zip(rows.kept, rows.at(point.assignment)) if echelon.add(row)]
+    at_point = rows.at(ctx.base.point(point.assignment))
+    selected = [i for i, row in zip(rows.kept, at_point) if echelon.add(row)]
     if len(selected) != expected:
         raise CliffModError(
             f"ideal rank {len(selected)} != expected {expected} at generic "
@@ -226,11 +232,11 @@ def clifford_ideal(ctx, w, n, side="left", seed=DEFAULT_SEED):
         "degenerate_base": degenerate_base,
         "extra_points": [],
     }
-    ideal = IdealBasis(ctx, w, n, side, generators, coords, monomials, certification)
+    ideal = IdealBasis(ctx, w, n, side, generators, coords, columns, monomials, certification)
     if not degenerate_base:
         for _ in range(CERT_SAMPLES):
             extra = draw()
-            ok = linalg.q_rank(ideal.point_rows.at(extra.assignment)) == expected
+            ok = linalg.q_rank(ideal.point_rows.at(ctx.base.point(extra.assignment))) == expected
             certification["extra_points"].append({"point": extra.as_strings(), "full_rank": ok})
             if not ok:
                 raise CliffModError(f"selected generators drop rank at {extra!r}")
@@ -246,37 +252,46 @@ def _ideal(ctx, w, n, side, seed):
     return ctx.ideals[key]
 
 
-def check_l_periodicity(ctx, w, n, side="left", seed=DEFAULT_SEED):
-    """Exact coordinate equality of the degree n+2 ideal with the l-shift
-    of the degree n ideal."""
-    a = _ideal(ctx, w, n, side, seed)
-    b = _ideal(ctx, w, n + 2, side, seed)
-    return a.rows == b.rows and a.spanning_monomials == [
-        (idx, m - 1) for idx, m in b.spanning_monomials
-    ]
-
-
 def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED):
     """At off-locus points, multiplication by the degree-m component maps
     the degree-n ideal onto the degree-(m+n) ideal with the expected rank;
-    a form degenerate everywhere is refused before the products are built."""
-    basis_m = graded_basis(ctx, m)
+    a form degenerate everywhere is refused before the products are built.
+
+    The ideal generators g_j are multiplied by the algebra generators of
+    degree m, not by its whole graded basis: by e_i l^((m-1)/2), i = 1..n,
+    for odd m and by l^(m/2) alone for even m.  The image is the same.  The
+    degree-m component is l^(m//2) times the component of degree m mod 2.
+    The degree-1 component is the sum of the e_i times the degree-0 one:
+    an odd basis monomial e_I l^k is e_i1 (e_(I - i1) l^k) with i1 the
+    smallest index of I, which `act` inserts with no contraction.  The
+    ideal is the left ideal C w_top, so the degree-0 component maps its
+    degree-n part into itself.  Hence at a point where the g_j span the
+    degree-n part, the products e_i l^k g_j span the image of the whole
+    degree-m component.  These rows are a subset of the full basis rows,
+    so their rank is never higher: a point that fails with the full basis
+    fails with them too."""
+    if m % 2:
+        gens = [((i,), (m - 1) // 2) for i in range(1, ctx.rank + 1)]
+    else:
+        gens = [((), m // 2)]
     ideal_n = _ideal(ctx, w, n, "left", seed)
     ideal_mn = _ideal(ctx, w, m + n, "left", seed)
     draw = _off_locus_sampler(ctx, seed)
-    columns = basis_columns(graded_basis(ctx, m + n))
     expected = expected_ideal_rank(ctx, w)
 
-    # the products b_k g_j, one generator at a time, each prepared and
-    # dropped before the next generator's are built
+    # the products x g_j of the algebra generators x with each ideal
+    # generator g_j, one g_j at a time, each prepared and dropped before the
+    # next one's are built
+    columns = ideal_mn.columns
     product_rows = PointRows(ctx.base, (
-        row for g in ideal_n.generators for row in monomial_products(ctx, basis_m, g, columns)
+        row for g in ideal_n.generators for row in monomial_products(ctx, gens, g, columns)
     ))
 
     def worker(point):
-        ideal = ideal_mn.point_rows.at(point.assignment)
+        vals = ctx.base.point(point.assignment)
+        ideal = ideal_mn.point_rows.at(vals)
         echelon = linalg.Echelon()
-        r_prod = echelon.extend(product_rows.at(point.assignment))
+        r_prod = echelon.extend(product_rows.at(vals))
         r_ideal = linalg.q_rank(ideal)
         r_stack = echelon.extend(ideal)
         ok = r_prod == r_ideal == r_stack == expected
@@ -330,8 +345,9 @@ def verify_cokernel_sequence(ctx, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED)
     draw, degenerate = _generic_sampler(ctx, seed)
 
     def worker(point):
-        r_img = linalg.q_rank(image_rows.at(point.assignment))
-        r_quot = linalg.q_rank(quotient_rows.at(point.assignment))
+        vals = ctx.base.point(point.assignment)
+        r_img = linalg.q_rank(image_rows.at(vals))
+        r_quot = linalg.q_rank(quotient_rows.at(vals))
         ok = (dim - r_img == expected) and (r_quot == expected)
         return SampleResult(
             point.as_strings(),
@@ -366,8 +382,7 @@ def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SE
     ideal_sub = _ideal(ctx, w_sub, n, "left", seed)
     ideal_next = _ideal(ctx, w, n + 1, "left", seed)
     last = ctx.from_vector(w.vectors[-1])
-    columns = basis_columns(graded_basis(ctx, n + 1))
-
+    columns = ideal_next.columns
     mult_rows = PointRows(
         ctx.base, [cl_mul(g, last).sparse_coordinates(columns) for g in ideal_sub.generators]
     )
@@ -376,14 +391,15 @@ def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SE
     draw, degenerate = _generic_sampler(ctx, seed)
 
     def worker(point):
-        a = ideal_w.point_rows.at(point.assignment)
-        nxt = ideal_next.point_rows.at(point.assignment)
+        vals = ctx.base.point(point.assignment)
+        a = ideal_w.point_rows.at(vals)
+        nxt = ideal_next.point_rows.at(vals)
         r_w, r_next = linalg.q_rank(a), linalg.q_rank(nxt)
         echelon = linalg.Echelon()
-        r_sub = echelon.extend(ideal_sub.point_rows.at(point.assignment))
+        r_sub = echelon.extend(ideal_sub.point_rows.at(vals))
         contained = echelon.extend(a) == r_sub
         echelon = linalg.Echelon()
-        r_mult = echelon.extend(mult_rows.at(point.assignment))
+        r_mult = echelon.extend(mult_rows.at(vals))
         surjective = r_mult == r_next == echelon.extend(nxt)
         ok = contained and surjective and r_sub - r_w == r_next
         return SampleResult(
@@ -418,10 +434,18 @@ def _duality_ideals(ctx, w, k, seed):
 
 
 def _pairing_matrix(ctx, left, right):
-    # column j holds the traces of (right representative) * g_j
-    columns = [monomial_products(ctx, right.spanning_monomials, g) for g in left.generators]
-    size = len(right.spanning_monomials)
-    rows = [{j: trace(ctx.element(c[r])) for j, c in enumerate(columns)} for r in range(size)]
+    """Column j holds the traces of (right representative) * g_j.  Each
+    product has degree 0, and its trace is its coefficient of
+    e_1...e_n l^(-n/2), so only the terms that can reach e_1...e_n are
+    carried (`monomial_products` with `top`)."""
+    top = (tuple(range(1, ctx.rank + 1)), -(ctx.rank // 2))
+    columns = [
+        monomial_products(ctx, right.spanning_monomials, g, top=True) for g in left.generators
+    ]
+    rows = [
+        {j: Poly(ctx.base, c[r][top]) for j, c in enumerate(columns) if top in c[r]}
+        for r in range(len(right.spanning_monomials))
+    ]
     return PolyMatrix(ctx.base, rows, len(columns))
 
 
@@ -479,15 +503,15 @@ def spinor_phi(ctx, w, n, seed=DEFAULT_SEED):
     generators, x = sum x_i e_i the generic fiber vector."""
     src = _ideal(ctx, w, n - 1, "left", seed)
     dst = _ideal(ctx, w, n, "left", seed)
-    basis_n = graded_basis(ctx, n)
     ring = ctx.q.combined_ring()
     d = len(dst.generators)
     generators = [((i,), 0) for i in range(1, ctx.rank + 1)]
-    columns = basis_columns(basis_n)
-    images = [row for g in src.generators for row in monomial_products(ctx, generators, g, columns)]
+    images = [
+        row for g in src.generators for row in monomial_products(ctx, generators, g, dst.columns)
+    ]
     # one elimination of the sparse [target coordinates | every image], a row
     # per basis monomial; image column d + j*rank + i-1 holds x_i g_j
-    rows = [{} for _ in basis_n]
+    rows = [{} for _ in dst.columns]
     for col, coords in enumerate(dst.rows + images):
         for c, t in coords.items():
             rows[c][col] = Poly(ctx.base, t)

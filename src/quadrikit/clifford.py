@@ -174,12 +174,6 @@ class CliffordElement:
             return self.scale(other)
         return NotImplemented
 
-    def l_shift(self, k):
-        """Multiply by l^k (central, invertible)."""
-        return CliffordElement(
-            self.ctx, {(idx, m + k): c for (idx, m), c in self.terms.items()}
-        )
-
     def degree(self):
         """Common degree of all terms, None for 0, error if inhomogeneous."""
         degs = {len(idx) + 2 * m for (idx, m) in self.terms}
@@ -256,14 +250,22 @@ def cl_mul(x, y):
     return x.ctx.element(out)
 
 
-def monomial_products(ctx, keys, y, columns=None):
+def monomial_products(ctx, keys, y, columns=None, top=False):
     """[e_I l^m y for (I, m) in keys]: the left products of monomials with
     one element as raw term maps, keyed by (idx, lpow) or, given `columns`
-    (`basis_columns`), by column.  e_I y = e_i1 (e_(I - i1) y), and each
-    suffix of an I is computed once per call."""
+    (`basis_columns`), by column.  e_I y = e_i1 (e_(I - i1) y), applying
+    the indices of I from the largest down, and each suffix of an I is
+    computed once per call.
+
+    With `top`, only the terms that can still reach e_1...e_n are kept, so
+    the coefficient of e_1...e_n (`trace`) is exact and the rest is not the
+    product.  Once index i is applied only smaller ones are left, and e_j
+    inserts j or removes an index <= j, so a term's indices >= i are final:
+    a term whose index tuple does not end in (i, ..., n) is dropped."""
     if y.ctx is not ctx and y.ctx != ctx:
         raise CliffordError("context mismatch")
     memo = {(): {key: c.terms for key, c in y.terms.items()}}
+    n = ctx.rank
 
     def product(idx):
         # act from the longest suffix already known; a loop, not recursion,
@@ -273,7 +275,12 @@ def monomial_products(ctx, keys, y, columns=None):
             k += 1
         terms = memo[idx[k:]]
         for j in range(k - 1, -1, -1):
-            terms = memo[idx[j:]] = ctx.act(idx[j], terms)
+            i = idx[j]
+            terms = ctx.act(i, terms)
+            if top:
+                tail = tuple(range(i, n + 1))
+                terms = {key: c for key, c in terms.items() if key[0][i - n - 1 :] == tail}
+            memo[idx[j:]] = terms
         return terms
 
     if columns is None:
@@ -381,25 +388,11 @@ def center_element(ctx):
     n = ctx.rank
     base = ctx.base
     pfaffians = {(): base.one()}
-
-    def pfaffian(idx):
-        # expansion along the first index, memoized by the sorted index tuple
-        if idx not in pfaffians:
-            first, rest = idx[0], idx[1:]
-            total = base.zero()
-            for t, j in enumerate(rest):
-                c = ctx.q.coefficient(first, j)
-                if not c.is_zero():
-                    term = c * pfaffian(rest[:t] + rest[t + 1 :])
-                    total = total - term if t % 2 else total + term
-            pfaffians[idx] = total
-        return pfaffians[idx]
-
     indices = range(1, n + 1)
     terms = {}
     for k in range(2, n + 1, 2):
         for subset in combinations(indices, k):
-            pf = pfaffian(tuple(i for i in indices if i not in subset))
+            pf = _pfaffian(ctx.q, tuple(i for i in indices if i not in subset), pfaffians)
             if pf.is_zero():
                 continue
             coeff = pf * 2 ** (k // 2)
@@ -417,6 +410,22 @@ def center_element(ctx):
     if not (square + omega.scale(alpha) + ctx.scalar(beta)).is_zero():
         raise CliffordError("center relation does not close in {1, omega}")
     return CenterRelation(ctx, omega, alpha, beta)
+
+
+def _pfaffian(q, idx, memo):
+    """Pf of the alternating matrix of q's off-diagonal coefficients on the
+    sorted index tuple `idx`: expansion along the first index, memoized in
+    `memo` by the index tuple."""
+    if idx not in memo:
+        first, rest = idx[0], idx[1:]
+        total = q.base.zero()
+        for t, j in enumerate(rest):
+            c = q.coefficient(first, j)
+            if not c.is_zero():
+                term = c * _pfaffian(q, rest[:t] + rest[t + 1 :], memo)
+                total = total - term if t % 2 else total + term
+        memo[idx] = total
+    return memo[idx]
 
 
 def center_checks(ctx, rel):

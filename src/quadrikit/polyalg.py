@@ -412,11 +412,10 @@ class PointRows:
             self._rows.append((tuple(col for col, _ in nonzero), tuple(ids)))
         self._monos, self._entries = list(monos), list(entries)
 
-    def at(self, assignment):
-        """The kept rows at one point as sparse rows {column: value} of the
-        nonzero values, ints at an integral point; a variable without a
-        value raises where it occurs."""
-        vals = self.ring.point(assignment)
+    def at(self, vals):
+        """The kept rows at one point, given as `Ring.point` resolves it, as
+        sparse rows {column: value} of the nonzero values, ints at an
+        integral point; a variable without a value raises where it occurs."""
         mono = [_monomial_value(self.ring, m, vals) for m in self._monos]
         value = [sum(c * mono[k] for k, c in entry) for entry in self._entries]
         return [

@@ -149,7 +149,7 @@ def test_criterion_3_clifford_algebra_suite():
         for _ in range(100):
             coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(4)]
             v = rank4.from_vector(coords)
-            assert cl_mul(v, v) == rank4.scalar(rank4.q.apply(coords)).l_shift(1)
+            assert cl_mul(v, v) == rank4.scalar(rank4.q.apply(coords)) * rank4.l_power(1)
 
         def random_homogeneous(ctx, degree):
             elem = ctx.zero()
@@ -172,7 +172,7 @@ def test_criterion_3_clifford_algebra_suite():
                     anti = cl_mul(rank4.generator(i), rank4.generator(j)) + cl_mul(
                         rank4.generator(j), rank4.generator(i)
                     )
-                    assert anti == rank4.scalar(b[i - 1, j - 1]).l_shift(1)
+                    assert anti == rank4.scalar(b[i - 1, j - 1]) * rank4.l_power(1)
 
         # center: commutes with the degree-0 component exactly; against the
         # degree-1 component it satisfies the cover-involution law

@@ -548,9 +548,10 @@ def test_run_suites_builds_each_ideal_once(monkeypatch):
     assert len(built) == len(set(built)) == 9
 
 
-def test_run_suites_leaves_no_context_to_the_cyclic_collector():
+def test_run_suites_leaves_no_context_to_the_cyclic_collector(monkeypatch, capsys):
     """A context and its ideals refer to each other; a finished run breaks
-    the cycle, so reference counting alone frees the run's context."""
+    the cycle, so reference counting alone frees the run's context.  So do
+    finished `spinor` and `clifford --center` commands."""
     import gc
 
     from quadrikit import cli
@@ -560,17 +561,25 @@ def test_run_suites_leaves_no_context_to_the_cyclic_collector():
     def contexts():
         return {id(x) for x in gc.get_objects() if isinstance(x, CliffordContext)}
 
+    monkeypatch.chdir(DATA.parent)
     q = load_qf(DATA / "universal.qf")
-    gc.collect()
-    gc.disable()
-    try:
-        alive = contexts()  # other tests' contexts, held by their modules
-        reports = cli._run_suites(q, "all", 5, 1)
-        left = contexts() - alive
-    finally:
-        gc.enable()
-    assert all(r.ok for r in reports)
-    assert left == set()
+    runs = [
+        lambda: all(r.ok for r in cli._run_suites(q, "all", 5, 1)),
+        lambda: main(["spinor", "data/universal.qf", "--w", "1,0,0,0", "--n", "1"]) == 0,
+        lambda: main(["clifford", "data/universal.qf", "--center"]) == 0,
+    ]
+    for run in runs:
+        gc.collect()
+        gc.disable()
+        try:
+            alive = contexts()  # other tests' contexts, held by their modules
+            ok = run()
+            left = contexts() - alive
+        finally:
+            gc.enable()
+        assert ok
+        assert left == set()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

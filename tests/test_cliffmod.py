@@ -9,12 +9,19 @@ from hypothesis import strategies as st
 from quadrikit import cliffmod, linalg, polyalg
 from quadrikit.polyalg import PointRows, PolyMatrix, Ring, det, parse_poly
 from quadrikit.quadform import QuadFormError, QuadraticForm, Subbundle, load_qf
-from quadrikit.clifford import CliffordContext, center_element, cl_mul, graded_basis
+from quadrikit.clifford import (
+    CliffordContext,
+    basis_columns,
+    center_element,
+    cl_mul,
+    graded_basis,
+    monomial_products,
+    trace,
+)
 from quadrikit.cliffmod import (
     DEFAULT_SEED,
     CliffModError,
     Specialization,
-    check_l_periodicity,
     clifford_ideal,
     duality_pairing,
     expected_ideal_rank,
@@ -180,17 +187,28 @@ def test_greedy_selection_skips_zero_and_proportional_rows():
     ):
         plain, fast = linalg.Echelon(), linalg.Echelon()
         reference = [i for i, row in enumerate(rows) if plain.add([p.evaluate(point) for p in row])]
-        selected = [i for i, row in zip(prepared.kept, prepared.at(point)) if fast.add(row)]
+        at_point = prepared.at(ring.point(point))
+        selected = [i for i, row in zip(prepared.kept, at_point) if fast.add(row)]
         assert selected == reference
         assert fast.pivots == plain.pivots and fast.kernel(3) == plain.kernel(3)
 
 
+def _l_periodic(ctx, w, n):
+    """The degree n+2 ideal is l times the degree-n ideal, coordinate for
+    coordinate: the same rows, spanned by the monomials shifted by l."""
+    a = cliffmod._ideal(ctx, w, n, "left", DEFAULT_SEED)
+    b = cliffmod._ideal(ctx, w, n + 2, "left", DEFAULT_SEED)
+    return a.rows == b.rows and b.spanning_monomials == [
+        (idx, m + 1) for idx, m in a.spanning_monomials
+    ]
+
+
 def test_l_periodicity_exact():
     ctx = universal_ctx()
-    assert check_l_periodicity(ctx, span_e1(ctx), 0)
-    assert check_l_periodicity(ctx, span_e1(ctx), -1)
-    assert check_l_periodicity(ctx, Subbundle.empty(ctx.base, 4), 0)
-    assert check_l_periodicity(corank2_ctx(), span_e13(corank2_ctx()), 0)
+    assert _l_periodic(ctx, span_e1(ctx), 0)
+    assert _l_periodic(ctx, span_e1(ctx), -1)
+    assert _l_periodic(ctx, Subbundle.empty(ctx.base, 4), 0)
+    assert _l_periodic(corank2_ctx(), span_e13(corank2_ctx()), 0)
 
 
 def test_context_builds_each_ideal_once(monkeypatch):
@@ -208,7 +226,7 @@ def test_context_builds_each_ideal_once(monkeypatch):
     monkeypatch.setattr(cliffmod, "clifford_ideal", counted)
     spinor_phi(ctx, w, 0)
     spinor_phi(ctx, w, 1)
-    assert check_l_periodicity(ctx, w, -1)
+    assert _l_periodic(ctx, w, -1)
     assert verify_mf_report(ctx, w, [-1, 0, 1]).ok
     assert built == [(-1, "left"), (0, "left"), (1, "left")]
     spinor_phi(ctx, span_e1(ctx), 0)
@@ -261,6 +279,45 @@ def test_multiplication_iso_periodicity_note():
     ctx = universal_ctx()
     report = verify_multiplication_iso(ctx, span_e1(ctx), 2, 0)
     assert any("l-shift" in note and "True" in note for note in report.notes)
+
+
+_PINNED_QF = sorted((Path(__file__).resolve().parent / "pinned").glob("*.qf"))
+_ALL_QF = _QF_FILES + _PINNED_QF
+
+
+def _suite_subbundle(q):
+    """The subbundle `verify` runs its suites on."""
+    from quadrikit.cli import _pick_isotropic_generator
+
+    return _pick_isotropic_generator(q) or Subbundle.empty(q.base, q.n)
+
+
+@pytest.mark.parametrize("path", _ALL_QF, ids=[p.stem for p in _ALL_QF])
+def test_multiplication_iso_generator_rows_have_the_full_basis_rank(path):
+    """At every sample point, the products of the degree-m algebra
+    generators with the ideal generators have the rank of the products
+    b_k g_j of the whole degree-m graded basis, the rows the suite once
+    built; a form with no point off the locus is refused."""
+    q = load_qf(str(path))
+    ctx = CliffordContext(q)
+    w = _suite_subbundle(q)
+    for m, n in ((1, 0), (1, 1), (2, 0)):
+        if q.det_bilinear().is_zero():
+            with pytest.raises(CliffModError, match="degenerate everywhere"):
+                verify_multiplication_iso(ctx, w, m, n)
+            continue
+        report = verify_multiplication_iso(ctx, w, m, n)
+        ideal_n = cliffmod._ideal(ctx, w, n, "left", DEFAULT_SEED)
+        columns = basis_columns(graded_basis(ctx, m + n))
+        full = PointRows(ctx.base, [
+            row
+            for g in ideal_n.generators
+            for row in monomial_products(ctx, graded_basis(ctx, m), g, columns)
+        ])
+        assert len(report.samples) == 5
+        for s in report.samples:
+            vals = ctx.base.point(Specialization(s.point).assignment)
+            assert s.data["product_rank"] == linalg.q_rank(full.at(vals))
 
 
 def test_cokernel_universal():
@@ -380,6 +437,29 @@ def test_everywhere_degenerate_form_refused_before_products(monkeypatch):
         verify_multiplication_iso(ctx, w, 1, 0)
     with pytest.raises(CliffModError, match="degenerate everywhere"):
         verify_duality(ctx, w, 0)
+
+
+_DUALITY_QF = [p for p in _ALL_QF if p.stem in ("r6", "r8", "universal", "dense6", "rat6")]
+
+
+@pytest.mark.parametrize("path", _DUALITY_QF, ids=[p.stem for p in _DUALITY_QF])
+def test_pairing_matrix_is_the_trace_of_the_full_products(path):
+    """The pairing carries only the product terms that can reach
+    e_1...e_n; for every k the duality suite runs, its matrix is the one
+    read off the full products with `trace`."""
+    q = load_qf(str(path))
+    ctx = CliffordContext(q)
+    w = _suite_subbundle(q)
+    for k in range(w.r + 1):
+        left, right = cliffmod._duality_ideals(ctx, w, k, DEFAULT_SEED)
+        full = [monomial_products(ctx, right.spanning_monomials, g) for g in left.generators]
+        rows = [
+            {j: trace(ctx.element(p[r])) for j, p in enumerate(full)}
+            for r in range(len(right.spanning_monomials))
+        ]
+        expected = PolyMatrix(ctx.base, rows, len(full))
+        assert any(expected.entries)
+        assert cliffmod._pairing_matrix(ctx, left, right) == expected
 
 
 def test_duality_rank2_pairing_matrix():

@@ -222,7 +222,7 @@ def test_point_rows_match_poly_evaluate(rows, point):
     ]
     assert prepared.kept == sorted(set(first))
     assert all(any(rows[i]) for i in prepared.kept)
-    values = prepared.at(point)
+    values = prepared.at(ABC.point(point))
     assert len(values) == len(prepared.kept)
     integral = all(Fraction(x).denominator == 1 for x in point.values())
     for i, row in zip(prepared.kept, values):
@@ -235,7 +235,7 @@ def test_point_rows_match_poly_evaluate(rows, point):
     # the same rows without their zero entries
     sparse = PointRows(ABC, [{c: p.terms for c, p in enumerate(row) if p} for row in rows])
     assert sparse.kept == prepared.kept
-    assert sparse.at(point) == values
+    assert sparse.at(ABC.point(point)) == values
 
 
 @_settings
@@ -243,7 +243,8 @@ def test_point_rows_match_poly_evaluate(rows, point):
 def test_point_rows_scale_is_independent_of_the_point(rows, p1, p2):
     """A kept row's multiple is fixed when it is prepared, not per point."""
     prepared = PointRows(ABC, _term_rows(rows))
-    for i, r1, r2 in zip(prepared.kept, prepared.at(p1), prepared.at(p2)):
+    rows1, rows2 = prepared.at(ABC.point(p1)), prepared.at(ABC.point(p2))
+    for i, r1, r2 in zip(prepared.kept, rows1, rows2):
         ratios = {
             Fraction(x) / rows[i][c].evaluate(p)
             for p, r in ((p1, r1), (p2, r2))
@@ -253,23 +254,26 @@ def test_point_rows_scale_is_independent_of_the_point(rows, p1, p2):
 
 
 def test_point_rows_rejects_unknown_and_missing_variables():
+    """`PointRows.at` reads a point as `Ring.point` resolves it: a name that
+    is not a variable raises there, and a variable without a value raises
+    only where it occurs."""
     a = Poly(ABC, {(1, 0, 0): Fraction(1)})
     b = Poly(ABC, {(0, 1, 0): Fraction(1)})
     with pytest.raises(PolyError, match="unknown variable 'z'"):
-        PointRows(ABC, [{0: {}}]).at({"a": 1, "b": 1, "c": 1, "z": 1})
+        PointRows(ABC, [{0: {}}]).at(ABC.point({"a": 1, "b": 1, "c": 1, "z": 1}))
     with pytest.raises(PolyError, match="unknown variable 'z'"):
         a.evaluate({"a": 1, "z": 1})
-    # a variable without a value raises only where it occurs
-    assert PointRows(ABC, [{0: a.terms, 1: {}}]).at({"a": 2}) == [{0: 2}]
-    assert PointRows(ABC, [{0: {}}, {0: {}, 1: (a * 3).terms}]).at({"a": 2}) == [{1: 2}]
+    at_a2 = ABC.point({"a": 2})
+    assert PointRows(ABC, [{0: a.terms, 1: {}}]).at(at_a2) == [{0: 2}]
+    assert PointRows(ABC, [{0: {}}, {0: {}, 1: (a * 3).terms}]).at(at_a2) == [{1: 2}]
     with pytest.raises(PolyError, match="no value for variable 'b'"):
-        PointRows(ABC, [{0: a.terms, 1: b.terms}]).at({"a": 2})
+        PointRows(ABC, [{0: a.terms, 1: b.terms}]).at(at_a2)
     with pytest.raises(PolyError, match="no value for variable 'b'"):
-        PointRows(ABC, [{3: a.terms}, {0: (a * b).terms}]).at({"a": 2})
+        PointRows(ABC, [{3: a.terms}, {0: (a * b).terms}]).at(at_a2)
     # the first variable without a value, in row, column and term order
     c = Poly(ABC, {(0, 0, 1): Fraction(1)})
     with pytest.raises(PolyError, match="no value for variable 'b'"):
-        PointRows(ABC, [{0: {}, 1: b.terms}, {0: c.terms}]).at({"a": 2})
+        PointRows(ABC, [{0: {}, 1: b.terms}, {0: c.terms}]).at(at_a2)
 
 
 
