@@ -517,11 +517,13 @@ def spinor_phi(ctx, w, n, seed=DEFAULT_SEED):
             rows[c][col] = Poly(ctx.base, t)
     reduced, pivots, _ = fraction_free_rref(rows)
     # image columns from the first pivot among them on are not expressible;
-    # the ones before it are read off each pivot row's nonzeros
+    # the ones before it are read off each pivot row's nonzeros.  The base
+    # variables come first in `ring`, so coefficient c x^m of x_i g_j is the
+    # term (m, e_i) of phi[kk, j], and distinct i give distinct terms
     ncols = d + len(images)
     limit = next((c for c in pivots if c >= d), ncols)
     phi_rows = [{} for _ in range(d)]
-    xs = [ring.var(f"x{i}") for i in range(1, ctx.rank + 1)]
+    units = [(0,) * i + (1,) + (0,) * (ctx.rank - i - 1) for i in range(ctx.rank)]
     for row, kk in zip(reduced, pivots):
         if kk >= d:
             break
@@ -535,14 +537,16 @@ def spinor_phi(ctx, w, n, seed=DEFAULT_SEED):
                     "inconsistent generator bases"
                 ) from None
             j, i = divmod(col - d, ctx.rank)
-            term = ctx.base.embed(coeff, ring) * xs[i]
-            phi_row[j] = phi_row[j] + term if j in phi_row else term
+            terms = phi_row.setdefault(j, {})
+            for m, c in coeff.terms.items():
+                terms[m + units[i]] = c
     if limit < ncols:
         j, i = divmod(limit - d, ctx.rank)
         raise CliffModError(
             "image is not expressible in the target generators "
             f"(generator {j}, fiber index {i + 1})"
         )
+    phi_rows = [{j: Poly(ring, t) for j, t in row.items()} for row in phi_rows]
     return SpinorPresentation(ctx, w, n, PolyMatrix(ring, phi_rows, d), ring)
 
 

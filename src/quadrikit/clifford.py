@@ -257,11 +257,12 @@ def monomial_products(ctx, keys, y, columns=None, top=False):
     the indices of I from the largest down, and each suffix of an I is
     computed once per call.
 
-    With `top`, only the terms that can still reach e_1...e_n are kept, so
-    the coefficient of e_1...e_n (`trace`) is exact and the rest is not the
-    product.  Once index i is applied only smaller ones are left, and e_j
-    inserts j or removes an index <= j, so a term's indices >= i are final:
-    a term whose index tuple does not end in (i, ..., n) is dropped."""
+    With `top`, only the terms that can still reach e_1...e_n are kept, and
+    each product is given by its one entry at e_1...e_n l^(-n/2) (`trace`
+    of a degree-0 product), if nonzero.  Once index i is applied only
+    smaller ones are left, and e_j inserts j or removes an index <= j, so
+    a term's indices >= i are final: a term whose index tuple does not end
+    in (i, ..., n) is dropped."""
     if y.ctx is not ctx and y.ctx != ctx:
         raise CliffordError("context mismatch")
     memo = {(): {key: c.terms for key, c in y.terms.items()}}
@@ -283,6 +284,10 @@ def monomial_products(ctx, keys, y, columns=None, top=False):
             memo[idx[j:]] = terms
         return terms
 
+    if top:
+        key = (tuple(range(1, n + 1)), -(n // 2))
+        entries = [product(idx).get((key[0], key[1] - m)) for idx, m in keys]
+        return [{} if c is None else {key: c} for c in entries]
     if columns is None:
         return [{(i2, m2 + m): c for (i2, m2), c in product(idx).items()} for idx, m in keys]
     return [{columns[i2, m2 + m]: c for (i2, m2), c in product(idx).items()} for idx, m in keys]
@@ -431,19 +436,32 @@ def _pfaffian(q, idx, memo):
 def center_checks(ctx, rel):
     """Exact commutation facts for the center generator: omega commutes
     with the whole degree-0 component, and conjugation by any degree-1
-    monomial implements the cover involution v omega = conj(omega) v."""
+    monomial implements the cover involution v omega = conj(omega) v.
+
+    Both are checked on algebra generators, with the same answers as on
+    every basis monomial.  The commutant of omega is a subalgebra, and the
+    degree-0 monomials are products of the e_i e_j l^-1 (i < j), so
+    `commutes_degree0` is checked on those alone.  Every degree-1 monomial
+    is e_i1 b with b of degree 0, and e_i1 b omega = e_i1 omega b =
+    conj(omega) e_i1 b when omega commutes with b and the law holds for
+    e_i1.  Conversely, when the law holds for each e_i, conj(omega) =
+    -alpha - omega gives e_i conj(omega) = omega e_i, hence e_i e_j omega =
+    omega e_i e_j: the law on degree 1 implies commutation.  So
+    `twisted_degree1` is commutation and the law on e_1..e_n."""
     omega = rel.omega
     conj = rel.conjugate()
-    basis0, basis1 = graded_basis(ctx, 0), graded_basis(ctx, 1)
-    even_ok = all(
-        cl_mul(omega, ctx.monomial(*key)) == ctx.element(left)
-        for key, left in zip(basis0, monomial_products(ctx, basis0, omega))
+    pairs = [((i, j), -1) for i, j in combinations(range(1, ctx.rank + 1), 2)]
+    gens = [((i,), 0) for i in range(1, ctx.rank + 1)]
+    # the e_i omega are suffixes of the e_i e_j omega, computed once
+    left = monomial_products(ctx, pairs + gens, omega)
+    commutes = all(
+        cl_mul(omega, ctx.monomial(*key)) == ctx.element(t) for key, t in zip(pairs, left)
     )
-    odd_twisted_ok = all(
-        ctx.element(left) == cl_mul(conj, ctx.monomial(*key))
-        for key, left in zip(basis1, monomial_products(ctx, basis1, omega))
+    twisted = commutes and all(
+        ctx.element(t) == cl_mul(conj, ctx.monomial(*key))
+        for key, t in zip(gens, left[len(pairs) :])
     )
-    return {"commutes_degree0": even_ok, "twisted_degree1": odd_twisted_ok}
+    return {"commutes_degree0": commutes, "twisted_degree1": twisted}
 
 
 def orthogonal_sum_ranks(q, split):

@@ -609,9 +609,13 @@ def parse_rational(text):
 
 
 def exact_div(f, g):
-    """Quotient f/g when g divides f exactly; raises PolyError otherwise."""
+    """Quotient f/g when g divides f exactly; raises PolyError otherwise.
+    A constant g = c divides every term in one pass, and c = 1 returns f."""
     if g.is_zero():
         raise PolyError("division by zero polynomial")
+    if g.is_constant():
+        c = g.constant_term()
+        return f if c == 1 else Poly(f.ring, {m: _quo(x, c) for m, x in f.terms.items()})
     ring = f.ring
     lm_g = g.leading_monomial()
     lc_g = g.leading_coeff()
@@ -748,6 +752,10 @@ def fraction_free_rref(rows):
     as it is and brought up to date (x D_now / D_then, again an exact
     division) only when it is read: as a pivot candidate, as a row to
     update, or in the result.
+
+    A pivot equal to the constant 1 is recorded as no denominator, as D
+    is before the first pivot: its step computes x - f y, and neither that
+    step, the next one nor a catch-up multiplies or divides by it.
     """
     a = [{j: x for j, x in row.items() if x} for row in rows]
     nrows = len(a)
@@ -761,7 +769,9 @@ def fraction_free_rref(rows):
         if now != then:
             row = a[i]
             for j, x in row.items():
-                row[j] = x * now if then is None else exact_div(x * now, then)
+                if now is not None:
+                    x = x * now
+                row[j] = x if then is None else exact_div(x, then)
         level[i] = len(pivots)
 
     for c in sorted(set().union(*a)):
@@ -780,6 +790,7 @@ def fraction_free_rref(rows):
             sign = -sign
         pivot_row = a[r]
         d = pivot_row[c]
+        unit = d == 1
         prev = dens[-1]
         for i in range(nrows):
             row = a[i]
@@ -793,11 +804,11 @@ def fraction_free_rref(rows):
                 x = row.get(j)
                 y = pivot_row.get(j)
                 if y is None:
-                    num = d * x
+                    num = x if unit else d * x
                 elif x is None:
                     num = -(f * y)
                 else:
-                    num = d * x - f * y
+                    num = (x if unit else d * x) - f * y
                 if prev is not None:
                     num = exact_div(num, prev)
                 if num:
@@ -806,7 +817,7 @@ def fraction_free_rref(rows):
                     row.pop(j, None)
             level[i] = r + 1
         pivots.append(c)
-        dens.append(d)
+        dens.append(None if unit else d)
         level[r] = r + 1  # the pivot row is not rescaled at its own step
     for i in range(nrows):
         catch_up(i)

@@ -35,9 +35,10 @@ from quadrikit import linalg
 L_WEIGHT = 2  # degree of the value line bundle; fiber generators have degree 1
 
 # Largest fiber rank a .qf file may declare: the even Clifford algebra has a
-# 2^(n-1)-element graded basis (2048 at the cap); the center costs one
-# product omega * omega, and `center_checks` multiplies omega by each
-# basis monomial of degrees 0 and 1.
+# 2^(n-1)-element graded basis (2048 at the cap), and omega has up to that
+# many terms; the center costs one product omega * omega, and
+# `center_checks` multiplies omega on each side by the n(n+1)/2 algebra
+# generators e_i e_j l^-1 (i < j) and e_i.
 MAX_FIBER_RANK = 12
 
 

@@ -583,12 +583,20 @@ def test_run_suites_leaves_no_context_to_the_cyclic_collector(monkeypatch, capsy
 
 
 @pytest.mark.parametrize(
-    "name, path", [("r8", "data/r8.qf"), ("dense6", "tests/pinned/dense6.qf")], ids=["r8", "dense6"]
+    "name, path",
+    [
+        ("r8", "data/r8.qf"),
+        ("dense6", "tests/pinned/dense6.qf"),
+        ("r10", "tests/pinned/r10.qf"),
+    ],
+    ids=["r8", "dense6", "r10"],
 )
 def test_center_pinned(name, path, monkeypatch, capsys):
     """`clifford --center --json` from the closed-form center, pinned from
     the commutator elimination it replaced: R8, and a dense rank-6 form
-    over Q[a,b] on which that elimination took ~49 s."""
+    over Q[a,b] on which that elimination took ~49 s.  The README's
+    rank-10 form is pinned from the checks on every basis monomial (1024
+    products per side), before they ran on the algebra generators (55)."""
     monkeypatch.chdir(DATA.parent)
     assert main(["clifford", path, "--center", "--json"]) == 0
     pinned = Path(__file__).resolve().parent / "pinned" / f"{name}_center.json"

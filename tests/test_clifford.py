@@ -488,10 +488,10 @@ def test_center_corank2_satisfies_the_cover_involution():
 _degenerate_coefficients = ["1", "-1", "2", "1/2", "a", "b", "a*b", "(a - 2*b)"]
 
 
-@pytest.mark.parametrize("rank, count", [(4, 6), (6, 3)])
-def test_center_checks_on_degenerate_forms(rank, count):
-    # seeded forms that omit one or two fiber variables, so det b_q = 0
+def _degenerate_forms(rank, count):
+    """Seeded forms that omit one or two fiber variables, so det b_q = 0."""
     rng = random.Random(rank)
+    forms = []
     for _ in range(count):
         kept = sorted(rng.sample(range(1, rank + 1), rank - rng.choice([1, 2])))
         terms = [
@@ -500,23 +500,37 @@ def test_center_checks_on_degenerate_forms(rank, count):
             for j in kept
             if i <= j and rng.random() < 0.7
         ]
-        q = QuadraticForm.from_expression(["a", "b"], rank, " + ".join(terms) or "0")
+        forms.append(QuadraticForm.from_expression(["a", "b"], rank, " + ".join(terms) or "0"))
+    return forms
+
+
+_DEGENERATE_CASES = [(4, 6), (6, 3)]
+
+
+@pytest.mark.parametrize("rank, count", _DEGENERATE_CASES)
+def test_center_checks_on_degenerate_forms(rank, count):
+    for q in _degenerate_forms(rank, count):
         assert q.det_bilinear().is_zero()
         ctx = CliffordContext(q)
         checks = center_checks(ctx, center_element(ctx))
         assert checks == {"commutes_degree0": True, "twisted_degree1": True}, str(q.q_poly())
 
 
-@pytest.mark.parametrize("rank, ratio", [(2, -1), (4, 1), (6, -1)])
-def test_center_on_the_generic_form(rank, ratio):
-    """One base variable c<i><j> per coefficient of q.  Both laws and the
-    ratio disc/det b_q = (-1)^(n/2) are polynomial identities in the
-    coefficients, so each case proves them for every form of its rank."""
+def _generic_form(rank):
+    """One base variable c<i><j> per coefficient of q."""
     pairs = [(i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
     names = [f"c{i}{j}" for i, j in pairs]
-    q = QuadraticForm.from_expression(
+    return QuadraticForm.from_expression(
         names, rank, " + ".join(f"{c}*x{i}*x{j}" for c, (i, j) in zip(names, pairs))
     )
+
+
+@pytest.mark.parametrize("rank, ratio", [(2, -1), (4, 1), (6, -1)])
+def test_center_on_the_generic_form(rank, ratio):
+    """The generic form of each rank (`_generic_form`).  Both laws and the
+    ratio disc/det b_q = (-1)^(n/2) are polynomial identities in the
+    coefficients, so each case proves them for every form of its rank."""
+    q = _generic_form(rank)
     ctx = CliffordContext(q)
     rel = center_element(ctx)
     assert center_checks(ctx, rel) == {"commutes_degree0": True, "twisted_degree1": True}
@@ -524,6 +538,68 @@ def test_center_on_the_generic_form(rank, ratio):
     assert rel.discriminant() == _cofactor_det(q.bilinear_matrix().dense()) * ratio
     if rank <= 4:
         assert rel.discriminant_comparison() == (Fraction(ratio), Fraction(1))
+
+
+def _center_checks_on_the_basis(ctx, rel):
+    """The two laws on every basis monomial of degrees 0 and 1, as
+    `center_checks` once checked them: the oracle for its checks on the
+    algebra generators."""
+    omega = rel.omega
+    conj = rel.conjugate()
+    basis0, basis1 = graded_basis(ctx, 0), graded_basis(ctx, 1)
+    even_ok = all(
+        cl_mul(omega, ctx.monomial(*key)) == ctx.element(left)
+        for key, left in zip(basis0, monomial_products(ctx, basis0, omega))
+    )
+    odd_twisted_ok = all(
+        ctx.element(left) == cl_mul(conj, ctx.monomial(*key))
+        for key, left in zip(basis1, monomial_products(ctx, basis1, omega))
+    )
+    return {"commutes_degree0": even_ok, "twisted_degree1": odd_twisted_ok}
+
+
+def _perturbed_relations(ctx, rel):
+    """rel itself, and omega moved off the center: by a pair generator
+    (breaks commutation), by a scalar (commutes, breaks the twisted law)
+    and to the top monomial alone."""
+    n = ctx.rank
+    moved = [
+        ctx.monomial((1, 2), -1),
+        ctx.monomial((1, n), -1).scale(ctx.base.const(3)),
+        ctx.one(),
+    ]
+    top = ctx.monomial(tuple(range(1, n + 1)), -(n // 2))
+    omegas = [rel.omega + d for d in moved] + [top]
+    return [rel] + [CenterRelation(ctx, omega, rel.alpha, rel.beta) for omega in omegas]
+
+
+def _even_rank_forms():
+    files = sorted(DATA.glob("*.qf")) + sorted(PINNED.glob("*.qf"))
+    forms = [(p.stem, load_qf(p)) for p in files]
+    forms += [(f"generic{rank}", _generic_form(rank)) for rank in (2, 4, 6)]
+    for rank, count in _DEGENERATE_CASES:
+        forms += [(f"degenerate{rank}_{k}", q) for k, q in enumerate(_degenerate_forms(rank, count))]
+    # rank 10 is left to its pin, recorded from the checks on the basis
+    return [(name, q) for name, q in forms if q.n % 2 == 0 and q.n <= 8]
+
+
+_CENTER_FORMS = _even_rank_forms()
+
+
+@pytest.mark.parametrize("name, q", _CENTER_FORMS, ids=[name for name, _ in _CENTER_FORMS])
+def test_center_checks_match_the_basis_oracle(name, q):
+    """The checks on the algebra generators give both booleans of the
+    checks on every basis monomial, for the center and for elements moved
+    off it, so the False branches of both laws are compared."""
+    ctx = CliffordContext(q)
+    rel = center_element(ctx)
+    seen = set()
+    for r in _perturbed_relations(ctx, rel):
+        checks = center_checks(ctx, r)
+        assert checks == _center_checks_on_the_basis(ctx, r), str(r.omega)
+        seen.add((checks["commutes_degree0"], checks["twisted_degree1"]))
+    # at rank 2 the even part is commutative
+    assert seen == {(True, True), (True, False)} | ({(False, False)} if q.n > 2 else set())
 
 
 def _cofactor_det(entries):

@@ -516,6 +516,81 @@ def test_exact_div_roundtrip():
         exact_div(parse_poly("x + 1", XY), parse_poly("y", XY))
 
 
+def _long_division(f, g):
+    """The division loop `exact_div` runs for a non-constant divisor, on
+    every divisor: the oracle for its one-pass constant case."""
+    quotient = {}
+    rest = f.terms
+    lm_g = g.leading_monomial()
+    while rest:
+        lm = K.leading_monomial(rest)
+        q = tuple(a - b for a, b in zip(lm, lm_g))
+        assert min(q) >= 0
+        c = Fraction(rest[lm]) / g.leading_coeff()
+        quotient[q] = c
+        rest = K.sub_terms(rest, K.shift_terms(g.terms, q, c))
+    return quotient
+
+
+def test_exact_div_by_a_constant():
+    """A constant divisor divides every term in one pass: the quotient of
+    long division, with ints where it is integral; 1 gives f itself."""
+    for text in ("0", "6*x^2*y - 3*y + 9", "1/2*x - 4/3*y^3 + 2", "x*y"):
+        f = parse_poly(text, XY)
+        assert exact_div(f, XY.one()) is f
+        for c in (1, -1, 3, Fraction(2, 3)):
+            quotient = exact_div(f, XY.const(c))
+            assert quotient.terms == _long_division(f, XY.const(c))
+            assert _conforming(quotient.terms)
+            assert quotient * c == f
+    assert exact_div(parse_poly("6*x - 3", XY), XY.const(3)).terms == {(1, 0): 2, (0, 0): -1}
+    with pytest.raises(PolyError):
+        exact_div(parse_poly("x + 1", XY), XY.zero())
+
+
+def _unit_minor_rows():
+    """Rows whose pivots are x, then 1 (the leading 2x2 minor is 1), then
+    non-constant again: D goes x -> 1 -> ..., and the third row, left
+    behind at D = x by the unit step, catches up by dividing by x."""
+    x, y = XY.gens()
+    z, one = XY.zero(), XY.one()
+    return [
+        [x, one, y, z],
+        [-one, z, one, y],
+        [x, one, x, one],
+        [z, y, one, x + y],
+    ]
+
+
+def test_fraction_free_unit_pivot_matches_dense_reference(monkeypatch):
+    """A unit pivot is no denominator: the result is the dense reference's,
+    and no entry is ever divided by a constant."""
+    divisors = []
+
+    def recording_div(f, g):
+        divisors.append(g)
+        return exact_div(f, g)
+
+    monkeypatch.setattr(quadrikit.polyalg, "exact_div", recording_div)
+    x = XY.gens()[0]
+    a = _unit_minor_rows()
+    assert _dense_det([row[:2] for row in a[:2]]) == XY.one()
+    # a unit minor in the middle of a taller system too
+    taller = a + [[XY.zero(), x, XY.one(), XY.zero()], [x * x, XY.zero(), x, XY.one()]]
+    for rows in (a, taller):
+        assert _rref(rows) == _dense_bareiss_reference(rows)
+    assert x in divisors
+    assert not any(g.is_constant() for g in divisors)
+
+
+def test_det_bareiss_with_a_unit_minor():
+    from quadrikit.polyalg import _det_bareiss, _det_cofactor
+
+    m = _matrix(XY, _unit_minor_rows())
+    assert _det_bareiss(m) == _det_cofactor(m) == _dense_det(_unit_minor_rows())
+    assert not _det_bareiss(m).is_zero()
+
+
 # -- the monomial order key (hypothesis) --------------------------------------
 
 _monos = st.tuples(*[st.integers(0, 3)] * 4)
