@@ -7,9 +7,9 @@ output."""
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from quadrikit.polyalg import ParseError, PolyError, parse_rational
 from quadrikit import quadform
@@ -64,9 +64,33 @@ def _parse_subbundle(text, q):
     return Subbundle(vectors, q.base)
 
 
+def _json(obj, indent="\n"):
+    """The bytes of `json.dumps(obj, indent=2, sort_keys=True)` for a tree of
+    str-keyed dicts, lists, str, int, bool and None; any other type raises.
+    `indent=2` would make `json` fall back to its pure-Python encoder."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = sorted(obj.items())
+        body = ",".join(f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in items)
+        return "{" + body + indent + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        return "[" + ",".join(inner + _json(v, inner) for v in obj) + indent + "]"
+    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+
+
 def _emit(args, payload, text_lines):
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json(payload))
     else:
         for line in text_lines:
             print(line)
@@ -328,8 +352,10 @@ def _run_suites(q, suite, seed, samples):
         for sub, degrees in runs:
             reports.append(cliffmod.verify_mf_report(ctx, sub, degrees, seed=seed))
     # the ideals refer back to the context: clearing them lets reference
-    # counting, not the cyclic collector, free the finished run
+    # counting, not the cyclic collector, free the finished run, and no
+    # sample point outlives it
     ctx.ideals.clear()
+    ctx.points.clear()
     return reports
 
 

@@ -4,9 +4,11 @@ matrices checked as matrix factorizations of the quadratic form.
 
 Local freeness is certified sample-wise: a generic base point plus five
 further points off the first degeneration locus, drawn from a fixed seed.
-A context owns its ideals: `_ideal` builds each (subbundle, degree, side,
-seed) ideal once per context and keeps it in `CliffordContext.ideals`; an
-ideal's rows are prepared for sample points once, as its `point_rows`.
+A context owns its ideals and its sample points: `_ideal` builds each
+(subbundle, degree, side, seed) ideal once per context and keeps it in
+`CliffordContext.ideals`, with its rows prepared for sample points once, as
+its `point_rows`; `_points` draws each seed's points once per context, in
+`CliffordContext.points`, and every ideal and verifier reads that sequence.
 """
 
 import random
@@ -38,58 +40,59 @@ class CliffModError(CliffordError):
 
 class Specialization:
     """A rational base point; `generic` points are rejection-sampled off the
-    zero locus of a given polynomial, counting the rejected draws."""
+    zero locus of a given polynomial, counting the rejected draws.  A point
+    is resolved once: `vals` holds its `Ring.point` values when it has a
+    ring, and `as_strings()` one dict of its printed coordinates."""
 
-    __slots__ = ("assignment", "rejections")
+    __slots__ = ("assignment", "rejections", "vals", "_strings")
 
-    def __init__(self, assignment, rejections=0):
+    def __init__(self, assignment, rejections=0, ring=None):
         self.assignment = {k: Fraction(v) for k, v in assignment.items()}
         self.rejections = rejections
+        self.vals = None if ring is None else ring.point(self.assignment)
+        self._strings = {k: str(v) for k, v in sorted(self.assignment.items())}
 
     @classmethod
     def generic(cls, ring, rng, avoid=None):
         """Sample integer coordinates in `_SAMPLE_RANGE` until `avoid` is
         nonzero there."""
-        rejections = 0
-        for _ in range(_MAX_TRIES):
+        for rejections in range(_MAX_TRIES):
             assignment = {v: rng.randint(*_SAMPLE_RANGE) for v in ring.variables}
             if avoid is None or avoid.evaluate(assignment) != 0:
-                return cls(assignment, rejections=rejections)
-            rejections += 1
+                return cls(assignment, rejections, ring)
         raise CliffModError(
             f"could not sample a point off the avoided locus after {_MAX_TRIES} tries"
         )
 
     def as_strings(self):
-        return {k: str(v) for k, v in sorted(self.assignment.items())}
+        return self._strings
 
     def __repr__(self):
-        body = ", ".join(f"{k}={v}" for k, v in sorted(self.assignment.items()))
+        body = ", ".join(f"{k}={v}" for k, v in self._strings.items())
         return f"Specialization({body})"
 
 
-def _generic_sampler(ctx, seed):
-    """Generic point for rank certification; falls back to unconstrained
-    sampling when det b_q is identically zero (recorded by the caller)."""
-    detb = ctx.q.det_bilinear()
-    avoid = None if detb.is_zero() else detb
-    rng = random.Random(seed)
+def _points(ctx, seed, count):
+    """The first `count` points of the context's sequence for `seed`, and
+    whether det b_q is identically zero: then the points are unconstrained
+    (recorded by the caller), else they avoid its zero locus.  The sequence
+    keeps its generator and the points drawn so far, and draws more only
+    when asked for more."""
+    if seed not in ctx.points:
+        detb = ctx.q.det_bilinear()
+        ctx.points[seed] = (random.Random(seed), None if detb.is_zero() else detb, [])
+    rng, avoid, drawn = ctx.points[seed]
+    while len(drawn) < count:
+        drawn.append(Specialization.generic(ctx.base, rng, avoid=avoid))
+    return drawn[:count], avoid is None
 
-    def draw():
-        return Specialization.generic(ctx.base, rng, avoid=avoid)
 
-    return draw, avoid is None
-
-
-def _off_locus_sampler(ctx, seed):
-    """Yield specializations avoiding the first degeneration locus; errors
-    when that locus is the whole base."""
-    draw, degenerate = _generic_sampler(ctx, seed)
-    if degenerate:
+def _refuse_degenerate(ctx, seed):
+    """Errors when the first degeneration locus is the whole base."""
+    if _points(ctx, seed, 0)[1]:
         raise CliffModError(
             "the form is degenerate everywhere; no point lies off the locus"
         )
-    return draw
 
 
 @dataclass
@@ -132,11 +135,13 @@ class Report:
         return "\n".join(lines)
 
 
-def _run_samples(draw, count, worker):
+def _run_samples(ctx, seed, count, worker):
+    """The worker's results at the first `count` points of the sequence, and
+    whether det b_q is identically zero."""
     if count < 1:
         raise CliffModError(f"need at least one sample point, got {count}")
-    points = [draw() for _ in range(count)]
-    return [worker(p) for p in points]
+    points, degenerate = _points(ctx, seed, count)
+    return [worker(p) for p in points], degenerate
 
 
 class IdealBasis:
@@ -159,7 +164,8 @@ class IdealBasis:
     )
 
     def __init__(
-        self, ctx, w, n, side, generators, rows, columns, spanning_monomials, certification
+        self, ctx, w, n, side, generators, rows, columns, point_rows, spanning_monomials,
+        certification,
     ):
         self.ctx = ctx
         self.w = w
@@ -168,7 +174,7 @@ class IdealBasis:
         self.generators = generators
         self.rows = rows
         self.columns = columns
-        self.point_rows = PointRows(ctx.base, rows)
+        self.point_rows = point_rows
         self.spanning_monomials = spanning_monomials
         self.certification = certification
 
@@ -209,34 +215,34 @@ def clifford_ideal(ctx, w, n, side="left", seed=DEFAULT_SEED):
             cl_mul(omega_w, ctx.monomial(*key)).sparse_coordinates(columns) for key in span_basis
         ]
 
-    draw, degenerate_base = _generic_sampler(ctx, seed)
-    point = draw()
+    (point,), degenerate_base = _points(ctx, seed, 1)
     rows = PointRows(ctx.base, sparse_rows)
     expected = expected_ideal_rank(ctx, w)
 
     # a dropped row is zero or a multiple of an earlier one, never independent
     echelon = linalg.Echelon()
-    at_point = rows.at(ctx.base.point(point.assignment))
-    selected = [i for i, row in zip(rows.kept, at_point) if echelon.add(row)]
+    selected = [k for k, row in enumerate(rows.at(point.vals)) if echelon.add(row)]
     if len(selected) != expected:
         raise CliffModError(
             f"ideal rank {len(selected)} != expected {expected} at generic "
             f"point {point!r}"
         )
-    coords = [sparse_rows[i] for i in selected]
+    coords = [sparse_rows[rows.kept[k]] for k in selected]
     generators = [ctx.element({target_basis[c]: t for c, t in row.items()}) for row in coords]
-    monomials = [span_basis[i] for i in selected]
+    monomials = [span_basis[rows.kept[k]] for k in selected]
     certification = {
         "generic_point": point.as_strings(),
         "rejections": point.rejections,
         "degenerate_base": degenerate_base,
         "extra_points": [],
     }
-    ideal = IdealBasis(ctx, w, n, side, generators, coords, columns, monomials, certification)
+    ideal = IdealBasis(
+        ctx, w, n, side, generators, coords, columns, rows.select(selected), monomials,
+        certification,
+    )
     if not degenerate_base:
-        for _ in range(CERT_SAMPLES):
-            extra = draw()
-            ok = linalg.q_rank(ideal.point_rows.at(ctx.base.point(extra.assignment))) == expected
+        for extra in _points(ctx, seed, 1 + CERT_SAMPLES)[0][1:]:
+            ok = linalg.q_rank(ideal.point_rows.at(extra.vals)) == expected
             certification["extra_points"].append({"point": extra.as_strings(), "full_rank": ok})
             if not ok:
                 raise CliffModError(f"selected generators drop rank at {extra!r}")
@@ -276,7 +282,7 @@ def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_S
         gens = [((), m // 2)]
     ideal_n = _ideal(ctx, w, n, "left", seed)
     ideal_mn = _ideal(ctx, w, m + n, "left", seed)
-    draw = _off_locus_sampler(ctx, seed)
+    _refuse_degenerate(ctx, seed)
     expected = expected_ideal_rank(ctx, w)
 
     # the products x g_j of the algebra generators x with each ideal
@@ -288,10 +294,9 @@ def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_S
     ))
 
     def worker(point):
-        vals = ctx.base.point(point.assignment)
-        ideal = ideal_mn.point_rows.at(vals)
+        ideal = ideal_mn.point_rows.at(point.vals)
         echelon = linalg.Echelon()
-        r_prod = echelon.extend(product_rows.at(vals))
+        r_prod = echelon.extend(product_rows.at(point.vals))
         r_ideal = linalg.q_rank(ideal)
         r_stack = echelon.extend(ideal)
         ok = r_prod == r_ideal == r_stack == expected
@@ -301,7 +306,7 @@ def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_S
             {"product_rank": r_prod, "ideal_rank": r_ideal, "stacked_rank": r_stack},
         )
 
-    results = _run_samples(draw, samples, worker)
+    results, _ = _run_samples(ctx, seed, samples, worker)
     notes = []
     ok = all(r.ok for r in results)
     if m == 2:
@@ -340,14 +345,9 @@ def verify_cokernel_sequence(ctx, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED)
     columns = basis_columns(graded_basis(ctx, n + w.r))
     quotient_rows = PointRows(ctx.base, monomial_products(ctx, basis_n, omega_w, columns))
 
-    # this sequence needs no primitivity, so degenerate bases fall back to
-    # unconstrained sample points
-    draw, degenerate = _generic_sampler(ctx, seed)
-
     def worker(point):
-        vals = ctx.base.point(point.assignment)
-        r_img = linalg.q_rank(image_rows.at(vals))
-        r_quot = linalg.q_rank(quotient_rows.at(vals))
+        r_img = linalg.q_rank(image_rows.at(point.vals))
+        r_quot = linalg.q_rank(quotient_rows.at(point.vals))
         ok = (dim - r_img == expected) and (r_quot == expected)
         return SampleResult(
             point.as_strings(),
@@ -355,7 +355,9 @@ def verify_cokernel_sequence(ctx, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED)
             {"dim": dim, "image_rank": r_img, "quotient_rank": r_quot},
         )
 
-    results = _run_samples(draw, samples, worker)
+    # this sequence needs no primitivity, so degenerate bases fall back to
+    # unconstrained sample points
+    results, degenerate = _run_samples(ctx, seed, samples, worker)
     notes = [f"composite with w_top vanishes identically: {composite_zero}"]
     if degenerate:
         notes.append("degenerate base: sample points are not off the locus")
@@ -387,11 +389,8 @@ def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SE
         ctx.base, [cl_mul(g, last).sparse_coordinates(columns) for g in ideal_sub.generators]
     )
 
-    # holds without primitivity; fall back on degenerate bases
-    draw, degenerate = _generic_sampler(ctx, seed)
-
     def worker(point):
-        vals = ctx.base.point(point.assignment)
+        vals = point.vals
         a = ideal_w.point_rows.at(vals)
         nxt = ideal_next.point_rows.at(vals)
         r_w, r_next = linalg.q_rank(a), linalg.q_rank(nxt)
@@ -414,7 +413,8 @@ def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SE
             },
         )
 
-    results = _run_samples(draw, samples, worker)
+    # holds without primitivity; fall back on degenerate bases
+    results, degenerate = _run_samples(ctx, seed, samples, worker)
     notes = []
     if degenerate:
         notes.append("degenerate base: sample points are not off the locus")
@@ -462,7 +462,7 @@ def verify_duality(ctx, w, k, samples=CERT_SAMPLES, seed=DEFAULT_SEED):
     from quadrikit.polyalg import det
 
     left, right = _duality_ideals(ctx, w, k, seed)
-    draw = _off_locus_sampler(ctx, seed)
+    _refuse_degenerate(ctx, seed)
     pairing = _pairing_matrix(ctx, left, right)
     d = det(pairing)
 
@@ -470,7 +470,7 @@ def verify_duality(ctx, w, k, samples=CERT_SAMPLES, seed=DEFAULT_SEED):
         value = d.evaluate(point.assignment)
         return SampleResult(point.as_strings(), value != 0, {"det": str(value)})
 
-    results = _run_samples(draw, samples, worker)
+    results, _ = _run_samples(ctx, seed, samples, worker)
     return Report(
         operation="duality",
         configuration={"w_rank": w.r, "k": k, "size": pairing.rows},

@@ -412,6 +412,23 @@ class PointRows:
             self._rows.append((tuple(col for col, _ in nonzero), tuple(ids)))
         self._monos, self._entries = list(monos), list(entries)
 
+    def select(self, positions):
+        """The kept rows at `positions` in `kept`, prepared as they are here
+        with only the monomials and entries they use; their `kept` counts
+        them from 0."""
+        out = PointRows(self.ring, ())
+        monos, entries = {}, {}
+        for p in positions:
+            cols, ids = self._rows[p]
+            out._rows.append((cols, tuple(entries.setdefault(e, len(entries)) for e in ids)))
+        out.kept = list(range(len(out._rows)))
+        out._entries = [
+            tuple((monos.setdefault(k, len(monos)), c) for k, c in self._entries[e])
+            for e in entries
+        ]
+        out._monos = [self._monos[k] for k in monos]
+        return out
+
     def at(self, vals):
         """The kept rows at one point, given as `Ring.point` resolves it, as
         sparse rows {column: value} of the nonzero values, ints at an

@@ -4,8 +4,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadrikit.cli import main
+from quadrikit.cli import _json, main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 UNIVERSAL = str(DATA / "universal.qf")
@@ -548,6 +550,79 @@ def test_run_suites_builds_each_ideal_once(monkeypatch):
     assert len(built) == len(set(built)) == 9
 
 
+def _recorded_draws(monkeypatch):
+    """Every point `Specialization.generic` returns, in call order."""
+    from quadrikit.cliffmod import Specialization
+
+    drawn = []
+    generic = Specialization.generic.__func__
+
+    def recorded(cls, ring, rng, avoid=None):
+        drawn.append(generic(cls, ring, rng, avoid))
+        return drawn[-1]
+
+    monkeypatch.setattr(Specialization, "generic", classmethod(recorded))
+    return drawn
+
+
+@pytest.mark.parametrize("samples", [5, 8])
+def test_run_suites_draws_each_point_once(samples, monkeypatch):
+    """R6 `--suite all` draws each seeded sample point once: one
+    `Specialization.generic` call per point, its rejected draws inside that
+    call, for the first max(samples, 1 + CERT_SAMPLES) points of the seed's
+    sequence, which the ideals and every verifier share.  Each sample's
+    printed point is the drawn point's own dict.  The seed is the first
+    whose points include a rejected draw, so rejections are exercised."""
+    import random
+
+    from quadrikit import cli, cliffmod
+    from quadrikit.quadform import load_qf
+
+    q = load_qf(DATA / "r6.qf")
+    count = max(samples, 1 + cliffmod.CERT_SAMPLES)
+
+    def reference(seed):
+        rng = random.Random(seed)
+        return [
+            cliffmod.Specialization.generic(q.base, rng, avoid=q.det_bilinear())
+            for _ in range(count)
+        ]
+
+    seed = next(s for s in range(100) if any(p.rejections for p in reference(s)))
+    expected = [(p.assignment, p.rejections) for p in reference(seed)]
+    drawn = _recorded_draws(monkeypatch)
+    reports = cli._run_suites(q, "all", seed, samples)
+    assert all(r.ok for r in reports)
+    assert [(p.assignment, p.rejections) for p in drawn] == expected
+    sampled = [r for r in reports if r.operation != "matrix-factorization"]
+    assert len(sampled) == 9
+    for r in sampled:
+        assert len(r.samples) == samples
+        assert all(s.point is p.as_strings() for s, p in zip(r.samples, drawn))
+
+
+def test_run_suites_leaves_no_points_or_ideals(monkeypatch):
+    """A finished run has cleared its context's point sequences and ideals,
+    after drawing points and building ideals in it."""
+    from quadrikit import cli
+    from quadrikit.clifford import CliffordContext
+    from quadrikit.quadform import load_qf
+
+    made = []
+
+    class Recorded(CliffordContext):
+        def __init__(self, q):
+            super().__init__(q)
+            made.append(self)
+
+    monkeypatch.setattr(cli.cl, "CliffordContext", Recorded)
+    drawn = _recorded_draws(monkeypatch)
+    reports = cli._run_suites(load_qf(DATA / "r6.qf"), "all", 5, 2)
+    assert all(r.ok for r in reports)
+    assert len(made) == 1 and len(drawn) == 6
+    assert made[0].points == {} and made[0].ideals == {}
+
+
 def test_run_suites_leaves_no_context_to_the_cyclic_collector(monkeypatch, capsys):
     """A context and its ideals refer to each other; a finished run breaks
     the cycle, so reference counting alone frees the run's context.  So do
@@ -661,3 +736,31 @@ def test_console_script_installed():
     proc = run_cli(["--help"])
     assert proc.returncode == 0
     assert "quadrikit" in proc.stdout
+
+
+_json_keys = st.text(st.characters() | st.sampled_from('"\\\n\x00\x1f\u00e9\u2028\U0001f600'))
+_json_trees = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64))
+    | st.text(),
+    lambda tree: st.lists(tree, max_size=4) | st.dictionaries(_json_keys, tree, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_trees)
+def test_json_emitter_matches_the_json_module(tree):
+    """`cli._json` prints the bytes of `json.dumps(indent=2, sort_keys=True)`:
+    keys with quotes, backslashes, control and non-ASCII characters, big and
+    negative ints, bools, None and nested empty containers."""
+    assert _json(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("leaf", [1.5, (1, 2), {1: "a"}, b"x", Path("x")])
+def test_json_emitter_refuses_other_types(leaf):
+    with pytest.raises(TypeError):
+        _json({"a": [leaf]})

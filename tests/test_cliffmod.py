@@ -118,11 +118,11 @@ def _reference_ideal(ctx, w, n, side, seed):
     def values(element, point):
         return [p.evaluate(point.assignment) for p in element.coordinates(target)]
 
-    draw, degenerate = cliffmod._generic_sampler(ctx, seed)
-    point = draw()
+    points, degenerate = cliffmod._points(ctx, seed, 1 + cliffmod.CERT_SAMPLES)
+    point = points[0]
     echelon = linalg.Echelon()
     selected = [i for i, e in enumerate(spanning) if echelon.add(values(e, point))]
-    extra = [] if degenerate else [draw() for _ in range(cliffmod.CERT_SAMPLES)]
+    extra = [] if degenerate else points[1:]
     certification = {
         "generic_point": point.as_strings(),
         "rejections": point.rejections,
@@ -283,6 +283,44 @@ def test_multiplication_iso_periodicity_note():
 
 _PINNED_QF = sorted((Path(__file__).resolve().parent / "pinned").glob("*.qf"))
 _ALL_QF = _QF_FILES + _PINNED_QF
+
+
+@pytest.mark.parametrize("path", _ALL_QF, ids=[p.stem for p in _ALL_QF])
+def test_ideal_point_rows_match_a_fresh_preparation(path, monkeypatch):
+    """Every ideal `verify --suite all` builds keeps as its `point_rows` the
+    selected rows of its spanning set's preparation; at its certification
+    points and at two more, integral and rational, they give the rows a
+    fresh preparation of its `rows` gives.  A form degenerate everywhere
+    is refused after its first ideals are built.  Most ideal entries are
+    constants; those of dense6 and rat6 are not."""
+    from quadrikit import cli
+
+    built = []
+    build = cliffmod.clifford_ideal
+
+    def recorded(ctx, w, n, side, seed):
+        built.append(build(ctx, w, n, side, seed))
+        return built[-1]
+
+    monkeypatch.setattr(cliffmod, "clifford_ideal", recorded)
+    q = load_qf(str(path))
+    if q.det_bilinear().is_zero():
+        with pytest.raises(CliffModError, match="degenerate everywhere"):
+            cli._run_suites(q, "all", DEFAULT_SEED, 5)
+    else:
+        assert all(r.ok for r in cli._run_suites(q, "all", DEFAULT_SEED, 5))
+    assert built
+    names = q.base.variables
+    for ideal in built:
+        cert = ideal.certification
+        points = [cert["generic_point"]] + [x["point"] for x in cert["extra_points"]]
+        points.append({v: k + 2 for k, v in enumerate(names)})
+        points.append({v: Fraction(k - 2, 3) for k, v in enumerate(names)})
+        fresh = PointRows(q.base, ideal.rows)
+        assert ideal.point_rows.kept == fresh.kept == list(range(ideal.rank))
+        for point in points:
+            vals = q.base.point(Specialization(point).assignment)
+            assert ideal.point_rows.at(vals) == fresh.at(vals)
 
 
 def _suite_subbundle(q):

@@ -236,6 +236,11 @@ def test_point_rows_match_poly_evaluate(rows, point):
     sparse = PointRows(ABC, [{c: p.terms for c, p in enumerate(row) if p} for row in rows])
     assert sparse.kept == prepared.kept
     assert sparse.at(ABC.point(point)) == values
+    # kept rows selected in any order give their own values, with `kept` from 0
+    chosen = list(range(len(prepared.kept)))[::-2]
+    selected = prepared.select(chosen)
+    assert selected.kept == list(range(len(chosen)))
+    assert selected.at(ABC.point(point)) == [values[k] for k in chosen]
 
 
 @_settings
