@@ -9,6 +9,14 @@ A context owns its ideals and its sample points: `_ideal` builds each
 `CliffordContext.ideals`, with its rows prepared for sample points once, as
 its `point_rows`; `_points` draws each seed's points once per context, in
 `CliffordContext.points`, and every ideal and verifier reads that sequence.
+
+The four sampled verifiers (multiplication-iso, cokernel, flag, duality)
+state a worker, point -> (ok, data), and `_sampled` runs it and builds
+their one kind of report.  When det b_q is identically zero no point lies
+off the locus: multiplication-iso and duality refuse the form once their
+ideals exist (`_refuse_degenerate`); cokernel, flag and ideal certification
+need no primitivity and run on unconstrained points, recorded as a report
+note (`_sampled`) or as the ideal's `degenerate_base`.
 """
 
 import random
@@ -87,9 +95,9 @@ def _points(ctx, seed, count):
     return drawn[:count], avoid is None
 
 
-def _refuse_degenerate(ctx, seed):
+def _refuse_degenerate(ctx):
     """Errors when the first degeneration locus is the whole base."""
-    if _points(ctx, seed, 0)[1]:
+    if ctx.q.det_bilinear().is_zero():
         raise CliffModError(
             "the form is degenerate everywhere; no point lies off the locus"
         )
@@ -135,13 +143,18 @@ class Report:
         return "\n".join(lines)
 
 
-def _run_samples(ctx, seed, count, worker):
-    """The worker's results at the first `count` points of the sequence, and
-    whether det b_q is identically zero."""
-    if count < 1:
-        raise CliffModError(f"need at least one sample point, got {count}")
-    points, degenerate = _points(ctx, seed, count)
-    return [worker(p) for p in points], degenerate
+def _sampled(ctx, seed, samples, worker, operation, configuration, notes=(), ok=True):
+    """The report of `worker(point) -> (ok, data)` at the first `samples`
+    points of the sequence for `seed`, noting unconstrained points when det
+    b_q is identically zero; it passes when `ok` and every sample do."""
+    if samples < 1:
+        raise CliffModError(f"need at least one sample point, got {samples}")
+    points, degenerate = _points(ctx, seed, samples)
+    results = [SampleResult(p.as_strings(), *worker(p)) for p in points]
+    notes = list(notes)
+    if degenerate:
+        notes.append("degenerate base: sample points are not off the locus")
+    return Report(operation, configuration, results, ok and all(r.ok for r in results), notes)
 
 
 class IdealBasis:
@@ -151,10 +164,6 @@ class IdealBasis:
     the rows prepared for sample points."""
 
     __slots__ = (
-        "ctx",
-        "w",
-        "n",
-        "side",
         "generators",
         "rows",
         "columns",
@@ -163,14 +172,7 @@ class IdealBasis:
         "certification",
     )
 
-    def __init__(
-        self, ctx, w, n, side, generators, rows, columns, point_rows, spanning_monomials,
-        certification,
-    ):
-        self.ctx = ctx
-        self.w = w
-        self.n = n
-        self.side = side
+    def __init__(self, generators, rows, columns, point_rows, spanning_monomials, certification):
         self.generators = generators
         self.rows = rows
         self.columns = columns
@@ -237,8 +239,7 @@ def clifford_ideal(ctx, w, n, side="left", seed=DEFAULT_SEED):
         "extra_points": [],
     }
     ideal = IdealBasis(
-        ctx, w, n, side, generators, coords, columns, rows.select(selected), monomials,
-        certification,
+        generators, coords, columns, rows.select(selected), monomials, certification
     )
     if not degenerate_base:
         for extra in _points(ctx, seed, 1 + CERT_SAMPLES)[0][1:]:
@@ -282,7 +283,7 @@ def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_S
         gens = [((), m // 2)]
     ideal_n = _ideal(ctx, w, n, "left", seed)
     ideal_mn = _ideal(ctx, w, m + n, "left", seed)
-    _refuse_degenerate(ctx, seed)
+    _refuse_degenerate(ctx)
     expected = expected_ideal_rank(ctx, w)
 
     # the products x g_j of the algebra generators x with each ideal
@@ -300,25 +301,15 @@ def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_S
         r_ideal = linalg.q_rank(ideal)
         r_stack = echelon.extend(ideal)
         ok = r_prod == r_ideal == r_stack == expected
-        return SampleResult(
-            point.as_strings(),
-            ok,
-            {"product_rank": r_prod, "ideal_rank": r_ideal, "stacked_rank": r_stack},
-        )
+        return ok, {"product_rank": r_prod, "ideal_rank": r_ideal, "stacked_rank": r_stack}
 
-    results, _ = _run_samples(ctx, seed, samples, worker)
-    notes = []
-    ok = all(r.ok for r in results)
+    notes, periodic = [], True
     if m == 2:
         periodic = ideal_mn.rows == ideal_n.rows
         notes.append(f"l-shift coordinate equality with degree {n}: {periodic}")
-        ok = ok and periodic
-    return Report(
-        operation="multiplication-iso",
-        configuration={"w_rank": w.r, "m": m, "n": n, "expected_rank": expected},
-        samples=results,
-        ok=ok,
-        notes=notes,
+    configuration = {"w_rank": w.r, "m": m, "n": n, "expected_rank": expected}
+    return _sampled(
+        ctx, seed, samples, worker, "multiplication-iso", configuration, notes, periodic
     )
 
 
@@ -349,24 +340,12 @@ def verify_cokernel_sequence(ctx, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED)
         r_img = linalg.q_rank(image_rows.at(point.vals))
         r_quot = linalg.q_rank(quotient_rows.at(point.vals))
         ok = (dim - r_img == expected) and (r_quot == expected)
-        return SampleResult(
-            point.as_strings(),
-            ok,
-            {"dim": dim, "image_rank": r_img, "quotient_rank": r_quot},
-        )
+        return ok, {"dim": dim, "image_rank": r_img, "quotient_rank": r_quot}
 
-    # this sequence needs no primitivity, so degenerate bases fall back to
-    # unconstrained sample points
-    results, degenerate = _run_samples(ctx, seed, samples, worker)
+    configuration = {"w_rank": w.r, "n": n, "expected_rank": expected}
     notes = [f"composite with w_top vanishes identically: {composite_zero}"]
-    if degenerate:
-        notes.append("degenerate base: sample points are not off the locus")
-    return Report(
-        operation="cokernel",
-        configuration={"w_rank": w.r, "n": n, "expected_rank": expected},
-        samples=results,
-        ok=composite_zero and all(r.ok for r in results),
-        notes=notes,
+    return _sampled(
+        ctx, seed, samples, worker, "cokernel", configuration, notes, composite_zero
     )
 
 
@@ -401,30 +380,16 @@ def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SE
         r_mult = echelon.extend(mult_rows.at(vals))
         surjective = r_mult == r_next == echelon.extend(nxt)
         ok = contained and surjective and r_sub - r_w == r_next
-        return SampleResult(
-            point.as_strings(),
-            ok,
-            {
-                "inner_rank": r_sub,
-                "outer_rank": r_w,
-                "next_rank": r_next,
-                "contained": contained,
-                "surjective": surjective,
-            },
-        )
+        return ok, {
+            "inner_rank": r_sub,
+            "outer_rank": r_w,
+            "next_rank": r_next,
+            "contained": contained,
+            "surjective": surjective,
+        }
 
-    # holds without primitivity; fall back on degenerate bases
-    results, degenerate = _run_samples(ctx, seed, samples, worker)
-    notes = []
-    if degenerate:
-        notes.append("degenerate base: sample points are not off the locus")
-    return Report(
-        operation="flag",
-        configuration={"w_rank": w.r, "inner_rank": w_sub.r, "n": n},
-        samples=results,
-        ok=all(r.ok for r in results),
-        notes=notes,
-    )
+    configuration = {"w_rank": w.r, "inner_rank": w_sub.r, "n": n}
+    return _sampled(ctx, seed, samples, worker, "flag", configuration)
 
 
 def _duality_ideals(ctx, w, k, seed):
@@ -462,21 +427,16 @@ def verify_duality(ctx, w, k, samples=CERT_SAMPLES, seed=DEFAULT_SEED):
     from quadrikit.polyalg import det
 
     left, right = _duality_ideals(ctx, w, k, seed)
-    _refuse_degenerate(ctx, seed)
+    _refuse_degenerate(ctx)
     pairing = _pairing_matrix(ctx, left, right)
     d = det(pairing)
 
     def worker(point):
         value = d.evaluate(point.assignment)
-        return SampleResult(point.as_strings(), value != 0, {"det": str(value)})
+        return value != 0, {"det": str(value)}
 
-    results, _ = _run_samples(ctx, seed, samples, worker)
-    return Report(
-        operation="duality",
-        configuration={"w_rank": w.r, "k": k, "size": pairing.rows},
-        samples=results,
-        ok=all(r.ok for r in results),
-    )
+    configuration = {"w_rank": w.r, "k": k, "size": pairing.rows}
+    return _sampled(ctx, seed, samples, worker, "duality", configuration)
 
 
 class SpinorPresentation:

@@ -17,7 +17,6 @@ Clifford layer.
 from fractions import Fraction
 
 from quadrikit.polyalg import (
-    Ideal,
     ParseError,
     Poly,
     PolyError,
@@ -31,8 +30,6 @@ from quadrikit.polyalg import (
     parse_rational,
 )
 from quadrikit import linalg
-
-L_WEIGHT = 2  # degree of the value line bundle; fiber generators have degree 1
 
 # Largest fiber rank a .qf file may declare: the even Clifford algebra has a
 # 2^(n-1)-element graded basis (2048 at the cap), and omega has up to that
@@ -417,9 +414,6 @@ class SchemePresentation:
         self.ring = ring
         self.generators = list(generators)
         self.label = label
-
-    def ideal(self):
-        return Ideal(self.ring, self.generators)
 
     def __str__(self):
         gens = "; ".join(str(g) for g in self.generators) if self.generators else "0"

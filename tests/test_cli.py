@@ -516,18 +516,30 @@ def test_rational_form_pinned(pinned_name, args, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "name, path",
-    [("universal", "data/universal.qf"), ("dense6", "tests/pinned/dense6.qf")],
-    ids=["universal", "dense6"],
+    "pinned_name, path, suite",
+    [
+        ("universal_verify", "data/universal.qf", "all"),
+        ("dense6_verify", "tests/pinned/dense6.qf", "all"),
+        ("corank2_cokernel", "data/corank2.qf", "cokernel"),
+        ("corank2_flag", "data/corank2.qf", "flag"),
+        ("degenerate_a_cokernel", "tests/pinned/degenerate_a.qf", "cokernel"),
+        ("degenerate_a_flag", "tests/pinned/degenerate_a.qf", "flag"),
+    ],
+    ids=["universal", "dense6", "corank2-cokernel", "corank2-flag",
+         "degenerate_a-cokernel", "degenerate_a-flag"],
 )
-def test_verify_all_pinned(name, path, monkeypatch, capsys):
-    """`verify --suite all --json` with default samples and seed, recorded
+def test_verify_all_pinned(pinned_name, path, suite, monkeypatch, capsys):
+    """`verify --json` with default samples and seed.  `--suite all` on the
+    universal form and the dense rank-6 form (no unit c_ij) was recorded
     from Clifford products over `Poly` coefficients with every ideal rebuilt
-    per suite, before products ran on raw term maps: the universal form,
-    and the dense rank-6 form (no unit c_ij)."""
+    per suite, before products ran on raw term maps.  The cokernel and flag
+    suites on two forms with det b_q identically zero (`--suite all` exits 3
+    on both) were recorded while each verifier added its own
+    degenerate-base note: data/corank2.qf, whose base is a point, and
+    tests/pinned/degenerate_a.qf, whose base variable is sampled."""
     monkeypatch.chdir(DATA.parent)
-    assert main(["verify", path, "--suite", "all", "--json"]) == 0
-    pinned = Path(__file__).resolve().parent / "pinned" / f"{name}_verify.json"
+    assert main(["verify", path, "--suite", suite, "--json"]) == 0
+    pinned = Path(__file__).resolve().parent / "pinned" / f"{pinned_name}.json"
     assert capsys.readouterr().out == pinned.read_text()
 
 

@@ -447,10 +447,20 @@ def test_duality_universal_nonzero_off_locus():
         assert report.configuration["size"] == 4
 
 
-def test_verifiers_refuse_zero_samples():
+@pytest.mark.parametrize(
+    "verify",
+    [
+        lambda ctx, w: verify_multiplication_iso(ctx, w, 1, 0, samples=0),
+        lambda ctx, w: verify_cokernel_sequence(ctx, w, 0, samples=0),
+        lambda ctx, w: verify_flag_sequence(ctx, w.prefix(0), w, 0, samples=0),
+        lambda ctx, w: verify_duality(ctx, w, 0, samples=0),
+    ],
+    ids=["multiplication-iso", "cokernel", "flag", "duality"],
+)
+def test_verifiers_refuse_zero_samples(verify):
     ctx = universal_ctx()
     with pytest.raises(CliffModError, match="at least one sample"):
-        verify_duality(ctx, span_e1(ctx), 0, samples=0)
+        verify(ctx, span_e1(ctx))
 
 
 def test_everywhere_degenerate_form_refused_before_products(monkeypatch):
