@@ -33,7 +33,6 @@ from quadrikit.clifford import (
     center_element,
     cl_mul,
     graded_basis,
-    orthogonal_sum_ranks,
     parse_element,
     trace,
 )

@@ -32,7 +32,8 @@ from quadrikit.polyalg import (
     fraction_free_rref,
 )
 from quadrikit import linalg
-from quadrikit.clifford import CliffordError, basis_columns, cl_mul, graded_basis
+from quadrikit._kernel import mul_terms
+from quadrikit.clifford import CliffordError, _accumulate, basis_columns, cl_mul, graded_basis
 from quadrikit.clifford import monomial_products
 from quadrikit.quadform import QuadFormError, is_isotropic
 
@@ -399,19 +400,49 @@ def _duality_ideals(ctx, w, k, seed):
 
 
 def _pairing_matrix(ctx, left, right):
-    """Column j holds the traces of (right representative) * g_j.  Each
-    product has degree 0, and its trace is its coefficient of
-    e_1...e_n l^(-n/2), so only the terms that can reach e_1...e_n are
-    carried (`monomial_products` with `top`)."""
-    top = (tuple(range(1, ctx.rank + 1)), -(ctx.rank // 2))
-    columns = [
-        monomial_products(ctx, right.spanning_monomials, g, top=True) for g in left.generators
-    ]
-    rows = [
-        {j: Poly(ctx.base, c[r][top]) for j, c in enumerate(columns) if top in c[r]}
-        for r in range(len(right.spanning_monomials))
-    ]
-    return PolyMatrix(ctx.base, rows, len(columns))
+    """Column j holds the traces of (right representative) * g_j, each a
+    degree-0 product, summed over a table of monomial pairs:
+    P[r][j] = sum_C g_j[C] T(R_r, C), with C a monomial of the left
+    generators and T(R, C) the trace of e_R e_C (a power of l moves no
+    coefficient).  Each T is computed once, by applying the indices of R
+    from the largest down to e_C, and only while the indices of a term and
+    those still to apply can cover 1..n: applying e_i inserts i or removes
+    an index, so a term that cannot cover never reaches e_1...e_n."""
+    full = (1 << ctx.rank + 1) - 2
+    one = ctx.base.one().terms
+    masks = {}
+
+    def covers(idx, rest):
+        mask = masks.get(idx)
+        if mask is None:
+            mask = masks[idx] = sum(1 << i for i in idx)
+        return mask | rest == full
+
+    def pair_trace(r_idx, rest, c):
+        """T(R, C), None when 0; `rest` is the index mask of R."""
+        terms = {c: one}
+        for i in reversed(r_idx):
+            rest ^= 1 << i
+            terms = {key: t for key, t in ctx.act(i, terms).items() if covers(key[0], rest)}
+        # with nothing left to apply only e_1...e_n survives, and a
+        # homogeneous product has at most one such term
+        return next(iter(terms.values()), None)
+
+    by_monomial = {}
+    for j, g in enumerate(left.generators):
+        for c, coeff in g.terms.items():
+            by_monomial.setdefault(c, []).append((j, coeff.terms))
+    rows = []
+    for r_idx, _ in right.spanning_monomials:
+        rest = sum(1 << i for i in r_idx)
+        row = {}
+        for c, coeffs in by_monomial.items():
+            t = pair_trace(r_idx, rest, c) if covers(c[0], rest) else None
+            if t is not None:
+                for j, coeff in coeffs:
+                    _accumulate(row, j, mul_terms(coeff, t), True)
+        rows.append({j: Poly(ctx.base, t) for j, t in row.items()})
+    return PolyMatrix(ctx.base, rows, len(left.generators))
 
 
 def duality_pairing(ctx, w, k, seed=DEFAULT_SEED):
@@ -444,10 +475,9 @@ class SpinorPresentation:
     n-1 ideal to the degree-n ideal, in the chosen generator coordinates;
     entries are linear in the fiber variables."""
 
-    __slots__ = ("ctx", "w", "n", "phi", "ring")
+    __slots__ = ("w", "n", "phi", "ring")
 
-    def __init__(self, ctx, w, n, phi, ring):
-        self.ctx = ctx
+    def __init__(self, w, n, phi, ring):
         self.w = w
         self.n = n
         self.phi = phi
@@ -507,7 +537,7 @@ def spinor_phi(ctx, w, n, seed=DEFAULT_SEED):
             f"(generator {j}, fiber index {i + 1})"
         )
     phi_rows = [{j: Poly(ring, t) for j, t in row.items()} for row in phi_rows]
-    return SpinorPresentation(ctx, w, n, PolyMatrix(ring, phi_rows, d), ring)
+    return SpinorPresentation(w, n, PolyMatrix(ring, phi_rows, d), ring)
 
 
 def verify_matrix_factorization(q, p1, p2):

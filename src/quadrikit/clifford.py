@@ -185,14 +185,6 @@ class CliffordElement:
             raise CliffordError("element is not homogeneous")
         return degs.pop()
 
-    def coordinates(self, basis):
-        """Coefficients over an explicit monomial list [(idx, lpow), ...]."""
-        zero = self.ctx.base.zero()
-        leftover = set(self.terms) - set(basis)
-        if leftover:
-            raise CliffordError(f"element has terms outside the basis: {leftover}")
-        return [self.terms.get(key, zero) for key in basis]
-
     def sparse_coordinates(self, columns):
         """The nonzero coefficients as a sparse row {column: term map};
         `columns` maps each key of a basis to its column (`basis_columns`)."""
@@ -252,23 +244,15 @@ def cl_mul(x, y):
     return x.ctx.element(out)
 
 
-def monomial_products(ctx, keys, y, columns=None, top=False):
+def monomial_products(ctx, keys, y, columns=None):
     """[e_I l^m y for (I, m) in keys]: the left products of monomials with
     one element as raw term maps, keyed by (idx, lpow) or, given `columns`
     (`basis_columns`), by column.  e_I y = e_i1 (e_(I - i1) y), applying
     the indices of I from the largest down, and each suffix of an I is
-    computed once per call.
-
-    With `top`, only the terms that can still reach e_1...e_n are kept, and
-    each product is given by its one entry at e_1...e_n l^(-n/2) (`trace`
-    of a degree-0 product), if nonzero.  Once index i is applied only
-    smaller ones are left, and e_j inserts j or removes an index <= j, so
-    a term's indices >= i are final: a term whose index tuple does not end
-    in (i, ..., n) is dropped."""
+    computed once per call."""
     if y.ctx is not ctx and y.ctx != ctx:
         raise CliffordError("context mismatch")
     memo = {(): {key: c.terms for key, c in y.terms.items()}}
-    n = ctx.rank
 
     def product(idx):
         # act from the longest suffix already known; a loop, not recursion,
@@ -278,18 +262,10 @@ def monomial_products(ctx, keys, y, columns=None, top=False):
             k += 1
         terms = memo[idx[k:]]
         for j in range(k - 1, -1, -1):
-            i = idx[j]
-            terms = ctx.act(i, terms)
-            if top:
-                tail = tuple(range(i, n + 1))
-                terms = {key: c for key, c in terms.items() if key[0][i - n - 1 :] == tail}
+            terms = ctx.act(idx[j], terms)
             memo[idx[j:]] = terms
         return terms
 
-    if top:
-        key = (tuple(range(1, n + 1)), -(n // 2))
-        entries = [product(idx).get((key[0], key[1] - m)) for idx, m in keys]
-        return [{} if c is None else {key: c} for c in entries]
     if columns is None:
         return [{(i2, m2 + m): c for (i2, m2), c in product(idx).items()} for idx, m in keys]
     return [{columns[i2, m2 + m]: c for (i2, m2), c in product(idx).items()} for idx, m in keys]
@@ -464,20 +440,6 @@ def center_checks(ctx, rel):
         for key, t in zip(gens, left[len(pairs) :])
     )
     return {"commutes_degree0": commutes, "twisted_degree1": twisted}
-
-
-def orthogonal_sum_ranks(q, split):
-    """Block rank table of the even part induced by a hyperbolic splitting:
-    total 2^(n-1) against the two diagonal and two off-diagonal blocks
-    built from the reduced algebra."""
-    reduced_ctx = CliffordContext(split.reduced)
-    b0_bar = len(graded_basis(reduced_ctx, 0))
-    b1_bar = len(graded_basis(reduced_ctx, 1))
-    total = len(graded_basis(CliffordContext(q), 0))
-    blocks = [r for r in (b0_bar, b1_bar, b1_bar, b0_bar) if r]
-    if total != 2 * b0_bar + 2 * b1_bar:
-        raise CliffordError("block rank count does not match the even part")
-    return {"total": total, "blocks": blocks}
 
 
 # -- element parsing -------------------------------------------------------

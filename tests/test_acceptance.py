@@ -303,7 +303,7 @@ def test_criterion_7_negative_controls():
         p1 = spinor_phi(ctx, w, 1)
         tampered = [dict(row) for row in p1.phi.entries]
         tampered[0][0] = p1.phi[0, 0] + p1.ring.one()
-        bad = SpinorPresentation(ctx, w, 1, PolyMatrix(p1.ring, tampered, p1.size), p1.ring)
+        bad = SpinorPresentation(w, 1, PolyMatrix(p1.ring, tampered, p1.size), p1.ring)
         ok, witness = verify_matrix_factorization(q, p0, bad)
         assert not ok
         assert witness is not None and witness["row"] == 0 and witness["col"] == 0

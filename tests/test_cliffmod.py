@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadrikit import cliffmod, linalg, polyalg
-from quadrikit.polyalg import PointRows, PolyMatrix, Ring, det, parse_poly
+from quadrikit import clifford, cliffmod, linalg, polyalg
+from quadrikit.polyalg import PointRows, Poly, PolyMatrix, Ring, det, parse_poly
 from quadrikit.quadform import QuadFormError, QuadraticForm, Subbundle, load_qf
 from quadrikit.clifford import (
     CliffordContext,
@@ -109,14 +109,17 @@ def _reference_ideal(ctx, w, n, side, seed):
     `Poly.evaluate`, each row reduced with one `Echelon`."""
     omega = cliffmod.w_top_element(ctx, w)
     span_basis = graded_basis(ctx, n - w.r)
-    target = graded_basis(ctx, n)
+    columns = basis_columns(graded_basis(ctx, n))
     spanning = [
         cl_mul(ctx.monomial(*key), omega) if side == "left" else cl_mul(omega, ctx.monomial(*key))
         for key in span_basis
     ]
 
     def values(element, point):
-        return [p.evaluate(point.assignment) for p in element.coordinates(target)]
+        return {
+            c: Poly(ctx.base, t).evaluate(point.assignment)
+            for c, t in element.sparse_coordinates(columns).items()
+        }
 
     points, degenerate = cliffmod._points(ctx, seed, 1 + cliffmod.CERT_SAMPLES)
     point = points[0]
@@ -480,6 +483,7 @@ def test_everywhere_degenerate_form_refused_before_products(monkeypatch):
         cliffmod, "clifford_ideal", lambda ctx, w, n, side, seed: built[(n, side)]
     )
     monkeypatch.setattr(cliffmod, "monomial_products", refuse)
+    monkeypatch.setattr(clifford.CliffordContext, "act", refuse)
     monkeypatch.setattr(polyalg, "det", refuse)
     with pytest.raises(CliffModError, match="degenerate everywhere"):
         verify_multiplication_iso(ctx, w, 1, 0)
@@ -492,9 +496,9 @@ _DUALITY_QF = [p for p in _ALL_QF if p.stem in ("r6", "r8", "universal", "dense6
 
 @pytest.mark.parametrize("path", _DUALITY_QF, ids=[p.stem for p in _DUALITY_QF])
 def test_pairing_matrix_is_the_trace_of_the_full_products(path):
-    """The pairing carries only the product terms that can reach
-    e_1...e_n; for every k the duality suite runs, its matrix is the one
-    read off the full products with `trace`."""
+    """The pairing sums traces of monomial pairs, each carrying only the
+    terms that can still cover e_1...e_n; for every k the duality suite
+    runs, its matrix is the one read off the full products with `trace`."""
     q = load_qf(str(path))
     ctx = CliffordContext(q)
     w = _suite_subbundle(q)
@@ -571,6 +575,32 @@ def test_spinor_entries_linear_in_fiber_vars():
                 assert sum(mono[nb:]) == 1
 
 
+def test_spinor_phi_refuses_coefficients_that_are_not_polynomial():
+    """Target rows scaled by the base variable a express every image only
+    with coefficients divided by a."""
+    ctx = universal_ctx()
+    w = span_e1(ctx)
+    ideal = cliffmod._ideal(ctx, w, 1, "left", DEFAULT_SEED)
+    a = ctx.base.var("a")
+    ideal.rows = [{c: (Poly(ctx.base, t) * a).terms for c, t in row.items()} for row in ideal.rows]
+    with pytest.raises(CliffModError, match="not polynomial; inconsistent generator bases"):
+        spinor_phi(ctx, w, 1)
+
+
+def test_spinor_phi_refuses_an_image_outside_the_target_ideal():
+    """With the degree-1 ideal of span(e2) in place of span(e1)'s, e1 g_0
+    (g_0 a generator of span(e1)'s degree-0 ideal) lies outside it."""
+    ctx = universal_ctx()
+    w = span_e1(ctx)
+    e2 = Subbundle([[0, 1, 0, 0]], ctx.base)
+    ctx.ideals[(w, 1, "left", DEFAULT_SEED)] = clifford_ideal(ctx, e2, 1)
+    with pytest.raises(
+        CliffModError,
+        match=r"not expressible in the target generators \(generator 0, fiber index 1\)",
+    ):
+        spinor_phi(ctx, w, 1)
+
+
 def test_perturbed_phi_fails_with_witness():
     ctx = universal_ctx()
     w = span_e1(ctx)
@@ -580,7 +610,7 @@ def test_perturbed_phi_fails_with_witness():
     tampered[2][1] = p1.phi[2, 1] + p1.ring.one()
     import quadrikit.cliffmod as cm
 
-    bad = cm.SpinorPresentation(ctx, w, 1, PolyMatrix(p1.ring, tampered, p1.size), p1.ring)
+    bad = cm.SpinorPresentation(w, 1, PolyMatrix(p1.ring, tampered, p1.size), p1.ring)
     ok, witness = verify_matrix_factorization(ctx.q, p0, bad)
     assert not ok
     assert witness["row"] == 2
@@ -591,13 +621,13 @@ def test_perturbed_phi_fails_with_witness():
     # comes first in row-major order
     ring, d = p1.ring, p1.size
     q_poly = ctx.q.q_poly(ring)
-    identity = cm.SpinorPresentation(ctx, w, 0, PolyMatrix(ring, [{i: ring.one()} for i in range(d)], d), ring)
+    identity = cm.SpinorPresentation(w, 0, PolyMatrix(ring, [{i: ring.one()} for i in range(d)], d), ring)
     x1 = ring.var("x1")
     for off, diag, first in [((1, 3), 2, (1, 3)), ((2, 3), 2, (2, 2)), ((2, 1), 2, (2, 1)), ((3, 0), 1, (1, 1))]:
         rows = [{i: q_poly} for i in range(d)]
         rows[off[0]][off[1]] = x1
         rows[diag][diag] = q_poly + ring.one()
-        bad = cm.SpinorPresentation(ctx, w, 1, PolyMatrix(ring, rows, d), ring)
+        bad = cm.SpinorPresentation(w, 1, PolyMatrix(ring, rows, d), ring)
         ok, witness = verify_matrix_factorization(ctx.q, identity, bad)
         assert not ok
         assert (witness["row"], witness["col"]) == first

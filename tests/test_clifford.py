@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from quadrikit import linalg
 from quadrikit.polyalg import MAX_EXPONENT, ParseError, Poly, PolyError, exact_div
 from quadrikit.polyalg import fraction_free_rref, parse_poly
-from quadrikit.quadform import QuadraticForm, hyperbolic_reduce, load_qf
+from quadrikit.quadform import QuadraticForm, load_qf
 from quadrikit.clifford import (
     CenterRelation,
     CliffordContext,
@@ -22,7 +22,6 @@ from quadrikit.clifford import (
     cl_mul,
     graded_basis,
     monomial_products,
-    orthogonal_sum_ranks,
     parse_element,
     trace,
 )
@@ -253,13 +252,11 @@ def test_sparse_coordinates_match_dense():
     ctx = universal_ctx()
     basis = graded_basis(ctx, 0)
     elem = random_homogeneous(ctx, random.Random(3), 0)
-    dense = elem.coordinates(basis)
+    dense = [elem.terms.get(key) for key in basis]
     sparse = elem.sparse_coordinates(basis_columns(basis))
     assert sparse == {col: c.terms for col, c in enumerate(dense) if c}
-    for bad in (lambda: ctx.generator(1).coordinates(basis),
-                lambda: ctx.generator(1).sparse_coordinates(basis_columns(basis))):
-        with pytest.raises(CliffordError, match="outside the basis"):
-            bad()
+    with pytest.raises(CliffordError, match="outside the basis"):
+        ctx.generator(1).sparse_coordinates(basis_columns(basis))
 
 
 def test_context_mismatch_rejected():
@@ -441,9 +438,9 @@ def _reference_center(ctx):
                 kernel.append(v)
         vec = _solve_center_fraction(ctx, kernel, dim, unit, top)
     omega = CliffordElement(ctx, {basis0[k]: p for k, p in enumerate(vec) if p})
-    square = cl_mul(omega, omega).coordinates(basis0)
-    alpha = square[top] / (-vec[top].constant_term())
-    return omega, alpha, -square[unit]
+    square = cl_mul(omega, omega).sparse_coordinates(basis_columns(basis0))
+    alpha = Poly(ctx.base, square.get(top, {})) / (-vec[top].constant_term())
+    return omega, alpha, -Poly(ctx.base, square.get(unit, {}))
 
 
 def _center_triple(ctx):
@@ -646,27 +643,6 @@ def test_trace_rejects_wrong_degree():
     ctx = universal_ctx()
     with pytest.raises(CliffordError):
         trace(ctx.generator(1))
-
-
-# -- block ranks ----------------------------------------------------------------------
-
-
-def test_block_ranks_universal():
-    q = universal_ctx().q
-    split = hyperbolic_reduce(q, [1, 0, 0, 0], [0, 1, 0, 0])
-    assert orthogonal_sum_ranks(q, split) == {"total": 8, "blocks": [2, 2, 2, 2]}
-
-
-def test_block_ranks_rank2():
-    q = rank2_ctx().q
-    split = hyperbolic_reduce(q, [1, 0], [0, 1])
-    assert orthogonal_sum_ranks(q, split) == {"total": 2, "blocks": [1, 1]}
-
-
-def test_block_ranks_split_form():
-    q = QuadraticForm.from_expression([], 4, "x1*x2 + x3*x4")
-    split = hyperbolic_reduce(q, [1, 0, 0, 0], [0, 1, 0, 0])
-    assert orthogonal_sum_ranks(q, split) == {"total": 8, "blocks": [2, 2, 2, 2]}
 
 
 # -- printing and parsing ----------------------------------------------------------------
