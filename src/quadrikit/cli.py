@@ -99,14 +99,14 @@ def _emit(args, payload, text_lines):
 def cmd_degeneration(args):
     q = load_qf(args.input)
     ideal = q.degeneration_locus(args.k)
-    basis = ideal.groebner()
-    rendered = "(" + ", ".join(str(g) for g in basis) + ")" if basis else "(0)"
+    basis = [str(g) for g in ideal.groebner()]
+    rendered = "(" + ", ".join(basis) + ")" if basis else "(0)"
     payload = {
         "command": "degeneration",
         "input": args.input,
         "k": args.k,
         "generators": [str(g) for g in ideal.generators],
-        "groebner": [str(g) for g in basis],
+        "groebner": basis,
     }
     _emit(args, payload, [rendered])
     return 0

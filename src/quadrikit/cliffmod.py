@@ -9,6 +9,13 @@ A context owns its ideals and its sample points: `_ideal` builds each
 `CliffordContext.ideals`, with its rows prepared for sample points once, as
 its `point_rows`; `_points` draws each seed's points once per context, in
 `CliffordContext.points`, and every ideal and verifier reads that sequence.
+Ideal certification and the verifiers take every sample-point rank through
+`_rank` and `_stacked_ranks`: a constant row block (`PointRows.constant`)
+is the same matrix at every point, so its rank and its stacked rank with
+another constant block are computed, and the block evaluated, once and
+kept in `CliffordContext.ranks`: an ideal's for the context, a verifier's
+own until `_sampled` returns.  A block with a base variable is evaluated
+and eliminated at every point and kept nowhere.
 
 The four sampled verifiers (multiplication-iso, cokernel, flag, duality)
 state a worker, point -> (ok, data), and `_sampled` runs it and builds
@@ -147,15 +154,51 @@ class Report:
 def _sampled(ctx, seed, samples, worker, operation, configuration, notes=(), ok=True):
     """The report of `worker(point) -> (ok, data)` at the first `samples`
     points of the sequence for `seed`, noting unconstrained points when det
-    b_q is identically zero; it passes when `ok` and every sample do."""
+    b_q is identically zero; it passes when `ok` and every sample do.  The
+    ranks `worker` keeps in `ctx.ranks` are dropped when it is done, so the
+    verifier's own row blocks are freed with it."""
     if samples < 1:
         raise CliffModError(f"need at least one sample point, got {samples}")
     points, degenerate = _points(ctx, seed, samples)
+    kept = dict(ctx.ranks)
     results = [SampleResult(p.as_strings(), *worker(p)) for p in points]
+    ctx.ranks = kept
     notes = list(notes)
     if degenerate:
         notes.append("degenerate base: sample points are not off the locus")
     return Report(operation, configuration, results, ok and all(r.ok for r in results), notes)
+
+
+def _rank(ctx, vals, block, rows=None):
+    """`linalg.q_rank` of the row block `block` (a `PointRows`) at `vals`,
+    its rows there given as `rows` or evaluated here; a constant block's,
+    the same at every point, is computed once per context and kept in
+    `ctx.ranks` under the key (block,), and it is not evaluated again."""
+    key = (block,)
+    rank = ctx.ranks.get(key)
+    if rank is None:
+        rank = linalg.q_rank(block.at(vals) if rows is None else rows)
+        if block.constant:
+            ctx.ranks[key] = rank
+    return rank
+
+
+def _stacked_ranks(ctx, vals, first, second):
+    """The ranks at `vals` of the row blocks `first` and `second` and of the
+    two stacked: `first` is eliminated and the echelon extended with
+    `second`, whose own rank is `_rank`'s.  When both blocks are constant
+    the three ranks are the same at every point, computed once per context
+    and kept in `ctx.ranks` under the key (first, second)."""
+    key = (first, second)
+    ranks = ctx.ranks.get(key)
+    if ranks is None:
+        second_rows = second.at(vals)
+        echelon = linalg.Echelon()
+        r_first = echelon.extend(first.at(vals))
+        ranks = r_first, _rank(ctx, vals, second, second_rows), echelon.extend(second_rows)
+        if first.constant and second.constant:
+            ctx.ranks[key] = ranks
+    return ranks
 
 
 class IdealBasis:
@@ -244,7 +287,7 @@ def clifford_ideal(ctx, w, n, side="left", seed=DEFAULT_SEED):
     )
     if not degenerate_base:
         for extra in _points(ctx, seed, 1 + CERT_SAMPLES)[0][1:]:
-            ok = linalg.q_rank(ideal.point_rows.at(extra.vals)) == expected
+            ok = _rank(ctx, extra.vals, ideal.point_rows) == expected
             certification["extra_points"].append({"point": extra.as_strings(), "full_rank": ok})
             if not ok:
                 raise CliffModError(f"selected generators drop rank at {extra!r}")
@@ -296,11 +339,9 @@ def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_S
     ))
 
     def worker(point):
-        ideal = ideal_mn.point_rows.at(point.vals)
-        echelon = linalg.Echelon()
-        r_prod = echelon.extend(product_rows.at(point.vals))
-        r_ideal = linalg.q_rank(ideal)
-        r_stack = echelon.extend(ideal)
+        r_prod, r_ideal, r_stack = _stacked_ranks(
+            ctx, point.vals, product_rows, ideal_mn.point_rows
+        )
         ok = r_prod == r_ideal == r_stack == expected
         return ok, {"product_rank": r_prod, "ideal_rank": r_ideal, "stacked_rank": r_stack}
 
@@ -338,8 +379,8 @@ def verify_cokernel_sequence(ctx, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED)
     quotient_rows = PointRows(ctx.base, monomial_products(ctx, basis_n, omega_w, columns))
 
     def worker(point):
-        r_img = linalg.q_rank(image_rows.at(point.vals))
-        r_quot = linalg.q_rank(quotient_rows.at(point.vals))
+        r_img = _rank(ctx, point.vals, image_rows)
+        r_quot = _rank(ctx, point.vals, quotient_rows)
         ok = (dim - r_img == expected) and (r_quot == expected)
         return ok, {"dim": dim, "image_rank": r_img, "quotient_rank": r_quot}
 
@@ -371,15 +412,10 @@ def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SE
 
     def worker(point):
         vals = point.vals
-        a = ideal_w.point_rows.at(vals)
-        nxt = ideal_next.point_rows.at(vals)
-        r_w, r_next = linalg.q_rank(a), linalg.q_rank(nxt)
-        echelon = linalg.Echelon()
-        r_sub = echelon.extend(ideal_sub.point_rows.at(vals))
-        contained = echelon.extend(a) == r_sub
-        echelon = linalg.Echelon()
-        r_mult = echelon.extend(mult_rows.at(vals))
-        surjective = r_mult == r_next == echelon.extend(nxt)
+        r_sub, r_w, r_both = _stacked_ranks(ctx, vals, ideal_sub.point_rows, ideal_w.point_rows)
+        contained = r_both == r_sub
+        r_mult, r_next, r_image = _stacked_ranks(ctx, vals, mult_rows, ideal_next.point_rows)
+        surjective = r_mult == r_next == r_image
         ok = contained and surjective and r_sub - r_w == r_next
         return ok, {
             "inner_rank": r_sub,

@@ -35,9 +35,10 @@ class CliffordContext:
     """Carrier for the algebra of a fixed quadratic form; `table[i]` lists
     (j, c_ji) for each nonzero c_ji, j <= i: a term map, or None when c_ji = 1;
     `cliffmod` fills `ideals`, {(subbundle, degree, side, seed): IdealBasis},
-    and `points`, {seed: (generator, avoided polynomial, points drawn)}."""
+    `points`, {seed: (generator, avoided polynomial, points drawn)}, and
+    `ranks`, what it computed once from its constant row blocks."""
 
-    __slots__ = ("q", "rank", "base", "table", "ideals", "points")
+    __slots__ = ("q", "rank", "base", "table", "ideals", "points", "ranks")
 
     def __init__(self, q):
         self.q = q
@@ -45,6 +46,7 @@ class CliffordContext:
         self.base = q.base
         self.ideals = {}
         self.points = {}
+        self.ranks = {}
         self.table = {i: [] for i in range(1, q.n + 1)}
         for (i, j), c in q.coeff.items():
             self.table[j].append((i, None if c == 1 else c.terms))

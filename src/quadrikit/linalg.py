@@ -5,9 +5,12 @@ with content removal instead of exact division) on sparse integer rows.
 An input row is a sequence of ints and Fractions or a sparse mapping
 {column: value}; the verifiers' sample-point rows arrive from
 `polyalg.PointRows.at` as sparse rows of their nonzero values, ints at an
-integral point.  Each row is scaled by the lcm of its denominators, which
-leaves its span unchanged, and kept as `{column: int}` without its zero
-entries (a sparse row of nonzero ints with content 1 as the dict itself).
+integral point.  Such a row is taken in by one gcd of its values and
+divided by it (a row with content 1 is kept as the dict itself).  A row
+that gcd refuses (a Fraction entry, or a dense row, which has no values)
+or that holds a zero is scaled by the lcm of its denominators instead,
+which leaves its span unchanged, and kept as `{column: int}` without its
+zero entries.
 A row is reduced against the pivot rows keyed by their leading column with
 `a*v - b*p` (`a`, `b` divided by their gcd) and then divided by its
 content, so every stored row is a primitive integer row.  Each step builds
@@ -35,9 +38,13 @@ def _integer_row(row):
     """The nonzero entries of a row of ints and Fractions, dense or sparse
     {column: value}, as a primitive integer row {column: int}, a positive
     rational multiple of the row (the row itself when it already is one)."""
-    if isinstance(row, dict) and Fraction not in map(type, row.values()) and 0 not in row.values():
-        # sparse nonzero ints, as `PointRows.at` gives at an integral point
+    try:
+        # a dense row has no `values`, and gcd refuses a Fraction
         content = gcd(*row.values())  # 0 for an empty row
+    except (AttributeError, TypeError):
+        content = None
+    if content is not None and all(row.values()):
+        # sparse nonzero ints, as `PointRows.at` gives at an integral point
         return row if content <= 1 else {c: x // content for c, x in row.items()}
     items = row.items() if isinstance(row, dict) else enumerate(row)
     return _integer_terms({c: x for c, x in items if x})[0]

@@ -383,9 +383,13 @@ class PointRows:
     rows that stay.  A kept row is scaled once to coprime int coefficients,
     a positive multiple, and stored as its columns and the ids of its
     entries, each distinct entry stored once.  The row space at every point
-    is unchanged, and with it ranks, pivots and kernels."""
+    is unchanged, and with it ranks, pivots and kernels.
 
-    __slots__ = ("ring", "kept", "_monos", "_entries", "_rows")
+    The block is `constant` when every monomial it uses has degree 0: it is
+    then the same integer matrix at every point, so a rank taken at one
+    point holds at all of them (`cliffmod._rank` keeps it)."""
+
+    __slots__ = ("ring", "kept", "constant", "_monos", "_entries", "_rows")
 
     def __init__(self, ring, rows):
         self.ring, self.kept, self._rows = ring, [], []
@@ -411,6 +415,7 @@ class PointRows:
                 ids.append(entries.setdefault(entry, len(entries)))
             self._rows.append((tuple(col for col, _ in nonzero), tuple(ids)))
         self._monos, self._entries = list(monos), list(entries)
+        self.constant = not any(map(any, self._monos))
 
     def select(self, positions):
         """The kept rows at `positions` in `kept`, prepared as they are here
@@ -427,6 +432,7 @@ class PointRows:
             for e in entries
         ]
         out._monos = [self._monos[k] for k in monos]
+        out.constant = not any(map(any, out._monos))
         return out
 
     def at(self, vals):

@@ -431,6 +431,51 @@ def test_flag_prepares_only_its_product_rows(monkeypatch):
     assert again.to_dict() == first.to_dict()
 
 
+def test_constant_blocks_are_evaluated_and_eliminated_once(monkeypatch):
+    """On R6 every row block of the flag and cokernel suites is constant:
+    with 10 samples the run evaluates no block more often, takes no more
+    ranks by `linalg.q_rank` and eliminates no more rows than with one
+    sample.  Multiplication-iso's degree-1 product blocks depend on the
+    point and are evaluated at every sample."""
+    from quadrikit import cli
+
+    q = load_qf(str(_QF_FILES[0].parent / "r6.qf"))
+    evaluated, ranked, added = {}, [], []
+    at, q_rank, add = PointRows.at, linalg.q_rank, linalg.Echelon.add
+
+    def counted_at(block, vals):
+        evaluated[block] = evaluated.get(block, 0) + 1
+        return at(block, vals)
+
+    def counted_q_rank(rows):
+        ranked.append(rows)
+        return q_rank(rows)
+
+    def counted_add(echelon, row):
+        added.append(row)
+        return add(echelon, row)
+
+    monkeypatch.setattr(PointRows, "at", counted_at)
+    monkeypatch.setattr(linalg, "q_rank", counted_q_rank)
+    monkeypatch.setattr(linalg.Echelon, "add", counted_add)
+
+    def run(suite, samples):
+        """Evaluations per block, ranks taken, rows added."""
+        evaluated.clear()
+        ranked.clear()
+        added.clear()
+        assert all(r.ok for r in cli._run_suites(q, suite, DEFAULT_SEED, samples))
+        calls = sorted(evaluated.values())
+        return all(block.constant for block in evaluated), calls, len(ranked), len(added)
+
+    for suite in ("flag", "cokernel"):
+        once = run(suite, 1)
+        assert once[0]
+        assert run(suite, 10) == once
+    run("multiplication-iso", 10)
+    assert sorted(n for block, n in evaluated.items() if not block.constant) == [10, 10]
+
+
 def test_flag_requires_prefix():
     ctx = universal_ctx()
     w = Subbundle([[1, 0, 0, 0], [0, 0, 1, 0]], ctx.base)
@@ -523,12 +568,13 @@ def test_duality_rank2_pairing_matrix():
     assert ctx.q.det_bilinear().constant_term() == -1
 
 
-def test_duality_on_deep_degeneration_recorded_not_asserted():
+def test_duality_determinant_is_minus_one_on_deep_degeneration():
+    """The universal form's pairing for span(e1), k = 0, has the constant
+    determinant -1, so it stays perfect over the corank-2 point a = b = c = 0."""
     ctx = universal_ctx()
-    pairing = duality_pairing(ctx, span_e1(ctx), 0)
-    on_s2 = det(pairing).evaluate({"a": 0, "b": 0, "c": 0})
-    # recorded: the pairing may degenerate over the corank-2 point
-    assert on_s2 == 0 or on_s2 != 0
+    d = det(duality_pairing(ctx, span_e1(ctx), 0))
+    assert d == ctx.base.const(-1)
+    assert d.evaluate({"a": 0, "b": 0, "c": 0}) == -1
 
 
 # -- spinor presentations -----------------------------------------------------------

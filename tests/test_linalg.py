@@ -1,10 +1,11 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadrikit import linalg
+from quadrikit import cliffmod, linalg
 from quadrikit.polyalg import (
     PointRows,
     Poly,
@@ -258,6 +259,41 @@ def test_point_rows_scale_is_independent_of_the_point(rows, p1, p2):
         assert len(ratios) <= 1
 
 
+@st.composite
+def _blocks(draw):
+    """Dense rows of Poly over Q[a, b, c]: constant ones, the rational rows
+    of `_sparse_matrices`, or rows with variables, from `_poly_row_sets`."""
+    if draw(st.booleans()):
+        return [[ABC.const(x) for x in row] for row in draw(_sparse_matrices())]
+    return draw(_poly_row_sets())
+
+
+@_settings
+@given(_blocks(), _blocks(), st.lists(_int_points, min_size=3, max_size=3))
+def test_memoized_block_ranks_match_a_fresh_elimination(first_rows, second_rows, points):
+    """A block is constant when no entry has a variable.  At every point the
+    ranks `cliffmod` keeps for constant blocks equal `q_rank` of the block's
+    rows and the ranks of a fresh echelon of two blocks stacked, in either
+    order, and a block with a variable leaves nothing in the memo."""
+    ctx = SimpleNamespace(ranks={})
+    blocks = []
+    for rows in (first_rows, second_rows):
+        block = PointRows(ABC, _term_rows(rows))
+        assert block.constant == all(not any(m) for row in rows for p in row for m in p.terms)
+        blocks.append(block)
+    for point in points:
+        vals = ABC.point(point)
+        for block in blocks:
+            assert cliffmod._rank(ctx, vals, block) == linalg.q_rank(block.at(vals))
+        first, second = blocks
+        for a, b in ((first, second), (second, first)):
+            echelon = linalg.Echelon()
+            r_a, r_stack = echelon.extend(a.at(vals)), echelon.extend(b.at(vals))
+            expected = r_a, linalg.q_rank(b.at(vals)), r_stack
+            assert cliffmod._stacked_ranks(ctx, vals, a, b) == expected
+    assert all(block.constant for key in ctx.ranks for block in key)
+
+
 def test_point_rows_rejects_unknown_and_missing_variables():
     """`PointRows.at` reads a point as `Ring.point` resolves it: a name that
     is not a variable raises there, and a variable without a value raises
@@ -335,3 +371,27 @@ def test_echelon_dict_rows_are_never_mutated():
     assert echelon._pivots[0] is rows[0]
     assert echelon.pivots == dense.pivots and echelon.kernel(5) == dense.kernel(5)
     assert rows == before
+
+
+def test_integer_row_intake_is_unchanged():
+    """The primitive rows `Echelon.add` keeps for a Fraction row, a row with
+    an explicit zero, a dense list and dicts holding an integral Fraction
+    are those of the scan-based intake it replaced; a sparse row of nonzero
+    ints with content 1 is kept as the dict passed in."""
+    cases = [
+        ({0: Fraction(1, 2), 3: Fraction(-3, 4)}, {0: 2, 3: -3}),
+        ({0: 4, 2: 0, 5: -6}, {0: 2, 5: -3}),
+        ([0, 6, Fraction(0), -9], {1: 2, 3: -3}),
+        ([Fraction(2, 3), 0, 4], {0: 1, 2: 6}),
+        ({1: Fraction(3)}, {1: 1}),
+        ({1: Fraction(3), 2: 6}, {1: 1, 2: 2}),
+        ({2: 6, 4: -4}, {2: 3, 4: -2}),
+        ({}, {}),
+        ([0, 0], {}),
+    ]
+    for row, expected in cases:
+        out = linalg._integer_row(row)
+        assert out == expected and all(type(x) is int for x in out.values())
+    primitive = {1: 3, 4: -2}
+    assert linalg._integer_row(primitive) is primitive
+
