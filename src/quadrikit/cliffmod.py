@@ -35,7 +35,7 @@ from quadrikit.polyalg import (
     Poly,
     PolyError,
     PolyMatrix,
-    exact_div,
+    div_terms,
     fraction_free_rref,
 )
 from quadrikit import linalg
@@ -540,7 +540,7 @@ def spinor_phi(ctx, w, n, seed=DEFAULT_SEED):
     rows = [{} for _ in dst.columns]
     for col, coords in enumerate(dst.rows + images):
         for c, t in coords.items():
-            rows[c][col] = Poly(ctx.base, t)
+            rows[c][col] = t
     reduced, pivots, _ = fraction_free_rref(rows)
     # image columns from the first pivot among them on are not expressible;
     # the ones before it are read off each pivot row's nonzeros.  The base
@@ -556,7 +556,7 @@ def spinor_phi(ctx, w, n, seed=DEFAULT_SEED):
         phi_row = phi_rows[kk]
         for col in sorted(c for c in row if d <= c < limit):
             try:
-                coeff = exact_div(row[col], row[kk])
+                coeff = div_terms(row[col], row[kk])
             except PolyError:
                 raise CliffModError(
                     "presentation coefficients are not polynomial; "
@@ -564,7 +564,7 @@ def spinor_phi(ctx, w, n, seed=DEFAULT_SEED):
                 ) from None
             j, i = divmod(col - d, ctx.rank)
             terms = phi_row.setdefault(j, {})
-            for m, c in coeff.terms.items():
+            for m, c in coeff.items():
                 terms[m + units[i]] = c
     if limit < ncols:
         j, i = divmod(limit - d, ctx.rank)

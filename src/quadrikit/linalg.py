@@ -26,7 +26,7 @@ canonical kernel basis: one vector per free column f, with v[f] = 1 and
 v[c] = -R[c][f] on the pivot columns c; a solve of A x = b is the kernel
 vector of the column -b of [A | -b].  Systems over the fraction field of
 the base ring are solved by `polyalg.fraction_free_rref`, on sparse rows
-{column: Poly} in and out."""
+{column: term map} in and out."""
 
 from fractions import Fraction
 from math import gcd

@@ -631,19 +631,18 @@ def parse_rational(text):
 # -- exact division and matrices ----------------------------------------
 
 
-def exact_div(f, g):
-    """Quotient f/g when g divides f exactly; raises PolyError otherwise.
-    A constant g = c divides every term in one pass, and c = 1 returns f."""
-    if g.is_zero():
+def div_terms(f, g):
+    """Quotient term map f/g when g divides f exactly; raises PolyError
+    otherwise.  A constant g, one term at the zero exponent, divides every
+    term in one pass, and g = 1 returns f itself."""
+    if not g:
         raise PolyError("division by zero polynomial")
-    if g.is_constant():
-        c = g.constant_term()
-        return f if c == 1 else Poly(f.ring, {m: _quo(x, c) for m, x in f.terms.items()})
-    ring = f.ring
-    lm_g = g.leading_monomial()
-    lc_g = g.leading_coeff()
+    lm_g = next(iter(g)) if len(g) == 1 else K.leading_monomial(g)
+    lc_g = g[lm_g]
+    if not any(lm_g):
+        return f if lc_g == 1 else {m: _quo(x, lc_g) for m, x in f.items()}
     quotient = {}
-    rest = f.terms
+    rest = f
     while rest:
         lm = K.leading_monomial(rest)
         q = tuple(map(sub, lm, lm_g))
@@ -651,16 +650,23 @@ def exact_div(f, g):
             raise PolyError("polynomial division is not exact")
         c = _quo(rest[lm], lc_g)
         quotient[q] = c
-        rest = K.sub_terms(rest, K.shift_terms(g.terms, q, c))
-    return Poly(ring, quotient)
+        rest = K.sub_terms(rest, K.shift_terms(g, q, c))
+    return quotient
+
+
+def exact_div(f, g):
+    """Quotient f/g of Polys by `div_terms`: f itself when g = 1."""
+    q = div_terms(f.terms, g.terms)
+    return f if q is f.terms else Poly(f.ring, q)
 
 
 class PolyMatrix:
     """Matrix of Poly entries over one ring, kept as its rows' nonzero
-    entries: `entries[i]` maps each column j with a nonzero entry to it,
-    the row format `fraction_free_rref` takes and returns.  `m[i, j]`
+    entries: `entries[i]` maps each column j with a nonzero entry to it
+    (`fraction_free_rref` takes these rows as their term maps).  `m[i, j]`
     reads one entry, a zero one as the matrix's shared `zero`; `dense()`
-    lists every entry, for printing."""
+    lists every entry, for printing.  A product accumulates each row in
+    one map keyed by (column, monomial)."""
 
     __slots__ = ("ring", "rows", "cols", "entries", "zero")
 
@@ -712,14 +718,24 @@ class PolyMatrix:
             raise PolyError("dimension mismatch in matrix product")
         out = []
         for left in self.entries:
-            # row i of the product: the rows of `other` scaled by the
-            # nonzeros of row i of `self`, summed as term maps
+            # row i: every term product, summed in one map keyed by
+            # (column, monomial), then split into the entries' term maps
             acc = {}
             for k, a in left.items():
-                for j, b in other.entries[k].items():
-                    t = K.mul_terms(a.terms, b.terms)
-                    acc[j] = K.add_terms(acc[j], t) if j in acc else t
-            out.append({j: Poly(self.ring, t) for j, t in acc.items()})
+                right = other.entries[k].items()
+                for m1, c1 in a.terms.items():
+                    for j, b in right:
+                        for m2, c2 in b.terms.items():
+                            key = j, tuple(map(add, m1, m2))
+                            s = acc.get(key, 0) + c1 * c2
+                            if s:
+                                acc[key] = s
+                            else:
+                                del acc[key]
+            row = {}
+            for (j, m), c in acc.items():
+                row.setdefault(j, {})[m] = c
+            out.append({j: Poly(self.ring, K._normalized(t)) for j, t in row.items()})
         return PolyMatrix(self.ring, out, other.cols)
 
     def submatrix(self, row_idx, col_idx):
@@ -755,8 +771,9 @@ def _det_cofactor(m):
 
 
 def fraction_free_rref(rows):
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of sparse Poly rows,
-    each a map {col: Poly}; the input rows are left unchanged.
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of sparse rows of
+    term maps, each a map {col: term map}; the input rows and their term
+    maps are left unchanged.
 
     Returns (rows, pivot columns, sign), the rows in the same sparse form,
     holding only their nonzero entries.  Every pivot entry equals the
@@ -764,10 +781,10 @@ def fraction_free_rref(rows):
     D times the reduced row echelon entry over the fraction field; rows
     past the rank are empty and sign is (-1)^(row swaps).  Each update
     (D_new x - f y) / D_old is a minor of the input (Sylvester's identity),
-    so its division is exact.  The pivot in a column is the candidate
-    with the fewest terms, ties broken by row index, which keeps D small.
-    Only columns with an input entry are visited: no other column gets
-    fill-in, so none can hold a pivot.
+    so its division (`div_terms`) is exact.  The pivot in a column is the
+    candidate with the fewest terms, ties broken by row index, which keeps
+    D small.  Only columns with an input entry are visited: no other
+    column gets fill-in, so none can hold a pivot.
 
     A pivot step updates only the rows with an entry in its column, on the
     union of their columns and the pivot row's.  A row without one would
@@ -793,8 +810,8 @@ def fraction_free_rref(rows):
             row = a[i]
             for j, x in row.items():
                 if now is not None:
-                    x = x * now
-                row[j] = x if then is None else exact_div(x, then)
+                    x = K.mul_terms(x, now)
+                row[j] = x if then is None else div_terms(x, then)
         level[i] = len(pivots)
 
     for c in sorted(set().union(*a)):
@@ -806,34 +823,34 @@ def fraction_free_rref(rows):
             continue
         for i in candidates:
             catch_up(i)
-        p = min(candidates, key=lambda i: len(a[i][c].terms))
+        p = min(candidates, key=lambda i: len(a[i][c]))
         if p != r:
             a[r], a[p] = a[p], a[r]
             level[r], level[p] = level[p], level[r]
             sign = -sign
         pivot_row = a[r]
         d = pivot_row[c]
-        unit = d == 1
+        unit = len(d) == 1 and d.get((0,) * len(next(iter(d)))) == 1
         prev = dens[-1]
         for i in range(nrows):
             row = a[i]
             if i == r or c not in row:
                 continue
             catch_up(i)
-            f = row.pop(c)
+            f = K.neg_terms(row.pop(c))
             for j in row.keys() | pivot_row.keys():
                 if j == c:
                     continue
                 x = row.get(j)
                 y = pivot_row.get(j)
                 if y is None:
-                    num = x if unit else d * x
+                    num = x if unit else K.mul_terms(d, x)
                 elif x is None:
-                    num = -(f * y)
+                    num = K.mul_terms(f, y)
                 else:
-                    num = (x if unit else d * x) - f * y
+                    num = K.add_terms(x if unit else K.mul_terms(d, x), K.mul_terms(f, y))
                 if prev is not None:
-                    num = exact_div(num, prev)
+                    num = div_terms(num, prev)
                 if num:
                     row[j] = num
                 else:
@@ -848,10 +865,11 @@ def fraction_free_rref(rows):
 
 
 def _det_bareiss(m):
-    a, pivots, sign = fraction_free_rref(m.entries)
+    rows = [{j: p.terms for j, p in row.items()} for row in m.entries]
+    a, pivots, sign = fraction_free_rref(rows)
     if len(pivots) < m.rows:
         return m.zero
-    return a[-1][pivots[-1]] * sign
+    return Poly(m.ring, K.scale_terms(a[-1][pivots[-1]], sign))
 
 
 def det(m):

@@ -227,7 +227,7 @@ class Subbundle:
         if self.r:
             # the pivot columns are the lexicographically first r columns
             # with a nonzero maximal minor
-            pivots = fraction_free_rref(self.column_matrix().transpose().entries)[1]
+            pivots = fraction_free_rref([{i: p.terms for i, p in enumerate(v)} for v in rows])[1]
             if len(pivots) < self.r:
                 raise QuadFormError("subbundle vectors are linearly dependent")
             self.witness_columns = tuple(pivots)

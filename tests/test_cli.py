@@ -468,6 +468,7 @@ def test_verify_r6_pinned(suite, monkeypatch, capsys):
         ("r8_mf", ["verify", "data/r8.qf", "--suite", "matrix-factorization"]),
         ("universal_reduce", ["reduce", "data/universal.qf", "--v", "1,0,0,0"]),
         ("split_reduce", ["reduce", "data/split.qf", "--v", "1,2,3,-2/3"]),
+        ("r10_mf", ["verify", "tests/pinned/r10.qf", "--suite", "matrix-factorization"]),
     ],
 )
 def test_fraction_free_paths_pinned(pinned_name, args, monkeypatch, capsys):

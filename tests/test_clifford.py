@@ -427,14 +427,16 @@ def _reference_center(ctx):
     )
     vec = next((v for v in constant if v is not None), None)
     if vec is None:
-        reduced, pivots, _ = fraction_free_rref([dict(enumerate(r)) for r in rows])
+        reduced, pivots, _ = fraction_free_rref(
+            [{j: p.terms for j, p in enumerate(r)} for r in rows]
+        )
         kernel = []
         for f in range(dim):
             if f not in pivots:
                 v = [zero] * dim
-                v[f] = reduced[0][pivots[0]] if pivots else ctx.base.one()
+                v[f] = Poly(ctx.base, reduced[0][pivots[0]]) if pivots else ctx.base.one()
                 for row, c in zip(reduced, pivots):
-                    v[c] = -row.get(f, zero)
+                    v[c] = -Poly(ctx.base, row.get(f, {}))
                 kernel.append(v)
         vec = _solve_center_fraction(ctx, kernel, dim, unit, top)
     omega = CliffordElement(ctx, {basis0[k]: p for k, p in enumerate(vec) if p})

@@ -51,10 +51,10 @@ R0 = Ring(())
 
 def _reference_pivots(rows):
     """Pivot columns of the reduced row echelon form over Q, from
-    `polyalg.fraction_free_rref` on constant polynomials: an elimination
-    independent of `linalg.Echelon`."""
+    `polyalg.fraction_free_rref` on the term maps of constant polynomials:
+    an elimination independent of `linalg.Echelon`."""
     rows = [[R0.const(Fraction(x)) for x in row] for row in rows]
-    return fraction_free_rref([dict(enumerate(row)) for row in rows])[1]
+    return fraction_free_rref([{j: p.terms for j, p in enumerate(row)} for row in rows])[1]
 
 
 def _greedy_rows(rows):

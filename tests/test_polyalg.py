@@ -323,11 +323,12 @@ def _apply(a, x):
 
 
 def _rref(rows):
-    """`fraction_free_rref` of dense rows, its sparse result made dense."""
-    reduced, pivots, sign = fraction_free_rref([dict(enumerate(row)) for row in rows])
+    """`fraction_free_rref` of the term maps of dense rows of Polys, its
+    sparse result made dense Polys."""
+    terms = [{j: p.terms for j, p in enumerate(row)} for row in rows]
+    reduced, pivots, sign = fraction_free_rref(terms)
     ncols = len(rows[0]) if rows else 0
-    zero = XY.zero()
-    return [[row.get(j, zero) for j in range(ncols)] for row in reduced], pivots, sign
+    return [[Poly(XY, row.get(j, {})) for j in range(ncols)] for row in reduced], pivots, sign
 
 
 def _check_form(reduced, pivots):
@@ -441,12 +442,12 @@ _sparse_nonzero = st.one_of(
 
 
 @st.composite
-def _sparse_matrices(draw):
+def _sparse_matrices(draw, nrows=st.integers(1, 10), ncols=st.integers(1, 14)):
     """Mostly-zero matrices whose entries are 0, +-1 or short monomials and
     binomials: D changes between pivots, so rows a pivot step leaves alone
     must catch up across several levels."""
-    nrows = draw(st.integers(1, 10))
-    ncols = draw(st.integers(1, 14))
+    nrows = draw(nrows)
+    ncols = draw(ncols)
     a = [[XY.zero()] * ncols for _ in range(nrows)]
     cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
     for (i, j), p in draw(st.lists(st.tuples(cells, _sparse_nonzero), max_size=2 * (nrows + ncols))):
@@ -464,14 +465,13 @@ def test_fraction_free_matches_dense_reference(a):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(_sparse_matrices())
 def test_fraction_free_sparse_input_matches_dense(a):
-    """The rows as {col: Poly} maps of their nonzero entries give the dense
-    reference's result, are left as they were, and the result rows hold
-    only nonzero entries."""
-    sparse = [{j: x for j, x in enumerate(row) if x} for row in a]
-    copy = [dict(row) for row in sparse]
-    zero = XY.zero()
+    """The rows as {col: term map} maps of their nonzero entries give the
+    dense reference's result, are left as they were, and the result rows
+    hold only nonzero entries."""
+    sparse = [{j: x.terms for j, x in enumerate(row) if x} for row in a]
+    copy = [{j: dict(t) for j, t in row.items()} for row in sparse]
     reduced, pivots, sign = fraction_free_rref(sparse)
-    dense = [[row.get(j, zero) for j in range(len(a[0]))] for row in reduced]
+    dense = [[Poly(XY, row.get(j, {})) for j in range(len(a[0]))] for row in reduced]
     assert (dense, pivots, sign) == _dense_bareiss_reference(a)
     assert sparse == copy
     assert all(all(row.values()) for row in reduced)
@@ -493,7 +493,7 @@ def test_fraction_free_matches_dense_reference_edge_cases():
     for a in cases:
         assert _rref(a) == _dense_bareiss_reference(a)
     assert fraction_free_rref([]) == ([], [], 1)
-    assert fraction_free_rref([{}, {0: z}]) == ([{}, {}], [], 1)
+    assert fraction_free_rref([{}, {0: z.terms}]) == ([{}, {}], [], 1)
     assert _rref([[z, z], [z, z]]) == ([[z, z], [z, z]], [], 1)
     reduced, pivots, sign = _rref(cases[4])
     assert sign == -1 and pivots[0] == 0
@@ -565,22 +565,65 @@ def _unit_minor_rows():
 def test_fraction_free_unit_pivot_matches_dense_reference(monkeypatch):
     """A unit pivot is no denominator: the result is the dense reference's,
     and no entry is ever divided by a constant."""
-    divisors = []
-
-    def recording_div(f, g):
-        divisors.append(g)
-        return exact_div(f, g)
-
-    monkeypatch.setattr(quadrikit.polyalg, "exact_div", recording_div)
     x = XY.gens()[0]
     a = _unit_minor_rows()
     assert _dense_det([row[:2] for row in a[:2]]) == XY.one()
     # a unit minor in the middle of a taller system too
     taller = a + [[XY.zero(), x, XY.one(), XY.zero()], [x * x, XY.zero(), x, XY.one()]]
-    for rows in (a, taller):
-        assert _rref(rows) == _dense_bareiss_reference(rows)
+    # the reference divides through `exact_div` too: run it before the
+    # term-level division is recorded
+    expected = [_dense_bareiss_reference(rows) for rows in (a, taller)]
+    divisors = []
+    div_terms = quadrikit.polyalg.div_terms
+
+    def recording_div(f, g):
+        divisors.append(Poly(XY, g))
+        return div_terms(f, g)
+
+    monkeypatch.setattr(quadrikit.polyalg, "div_terms", recording_div)
+    for rows, reference in zip((a, taller), expected):
+        assert _rref(rows) == reference
     assert x in divisors
     assert not any(g.is_constant() for g in divisors)
+
+
+_rational_scales = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)])
+
+
+@st.composite
+def _rational_matrices(draw, nrows=st.integers(1, 10), ncols=st.integers(1, 14)):
+    """`_sparse_matrices` with Fraction entries and cancellations: every
+    entry times a drawn rational (ints where integral), then, on a draw,
+    one row replaced by a rational combination of two others, so the
+    elimination cancels entries and empties a row."""
+    a = draw(_sparse_matrices(nrows, ncols))
+    a = [[p * draw(_rational_scales) for p in row] for row in a]
+    if len(a) >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(len(a))))[:3]
+        s, t = draw(_rational_scales), draw(_rational_scales)
+        a[k] = [p * s + q * t for p, q in zip(a[i], a[j])]
+    return a
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_rational_matrices())
+def test_fraction_free_term_maps_conform_and_input_kept(a):
+    """Every entry returned is a nonempty term map in the kernel's form
+    (ints where integral), and the input rows and their term maps come
+    back unchanged."""
+    sparse = [{j: x.terms for j, x in enumerate(row) if x} for row in a]
+    copy = [{j: dict(t) for j, t in row.items()} for row in sparse]
+    reduced, _, _ = fraction_free_rref(sparse)
+    assert all(t and _conforming(t) for row in reduced for t in row.values())
+    assert sparse == copy
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(4, 5).flatmap(lambda n: _rational_matrices(st.just(n), st.just(n))))
+def test_det_bareiss_matches_leibniz_on_rational_entries(a):
+    from quadrikit.polyalg import _det_bareiss
+
+    assert _det_bareiss(_matrix(XY, a)) == _dense_det(a)
 
 
 def test_det_bareiss_with_a_unit_minor():
