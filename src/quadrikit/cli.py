@@ -78,9 +78,17 @@ def _json(obj, indent="\n"):
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = sorted(obj.items())
-        body = ",".join(f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in items)
-        return "{" + body + indent + "}"
+        body = []
+        for k, v in sorted(obj.items()):
+            t = type(v)  # a scalar of exact type inline, not by a recursive call
+            v = (
+                encode_basestring_ascii(v) if t is str
+                else int.__repr__(v) if t is int
+                else "null" if v is None else ("true" if v else "false") if t is bool
+                else _json(v, inner)
+            )
+            body.append(f"{inner}{encode_basestring_ascii(k)}: {v}")
+        return "{" + ",".join(body) + indent + "}"
     if isinstance(obj, list):
         if not obj:
             return "[]"
@@ -371,9 +379,7 @@ def cmd_verify(args):
         "ok": ok,
         "reports": [r.to_dict() for r in reports],
     }
-    lines = []
-    for r in reports:
-        lines.append(r.to_text())
+    lines = [] if args.json else [r.to_text() for r in reports]
     lines.append(f"suite {args.suite}: {'PASS' if ok else 'FAIL'}")
     _emit(args, payload, lines)
     return 0 if ok else 4

@@ -3,19 +3,19 @@ seeded sample points, the duality trace pairing, and spinor presentation
 matrices checked as matrix factorizations of the quadratic form.
 
 Local freeness is certified sample-wise: a generic base point plus five
-further points off the first degeneration locus, drawn from a fixed seed.
-A context owns its ideals and its sample points: `_ideal` builds each
-(subbundle, degree, side, seed) ideal once per context and keeps it in
-`CliffordContext.ideals`, with its rows prepared for sample points once, as
-its `point_rows`; `_points` draws each seed's points once per context, in
-`CliffordContext.points`, and every ideal and verifier reads that sequence.
-Ideal certification and the verifiers take every sample-point rank through
-`_rank` and `_stacked_ranks`: a constant row block (`PointRows.constant`)
-is the same matrix at every point, so its rank and its stacked rank with
-another constant block are computed, and the block evaluated, once and
-kept in `CliffordContext.ranks`: an ideal's for the context, a verifier's
-own until `_sampled` returns.  A block with a base variable is evaluated
-and eliminated at every point and kept nowhere.
+further points off the first degeneration locus, drawn from a fixed seed
+as int coordinates.  A context owns its ideals and its sample points:
+`_ideal` builds each (subbundle, degree, side, seed) ideal once per context
+and keeps it in `CliffordContext.ideals`, with its rows prepared for sample
+points once, as its `point_rows`; `_points` draws each seed's points once
+per context, in `CliffordContext.points`, and every ideal and verifier
+reads that sequence.  Every sample-point rank goes through `_rank` and
+`_stacked_ranks`.  A constant row block (`PointRows.constant`) is one
+stored int matrix at every point, so its rank and its stacked rank with
+another constant block are computed once and kept in
+`CliffordContext.ranks`: an ideal's for the context, a verifier's own until
+`_sampled` returns.  A block with a base variable evaluates only its
+varying rows at each point, and its ranks are taken there and kept nowhere.
 
 The four sampled verifiers (multiplication-iso, cokernel, flag, duality)
 state a worker, point -> (ok, data), and `_sampled` runs it and builds
@@ -35,6 +35,7 @@ from quadrikit.polyalg import (
     Poly,
     PolyError,
     PolyMatrix,
+    _coefficient,
     div_terms,
     fraction_free_rref,
 )
@@ -55,7 +56,8 @@ class CliffModError(CliffordError):
 
 
 class Specialization:
-    """A rational base point; `generic` points are rejection-sampled off the
+    """A rational base point, integral coordinates stored as ints and others
+    as Fractions; `generic` points are rejection-sampled int points off the
     zero locus of a given polynomial, counting the rejected draws.  A point
     is resolved once: `vals` holds its `Ring.point` values when it has a
     ring, and `as_strings()` one dict of its printed coordinates."""
@@ -63,7 +65,9 @@ class Specialization:
     __slots__ = ("assignment", "rejections", "vals", "_strings")
 
     def __init__(self, assignment, rejections=0, ring=None):
-        self.assignment = {k: Fraction(v) for k, v in assignment.items()}
+        self.assignment = {
+            k: v if type(v) is int else _coefficient(Fraction(v)) for k, v in assignment.items()
+        }
         self.rejections = rejections
         self.vals = None if ring is None else ring.point(self.assignment)
         self._strings = {k: str(v) for k, v in sorted(self.assignment.items())}

@@ -78,10 +78,10 @@ MAX_DIGITS = 640
 def _coefficient(c):
     """A rational scalar as a term-map coefficient: an int when it is
     integral, else a Fraction (the invariant of `_kernel`)."""
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
         return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise PolyError(f"not a rational scalar: {c!r}")
 
 
@@ -381,13 +381,14 @@ class PointRows:
     earlier row (same key: the entries sorted by column and monomial,
     divided by their content, sign fixed); `kept` lists the indices of the
     rows that stay.  A kept row is scaled once to coprime int coefficients,
-    a positive multiple, and stored as its columns and the ids of its
-    entries, each distinct entry stored once.  The row space at every point
-    is unchanged, and with it ranks, pivots and kernels.
+    a positive multiple: a constant row (every entry one degree-0 term) is
+    stored as that int row {column: int}, any other as its columns and the
+    ids of its entries, each distinct entry stored once.  The row space at
+    every point is unchanged, and with it ranks, pivots and kernels.
 
-    The block is `constant` when every monomial it uses has degree 0: it is
-    then the same integer matrix at every point, so a rank taken at one
-    point holds at all of them (`cliffmod._rank` keeps it)."""
+    The block is `constant` when every kept row is: it is then the same
+    integer matrix at every point, which `at` returns as stored, so a rank
+    taken at one point holds at all of them (`cliffmod._rank` keeps it)."""
 
     __slots__ = ("ring", "kept", "constant", "_monos", "_entries", "_rows")
 
@@ -408,6 +409,9 @@ class PointRows:
                 continue
             seen.add(key)
             self.kept.append(idx)
+            if not any(any(m) for _, m, _ in flat):
+                self._rows.append({col: x // content for (col, _, _), x in zip(flat, ints)})
+                continue
             scaled = {(col, m): x // content for (col, m, _), x in zip(flat, ints)}
             ids = []
             for col, terms in nonzero:
@@ -415,34 +419,40 @@ class PointRows:
                 ids.append(entries.setdefault(entry, len(entries)))
             self._rows.append((tuple(col for col, _ in nonzero), tuple(ids)))
         self._monos, self._entries = list(monos), list(entries)
-        self.constant = not any(map(any, self._monos))
+        self.constant = not entries
 
     def select(self, positions):
         """The kept rows at `positions` in `kept`, prepared as they are here
         with only the monomials and entries they use; their `kept` counts
         them from 0."""
-        out = PointRows(self.ring, ())
+        out = PointRows.__new__(PointRows)
+        out.ring, out.kept, out._rows = self.ring, list(range(len(positions))), []
         monos, entries = {}, {}
         for p in positions:
-            cols, ids = self._rows[p]
-            out._rows.append((cols, tuple(entries.setdefault(e, len(entries)) for e in ids)))
-        out.kept = list(range(len(out._rows)))
+            row = self._rows[p]
+            if type(row) is tuple:
+                row = row[0], tuple(entries.setdefault(e, len(entries)) for e in row[1])
+            out._rows.append(row)
         out._entries = [
             tuple((monos.setdefault(k, len(monos)), c) for k, c in self._entries[e])
             for e in entries
         ]
         out._monos = [self._monos[k] for k in monos]
-        out.constant = not any(map(any, out._monos))
+        out.constant = not entries
         return out
 
     def at(self, vals):
         """The kept rows at one point, given as `Ring.point` resolves it, as
         sparse rows {column: value} of the nonzero values, ints at an
-        integral point; a variable without a value raises where it occurs."""
+        integral point, the constant ones as stored (read, never mutate);
+        a variable without a value raises where it occurs."""
+        if self.constant:
+            return self._rows
         mono = [_monomial_value(self.ring, m, vals) for m in self._monos]
         value = [sum(c * mono[k] for k, c in entry) for entry in self._entries]
         return [
-            {col: x for col, e in zip(cols, ids) if (x := value[e])} for cols, ids in self._rows
+            row if type(row) is dict else {col: x for col, e in zip(*row) if (x := value[e])}
+            for row in self._rows
         ]
 
 

@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadrikit.cli import _json, main
@@ -544,6 +544,28 @@ def test_verify_all_pinned(pinned_name, path, suite, monkeypatch, capsys):
     assert capsys.readouterr().out == pinned.read_text()
 
 
+def test_verify_text_pinned(monkeypatch, capsys):
+    """`verify` without `--json`: each report's text and the suite verdict,
+    recorded while `--json` runs still rendered the text too."""
+    monkeypatch.chdir(DATA.parent)
+    assert main(["verify", "data/universal.qf", "--suite", "all"]) == 0
+    pinned = Path(__file__).resolve().parent / "pinned" / "universal_verify.txt"
+    assert capsys.readouterr().out == pinned.read_text()
+
+
+def test_verify_json_renders_no_text(monkeypatch, capsys):
+    """`verify --json` prints only the JSON payload and renders no report
+    text for it."""
+    from quadrikit.cliffmod import Report
+
+    def refused(report):
+        raise AssertionError("text rendered in --json mode")
+
+    monkeypatch.setattr(Report, "to_text", refused)
+    assert main(["verify", UNIVERSAL, "--suite", "cokernel", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
 def test_run_suites_builds_each_ideal_once(monkeypatch):
     """R6 `--suite all` uses 23 ideals, 9 of them distinct; the run's table
     builds each distinct (w, n, side) ideal exactly once."""
@@ -751,6 +773,14 @@ def test_console_script_installed():
     assert "quadrikit" in proc.stdout
 
 
+class _Int(int):
+    """An int subclass, encoded by `json` as its int value."""
+
+
+class _Str(str):
+    """A str subclass, encoded by `json` as its str value."""
+
+
 _json_keys = st.text(st.characters() | st.sampled_from('"\\\n\x00\x1f\u00e9\u2028\U0001f600'))
 _json_trees = st.recursive(
     st.none()
@@ -758,6 +788,8 @@ _json_trees = st.recursive(
     | st.integers()
     | st.integers(min_value=2**64)
     | st.integers(max_value=-(2**64))
+    | st.integers().map(_Int)
+    | st.text().map(_Str)
     | st.text(),
     lambda tree: st.lists(tree, max_size=4) | st.dictionaries(_json_keys, tree, max_size=4),
     max_leaves=30,
@@ -766,10 +798,13 @@ _json_trees = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(_json_trees)
+@example({"b": True, "f": False, "i": _Int(-7), "n": None, "s": _Str("\u00e9"), "x": {}})
+@example([True, None, _Int(2**70), _Str("q"), [False, {"k": _Int(0)}]])
 def test_json_emitter_matches_the_json_module(tree):
     """`cli._json` prints the bytes of `json.dumps(indent=2, sort_keys=True)`:
     keys with quotes, backslashes, control and non-ASCII characters, big and
-    negative ints, bools, None and nested empty containers."""
+    negative ints, bools, None, int and str subclasses, inside dicts and
+    lists, and nested empty containers."""
     assert _json(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
 
@@ -777,3 +812,5 @@ def test_json_emitter_matches_the_json_module(tree):
 def test_json_emitter_refuses_other_types(leaf):
     with pytest.raises(TypeError):
         _json({"a": [leaf]})
+    with pytest.raises(TypeError):
+        _json({"a": leaf})

@@ -253,6 +253,28 @@ def test_specialization_avoids_locus_and_counts_rejections():
     assert hit is not None, "no seed exercised the resampling path"
 
 
+def test_generic_points_match_the_constructor_and_store_ints():
+    """A drawn point is the point the constructor makes of its assignment:
+    the same `assignment`, `vals` and `as_strings()`, every coordinate an
+    int.  The constructor keeps a non-integral coordinate as a Fraction and
+    stores an integral one, given as a Fraction or a string, as an int."""
+    ctx = universal_ctx()
+    rng = random.Random(DEFAULT_SEED)
+    for _ in range(20):
+        point = Specialization.generic(ctx.base, rng, avoid=ctx.q.det_bilinear())
+        again = Specialization(point.assignment, ring=ctx.base)
+        assert point.assignment == again.assignment
+        assert point.vals == again.vals == ctx.base.point(point.assignment)
+        assert point.as_strings() == again.as_strings()
+        for coords in (point.assignment, point.vals, again.assignment, again.vals):
+            assert all(type(x) is int for x in coords.values())
+    user = Specialization({"a": Fraction(-1, 2), "b": Fraction(4, 2), "c": "3"}, ring=ctx.base)
+    assert user.assignment == {"a": Fraction(-1, 2), "b": 2, "c": 3}
+    assert [type(x) for x in user.assignment.values()] == [Fraction, int, int]
+    assert user.vals == {0: Fraction(-1, 2), 1: 2, 2: 3}
+    assert user.as_strings() == {"a": "-1/2", "b": "2", "c": "3"}
+
+
 def test_specialization_error_when_locus_is_everything():
     ctx = corank2_ctx()
     with pytest.raises(CliffModError):

@@ -318,6 +318,99 @@ def test_point_rows_rejects_unknown_and_missing_variables():
 
 
 
+_constants = st.one_of(st.just(Fraction(0)), st.integers(-9, 9).map(Fraction), _rationals)
+
+
+@st.composite
+def _mixed_row_sets(draw):
+    """0-12 dense rows of 1-4 polynomials: constant rows (rational
+    constants, some zero), rows with a base variable, zero rows, and
+    negated or rational multiples of earlier rows."""
+    ncols = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["constant", "varying", "zero", "negated", "multiple"]))
+        if kind == "zero":
+            row = [ABC.zero()] * ncols
+        elif kind in ("negated", "multiple") and rows:
+            c = Fraction(-1) if kind == "negated" else draw(_rationals.filter(bool))
+            row = [p * c for p in draw(st.sampled_from(rows))]
+        elif kind == "varying":
+            row = [draw(_polys) for _ in range(ncols)]
+        else:
+            row = [ABC.const(draw(_constants)) for _ in range(ncols)]
+        rows.append(row)
+    return rows
+
+
+def _is_constant(row):
+    return all(not any(m) for p in row for m in p.terms)
+
+
+@_settings
+@given(_mixed_row_sets(), st.one_of(_int_points, _points))
+def test_point_rows_mixed_constant_and_varying_rows(rows, point):
+    """Constant rows stored as int rows beside rows with a base variable:
+    `kept` keeps the first row of each class of nonzero rows equal up to a
+    constant; at integral and rational points every kept row is a positive
+    multiple of its `Poly.evaluate` values, a constant one an int row; and
+    the ranks and pivots are those of the raw evaluations of every row."""
+    prepared = PointRows(ABC, _term_rows(rows))
+    first = [
+        next(j for j in range(i + 1) if _multiple_of(row, rows[j]))
+        for i, row in enumerate(rows)
+        if any(row)
+    ]
+    assert prepared.kept == sorted(set(first))
+    assert prepared.constant == all(_is_constant(rows[i]) for i in prepared.kept)
+    values = prepared.at(ABC.point(point))
+    assert len(values) == len(prepared.kept)
+    for i, row in zip(prepared.kept, values):
+        expected = {c: p.evaluate(point) for c, p in enumerate(rows[i]) if p.evaluate(point)}
+        assert set(row) == set(expected)
+        if _is_constant(rows[i]):
+            assert all(type(x) is int for x in row.values())
+        ratios = {Fraction(x) / expected[c] for c, x in row.items()}
+        assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+    raw, prepared_echelon = linalg.Echelon(), linalg.Echelon()
+    raw.extend([[p.evaluate(point) for p in row] for row in rows])
+    prepared_echelon.extend(values)
+    assert prepared_echelon.rank == raw.rank
+    assert prepared_echelon.pivots == raw.pivots
+    chosen = list(range(len(prepared.kept)))[::-2]
+    assert prepared.select(chosen).at(ABC.point(point)) == [values[k] for k in chosen]
+
+
+def test_constant_rows_are_never_evaluated(monkeypatch):
+    """A constant block's `at` evaluates no monomial and returns its stored
+    rows at any two points; a mixed block evaluates only its varying rows' monomials
+    (here none of degree 0) and passes its constant rows through."""
+    from quadrikit import polyalg
+
+    evaluated = []
+    monomial_value = polyalg._monomial_value
+
+    def counted(ring, m, vals):
+        evaluated.append(m)
+        return monomial_value(ring, m, vals)
+
+    monkeypatch.setattr(polyalg, "_monomial_value", counted)
+    one, a = ABC.const(Fraction(1, 2)), ABC.var("a")
+    constant_rows = [{0: one.terms, 2: (one * -4).terms}, {1: (one * 6).terms}]
+    block = PointRows(ABC, constant_rows)
+    p1, p2 = ABC.point({"a": 1, "b": 2, "c": 3}), ABC.point({"a": Fraction(1, 3)})
+    assert block.constant
+    assert block.at(p1) == block.at(p2) == [{0: 1, 2: -4}, {1: 1}]
+    assert block.at(p1) is block.at(p2)  # the stored rows, not a copy
+    assert block.select([1]).at(p1) == [{1: 1}]
+    assert evaluated == []
+    mixed = PointRows(ABC, [constant_rows[0], {0: (a * 2).terms, 1: (a * a).terms}])
+    assert not mixed.constant
+    assert mixed.at(p1) == [{0: 1, 2: -4}, {0: 2, 1: 1}]
+    assert evaluated and all(any(m) for m in evaluated)
+    assert mixed.select([0]).constant
+
+
 @_settings
 @given(
     st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), _rationals.filter(bool), max_size=8),
