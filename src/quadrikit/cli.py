@@ -360,10 +360,9 @@ def _run_suites(q, suite, seed, samples):
         for sub, degrees in runs:
             reports.append(cliffmod.verify_mf_report(ctx, sub, degrees, seed=seed))
     # the ideals refer back to the context: clearing them lets reference
-    # counting, not the cyclic collector, free the finished run, and no
-    # sample point outlives it
+    # counting, not the cyclic collector, free the finished run, its sample
+    # points and row blocks with it
     ctx.ideals.clear()
-    ctx.points.clear()
     return reports
 
 

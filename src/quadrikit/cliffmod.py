@@ -9,12 +9,12 @@ as int coordinates.  A context owns its ideals and its sample points:
 and keeps it in `CliffordContext.ideals`, with its rows prepared for sample
 points once, as its `point_rows`; `_points` draws each seed's points once
 per context, in `CliffordContext.points`, and every ideal and verifier
-reads that sequence.  Every sample-point rank goes through `_rank` and
-`_stacked_ranks`.  A constant row block (`PointRows.constant`) is one
+reads that sequence.  Every sample-point rank is taken by a row block,
+`linalg.PointRows.rank` and `stacked_ranks`.  A constant block is one
 stored int matrix at every point, so its rank and its stacked rank with
-another constant block are computed once and kept in
-`CliffordContext.ranks`: an ideal's for the context, a verifier's own until
-`_sampled` returns.  A block with a base variable evaluates only its
+another constant block are computed once and kept in the block: an
+ideal's live with the ideal in `ctx.ideals`, a verifier's own are freed
+with the verifier.  A block with a base variable evaluates only its
 varying rows at each point, and its ranks are taken there and kept nowhere.
 
 The four sampled verifiers (multiplication-iso, cokernel, flag, duality)
@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from quadrikit.polyalg import (
-    PointRows,
     Poly,
     PolyError,
     PolyMatrix,
@@ -39,7 +38,7 @@ from quadrikit.polyalg import (
     div_terms,
     fraction_free_rref,
 )
-from quadrikit import linalg
+from quadrikit.linalg import Echelon, PointRows
 from quadrikit._kernel import mul_terms
 from quadrikit.clifford import CliffordError, _accumulate, basis_columns, cl_mul, graded_basis
 from quadrikit.clifford import monomial_products
@@ -158,51 +157,15 @@ class Report:
 def _sampled(ctx, seed, samples, worker, operation, configuration, notes=(), ok=True):
     """The report of `worker(point) -> (ok, data)` at the first `samples`
     points of the sequence for `seed`, noting unconstrained points when det
-    b_q is identically zero; it passes when `ok` and every sample do.  The
-    ranks `worker` keeps in `ctx.ranks` are dropped when it is done, so the
-    verifier's own row blocks are freed with it."""
+    b_q is identically zero; it passes when `ok` and every sample do."""
     if samples < 1:
         raise CliffModError(f"need at least one sample point, got {samples}")
     points, degenerate = _points(ctx, seed, samples)
-    kept = dict(ctx.ranks)
     results = [SampleResult(p.as_strings(), *worker(p)) for p in points]
-    ctx.ranks = kept
     notes = list(notes)
     if degenerate:
         notes.append("degenerate base: sample points are not off the locus")
     return Report(operation, configuration, results, ok and all(r.ok for r in results), notes)
-
-
-def _rank(ctx, vals, block, rows=None):
-    """`linalg.q_rank` of the row block `block` (a `PointRows`) at `vals`,
-    its rows there given as `rows` or evaluated here; a constant block's,
-    the same at every point, is computed once per context and kept in
-    `ctx.ranks` under the key (block,), and it is not evaluated again."""
-    key = (block,)
-    rank = ctx.ranks.get(key)
-    if rank is None:
-        rank = linalg.q_rank(block.at(vals) if rows is None else rows)
-        if block.constant:
-            ctx.ranks[key] = rank
-    return rank
-
-
-def _stacked_ranks(ctx, vals, first, second):
-    """The ranks at `vals` of the row blocks `first` and `second` and of the
-    two stacked: `first` is eliminated and the echelon extended with
-    `second`, whose own rank is `_rank`'s.  When both blocks are constant
-    the three ranks are the same at every point, computed once per context
-    and kept in `ctx.ranks` under the key (first, second)."""
-    key = (first, second)
-    ranks = ctx.ranks.get(key)
-    if ranks is None:
-        second_rows = second.at(vals)
-        echelon = linalg.Echelon()
-        r_first = echelon.extend(first.at(vals))
-        ranks = r_first, _rank(ctx, vals, second, second_rows), echelon.extend(second_rows)
-        if first.constant and second.constant:
-            ctx.ranks[key] = ranks
-    return ranks
 
 
 class IdealBasis:
@@ -234,6 +197,10 @@ class IdealBasis:
 
 
 def expected_ideal_rank(ctx, w):
+    """2^(n - r - 1), the rank of an ideal of an isotropic subbundle of rank
+    r < n; a subbundle of full fiber rank (q identically zero) is refused."""
+    if w.r >= ctx.rank:
+        raise CliffModError(f"subbundle rank {w.r} must be below the fiber rank {ctx.rank}")
     return 2 ** (ctx.rank - w.r - 1)
 
 
@@ -270,7 +237,7 @@ def clifford_ideal(ctx, w, n, side="left", seed=DEFAULT_SEED):
     expected = expected_ideal_rank(ctx, w)
 
     # a dropped row is zero or a multiple of an earlier one, never independent
-    echelon = linalg.Echelon()
+    echelon = Echelon()
     selected = [k for k, row in enumerate(rows.at(point.vals)) if echelon.add(row)]
     if len(selected) != expected:
         raise CliffModError(
@@ -291,7 +258,7 @@ def clifford_ideal(ctx, w, n, side="left", seed=DEFAULT_SEED):
     )
     if not degenerate_base:
         for extra in _points(ctx, seed, 1 + CERT_SAMPLES)[0][1:]:
-            ok = _rank(ctx, extra.vals, ideal.point_rows) == expected
+            ok = ideal.point_rows.rank(extra.vals) == expected
             certification["extra_points"].append({"point": extra.as_strings(), "full_rank": ok})
             if not ok:
                 raise CliffModError(f"selected generators drop rank at {extra!r}")
@@ -343,9 +310,7 @@ def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_S
     ))
 
     def worker(point):
-        r_prod, r_ideal, r_stack = _stacked_ranks(
-            ctx, point.vals, product_rows, ideal_mn.point_rows
-        )
+        r_prod, r_ideal, r_stack = product_rows.stacked_ranks(point.vals, ideal_mn.point_rows)
         ok = r_prod == r_ideal == r_stack == expected
         return ok, {"product_rank": r_prod, "ideal_rank": r_ideal, "stacked_rank": r_stack}
 
@@ -383,8 +348,8 @@ def verify_cokernel_sequence(ctx, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED)
     quotient_rows = PointRows(ctx.base, monomial_products(ctx, basis_n, omega_w, columns))
 
     def worker(point):
-        r_img = _rank(ctx, point.vals, image_rows)
-        r_quot = _rank(ctx, point.vals, quotient_rows)
+        r_img = image_rows.rank(point.vals)
+        r_quot = quotient_rows.rank(point.vals)
         ok = (dim - r_img == expected) and (r_quot == expected)
         return ok, {"dim": dim, "image_rank": r_img, "quotient_rank": r_quot}
 
@@ -416,9 +381,9 @@ def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SE
 
     def worker(point):
         vals = point.vals
-        r_sub, r_w, r_both = _stacked_ranks(ctx, vals, ideal_sub.point_rows, ideal_w.point_rows)
+        r_sub, r_w, r_both = ideal_sub.point_rows.stacked_ranks(vals, ideal_w.point_rows)
         contained = r_both == r_sub
-        r_mult, r_next, r_image = _stacked_ranks(ctx, vals, mult_rows, ideal_next.point_rows)
+        r_mult, r_next, r_image = mult_rows.stacked_ranks(vals, ideal_next.point_rows)
         surjective = r_mult == r_next == r_image
         ok = contained and surjective and r_sub - r_w == r_next
         return ok, {

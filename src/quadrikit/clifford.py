@@ -35,10 +35,9 @@ class CliffordContext:
     """Carrier for the algebra of a fixed quadratic form; `table[i]` lists
     (j, c_ji) for each nonzero c_ji, j <= i: a term map, or None when c_ji = 1;
     `cliffmod` fills `ideals`, {(subbundle, degree, side, seed): IdealBasis},
-    `points`, {seed: (generator, avoided polynomial, points drawn)}, and
-    `ranks`, what it computed once from its constant row blocks."""
+    and `points`, {seed: (generator, avoided polynomial, points drawn)}."""
 
-    __slots__ = ("q", "rank", "base", "table", "ideals", "points", "ranks")
+    __slots__ = ("q", "rank", "base", "table", "ideals", "points")
 
     def __init__(self, q):
         self.q = q
@@ -46,7 +45,6 @@ class CliffordContext:
         self.base = q.base
         self.ideals = {}
         self.points = {}
-        self.ranks = {}
         self.table = {i: [] for i in range(1, q.n + 1)}
         for (i, j), c in q.coeff.items():
             self.table[j].append((i, None if c == 1 else c.terms))

@@ -1,10 +1,12 @@
-"""Exact linear algebra over Q, by one elimination: `Echelon`.
+"""Exact linear algebra over Q, by one elimination: `Echelon`, and the
+polynomial row blocks evaluated at sample points that it ranks:
+`PointRows`.
 
 `Echelon` is a fraction-free forward elimination (cf. Bareiss 1968, here
 with content removal instead of exact division) on sparse integer rows.
 An input row is a sequence of ints and Fractions or a sparse mapping
 {column: value}; the verifiers' sample-point rows arrive from
-`polyalg.PointRows.at` as sparse rows of their nonzero values, ints at an
+`PointRows.at` as sparse rows of their nonzero values, ints at an
 integral point.  Such a row is taken in by one gcd of its values and
 divided by it (a row with content 1 is kept as the dict itself).  A row
 that gcd refuses (a Fraction entry, or a dense row, which has no values)
@@ -17,8 +19,8 @@ content, so every stored row is a primitive integer row.  Each step builds
 a new dict: no row, stored or passed in, is ever mutated.
 
 An `Echelon` grows one row at a time and its rank is that of every row
-added so far, so the verifiers take a stacked rank (of two row blocks
-together) by extending the echelon of the first block with the second.
+added so far, so `PointRows.stacked_ranks` takes the rank of two row
+blocks together by extending the echelon of the first with the second.
 
 `q_rank` reads the number of pivot rows.  `Echelon.kernel` back-substitutes
 the pivot rows into the reduced row echelon form R and returns the
@@ -29,9 +31,9 @@ the base ring are solved by `polyalg.fraction_free_rref`, on sparse rows
 {column: term map} in and out."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from quadrikit.polyalg import _integer_terms
+from quadrikit.polyalg import _integer_terms, _monomial_value
 
 
 def _integer_row(row):
@@ -146,3 +148,113 @@ def q_rank(rows):
     """Rank over Q of a list of rows of ints and Fractions."""
     return Echelon().extend(rows)
 
+
+class PointRows:
+    """Sparse rows {column: term map} of polynomials over `ring` (their
+    `Poly.terms`), prepared once for evaluation at many points.  A
+    structurally zero row is dropped, and so is a rational multiple of an
+    earlier row (same key: the entries sorted by column and monomial,
+    divided by their content, sign fixed); `kept` lists the indices of the
+    rows that stay.  A kept row is scaled once to coprime int coefficients,
+    a positive multiple: a constant row (every entry one degree-0 term) is
+    stored as that int row {column: int}, any other as its columns and the
+    ids of its entries, each distinct entry stored once.  The row space at
+    every point is unchanged, and with it ranks, pivots and kernels.
+
+    The block is `constant` when every kept row is: it is then the same
+    integer matrix at every point, which `at` returns as stored, so a rank
+    taken at one point holds at all of them.  `rank` and `stacked_ranks`
+    keep such ranks in the block itself, which frees them with it."""
+
+    __slots__ = ("ring", "kept", "constant", "_monos", "_entries", "_rows", "_ranks")
+
+    def __init__(self, ring, rows):
+        self.ring, self.kept, self._rows, self._ranks = ring, [], [], {}
+        monos, entries, seen = {}, {}, set()
+        for idx, row in enumerate(rows):
+            nonzero = [(col, terms) for col, terms in row.items() if terms]
+            if not nonzero:
+                continue
+            flat = sorted((col, m, c) for col, terms in nonzero for m, c in terms.items())
+            scale = lcm(*[c.denominator for _, _, c in flat])
+            ints = [c.numerator * scale // c.denominator for _, _, c in flat]
+            content = gcd(*ints)
+            unit = content if ints[0] > 0 else -content
+            key = tuple((col, m, x // unit) for (col, m, _), x in zip(flat, ints))
+            if key in seen:
+                continue
+            seen.add(key)
+            self.kept.append(idx)
+            if not any(any(m) for _, m, _ in flat):
+                self._rows.append({col: x // content for (col, _, _), x in zip(flat, ints)})
+                continue
+            scaled = {(col, m): x // content for (col, m, _), x in zip(flat, ints)}
+            ids = []
+            for col, terms in nonzero:
+                entry = tuple((monos.setdefault(m, len(monos)), scaled[col, m]) for m in terms)
+                ids.append(entries.setdefault(entry, len(entries)))
+            self._rows.append((tuple(col for col, _ in nonzero), tuple(ids)))
+        self._monos, self._entries = list(monos), list(entries)
+        self.constant = not entries
+
+    def select(self, positions):
+        """The kept rows at `positions` in `kept`, prepared as they are here
+        with only the monomials and entries they use; their `kept` counts
+        them from 0."""
+        out = PointRows.__new__(PointRows)
+        out.ring, out.kept, out._rows = self.ring, list(range(len(positions))), []
+        out._ranks = {}
+        monos, entries = {}, {}
+        for p in positions:
+            row = self._rows[p]
+            if type(row) is tuple:
+                row = row[0], tuple(entries.setdefault(e, len(entries)) for e in row[1])
+            out._rows.append(row)
+        out._entries = [
+            tuple((monos.setdefault(k, len(monos)), c) for k, c in self._entries[e])
+            for e in entries
+        ]
+        out._monos = [self._monos[k] for k in monos]
+        out.constant = not entries
+        return out
+
+    def at(self, vals):
+        """The kept rows at one point, given as `Ring.point` resolves it, as
+        sparse rows {column: value} of the nonzero values, ints at an
+        integral point, the constant ones as stored (read, never mutate);
+        a variable without a value raises where it occurs."""
+        if self.constant:
+            return self._rows
+        mono = [_monomial_value(self.ring, m, vals) for m in self._monos]
+        value = [sum(c * mono[k] for k, c in entry) for entry in self._entries]
+        return [
+            row if type(row) is dict else {col: x for col, e in zip(*row) if (x := value[e])}
+            for row in self._rows
+        ]
+
+    def rank(self, vals, rows=None):
+        """`q_rank` of the block at `vals`, its rows there given as `rows` or
+        evaluated here; a constant block's, the same at every point, is
+        taken once and kept, and the block is not evaluated again."""
+        rank = self._ranks.get(None)
+        if rank is None:
+            rank = q_rank(self.at(vals) if rows is None else rows)
+            if self.constant:
+                self._ranks[None] = rank
+        return rank
+
+    def stacked_ranks(self, vals, second):
+        """The ranks at `vals` of this block, of the block `second`, and of
+        the two stacked: this block is eliminated and the echelon extended
+        with `second`, whose own rank is its `rank`.  When both blocks are
+        constant the three are the same at every point, taken once and kept
+        here under the key `second`."""
+        ranks = self._ranks.get(second)
+        if ranks is None:
+            second_rows = second.at(vals)
+            echelon = Echelon()
+            r_first = echelon.extend(self.at(vals))
+            ranks = r_first, second.rank(vals, second_rows), echelon.extend(second_rows)
+            if self.constant and second.constant:
+                self._ranks[second] = ranks
+        return ranks

@@ -374,88 +374,6 @@ def _monomial_value(ring, m, vals):
     return v
 
 
-class PointRows:
-    """Sparse rows {column: term map} of polynomials over `ring` (their
-    `Poly.terms`), prepared once for evaluation at many points.  A
-    structurally zero row is dropped, and so is a rational multiple of an
-    earlier row (same key: the entries sorted by column and monomial,
-    divided by their content, sign fixed); `kept` lists the indices of the
-    rows that stay.  A kept row is scaled once to coprime int coefficients,
-    a positive multiple: a constant row (every entry one degree-0 term) is
-    stored as that int row {column: int}, any other as its columns and the
-    ids of its entries, each distinct entry stored once.  The row space at
-    every point is unchanged, and with it ranks, pivots and kernels.
-
-    The block is `constant` when every kept row is: it is then the same
-    integer matrix at every point, which `at` returns as stored, so a rank
-    taken at one point holds at all of them (`cliffmod._rank` keeps it)."""
-
-    __slots__ = ("ring", "kept", "constant", "_monos", "_entries", "_rows")
-
-    def __init__(self, ring, rows):
-        self.ring, self.kept, self._rows = ring, [], []
-        monos, entries, seen = {}, {}, set()
-        for idx, row in enumerate(rows):
-            nonzero = [(col, terms) for col, terms in row.items() if terms]
-            if not nonzero:
-                continue
-            flat = sorted((col, m, c) for col, terms in nonzero for m, c in terms.items())
-            scale = math.lcm(*[c.denominator for _, _, c in flat])
-            ints = [c.numerator * scale // c.denominator for _, _, c in flat]
-            content = math.gcd(*ints)
-            unit = content if ints[0] > 0 else -content
-            key = tuple((col, m, x // unit) for (col, m, _), x in zip(flat, ints))
-            if key in seen:
-                continue
-            seen.add(key)
-            self.kept.append(idx)
-            if not any(any(m) for _, m, _ in flat):
-                self._rows.append({col: x // content for (col, _, _), x in zip(flat, ints)})
-                continue
-            scaled = {(col, m): x // content for (col, m, _), x in zip(flat, ints)}
-            ids = []
-            for col, terms in nonzero:
-                entry = tuple((monos.setdefault(m, len(monos)), scaled[col, m]) for m in terms)
-                ids.append(entries.setdefault(entry, len(entries)))
-            self._rows.append((tuple(col for col, _ in nonzero), tuple(ids)))
-        self._monos, self._entries = list(monos), list(entries)
-        self.constant = not entries
-
-    def select(self, positions):
-        """The kept rows at `positions` in `kept`, prepared as they are here
-        with only the monomials and entries they use; their `kept` counts
-        them from 0."""
-        out = PointRows.__new__(PointRows)
-        out.ring, out.kept, out._rows = self.ring, list(range(len(positions))), []
-        monos, entries = {}, {}
-        for p in positions:
-            row = self._rows[p]
-            if type(row) is tuple:
-                row = row[0], tuple(entries.setdefault(e, len(entries)) for e in row[1])
-            out._rows.append(row)
-        out._entries = [
-            tuple((monos.setdefault(k, len(monos)), c) for k, c in self._entries[e])
-            for e in entries
-        ]
-        out._monos = [self._monos[k] for k in monos]
-        out.constant = not entries
-        return out
-
-    def at(self, vals):
-        """The kept rows at one point, given as `Ring.point` resolves it, as
-        sparse rows {column: value} of the nonzero values, ints at an
-        integral point, the constant ones as stored (read, never mutate);
-        a variable without a value raises where it occurs."""
-        if self.constant:
-            return self._rows
-        mono = [_monomial_value(self.ring, m, vals) for m in self._monos]
-        value = [sum(c * mono[k] for k, c in entry) for entry in self._entries]
-        return [
-            row if type(row) is dict else {col: x for col, e in zip(*row) if (x := value[e])}
-            for row in self._rows
-        ]
-
-
 # -- parsing -----------------------------------------------------------
 
 

@@ -360,6 +360,29 @@ def test_verify_rejects_nonpositive_counts(flag, value, capsys):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "{path}", "--suite", "cokernel", "--json"],
+        ["verify", "{path}", "--suite", "cokernel"],
+        ["ideal", "{path2}", "--w", "1,0;0,1", "--n", "2"],
+        ["spinor", "{path2}", "--w", "1,0;0,1", "--n", "1"],
+    ],
+    ids=["verify-json", "verify-text", "ideal", "spinor"],
+)
+def test_subbundle_of_full_fiber_rank_exit_3(tmp_path, args, capsys):
+    """Only q = 0 has an isotropic subbundle of full fiber rank, whose
+    ideals would have rank 2^(-1): it is refused as a failed precondition,
+    with no traceback and nothing on stdout."""
+    path, path2 = tmp_path / "zero1.qf", tmp_path / "zero2.qf"
+    path.write_text('base_vars = []\nfiber_rank = 1\nq = "0"\n')
+    path2.write_text('base_vars = []\nfiber_rank = 2\nq = "0"\n')
+    assert main([a.format(path=path, path2=path2) for a in args]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "subbundle rank" in err and "below the fiber rank" in err
+
+
 def test_verify_all_odd_rank_skips_duality(tmp_path, capsys):
     """On an odd rank `--suite all` runs every other suite and notes the
     skipped duality pairing; `--suite duality` alone fails its
@@ -636,26 +659,35 @@ def test_run_suites_draws_each_point_once(samples, monkeypatch):
         assert all(s.point is p.as_strings() for s, p in zip(r.samples, drawn))
 
 
-def test_run_suites_leaves_no_points_or_ideals(monkeypatch):
-    """A finished run has cleared its context's point sequences and ideals,
-    after drawing points and building ideals in it."""
+def test_run_suites_leaves_no_points_or_ideals():
+    """With the cyclic collector off, a finished R6 `--suite all` run leaves
+    no context, ideal, row block or sample point alive: clearing the
+    context's ideals lets reference counting free all of them, and the
+    ranks a constant row block keeps go with the block."""
+    import gc
+
     from quadrikit import cli
     from quadrikit.clifford import CliffordContext
+    from quadrikit.cliffmod import IdealBasis, Specialization
+    from quadrikit.linalg import PointRows
     from quadrikit.quadform import load_qf
 
-    made = []
+    kinds = (CliffordContext, IdealBasis, PointRows, Specialization)
 
-    class Recorded(CliffordContext):
-        def __init__(self, q):
-            super().__init__(q)
-            made.append(self)
+    def alive():
+        return {id(x) for x in gc.get_objects() if isinstance(x, kinds)}
 
-    monkeypatch.setattr(cli.cl, "CliffordContext", Recorded)
-    drawn = _recorded_draws(monkeypatch)
-    reports = cli._run_suites(load_qf(DATA / "r6.qf"), "all", 5, 2)
+    q = load_qf(DATA / "r6.qf")
+    gc.collect()
+    gc.disable()
+    try:
+        before = alive()  # other tests' objects, held by their modules
+        reports = cli._run_suites(q, "all", 5, 2)
+        left = alive() - before
+    finally:
+        gc.enable()
     assert all(r.ok for r in reports)
-    assert len(made) == 1 and len(drawn) == 6
-    assert made[0].points == {} and made[0].ideals == {}
+    assert left == set()
 
 
 def test_run_suites_leaves_no_context_to_the_cyclic_collector(monkeypatch, capsys):

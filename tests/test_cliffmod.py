@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadrikit import clifford, cliffmod, linalg, polyalg
-from quadrikit.polyalg import PointRows, Poly, PolyMatrix, Ring, det, parse_poly
+from quadrikit.linalg import PointRows
+from quadrikit.polyalg import Poly, PolyMatrix, Ring, det, parse_poly
 from quadrikit.quadform import QuadFormError, QuadraticForm, Subbundle, load_qf
 from quadrikit.clifford import (
     CliffordContext,
@@ -292,6 +293,31 @@ def test_multiplication_iso_universal():
         assert report.ok
         assert len(report.samples) == 5
         assert all(s.data["product_rank"] == 4 for s in report.samples)
+
+
+def test_multiplication_iso_keeps_only_its_ideals_row_blocks():
+    """With the cyclic collector off, the row blocks a finished
+    multiplication-iso check leaves alive are its ideals' `point_rows`, in
+    `ctx.ideals`: its own product block, and the ranks kept in it, are freed
+    with the verifier."""
+    import gc
+
+    ctx = universal_ctx()
+
+    def blocks():
+        return {id(x) for x in gc.get_objects() if isinstance(x, PointRows)}
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = blocks()
+        report = verify_multiplication_iso(ctx, span_e1(ctx), 1, 0)
+        left = blocks() - before
+    finally:
+        gc.enable()
+    assert report.ok
+    assert len(ctx.ideals) == 2
+    assert left == {id(ideal.point_rows) for ideal in ctx.ideals.values()}
 
 
 def test_multiplication_iso_m0_identity_case():

@@ -1,13 +1,12 @@
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadrikit import cliffmod, linalg
+from quadrikit import linalg
+from quadrikit.linalg import PointRows
 from quadrikit.polyalg import (
-    PointRows,
     Poly,
     PolyError,
     Ring,
@@ -272,10 +271,9 @@ def _blocks(draw):
 @given(_blocks(), _blocks(), st.lists(_int_points, min_size=3, max_size=3))
 def test_memoized_block_ranks_match_a_fresh_elimination(first_rows, second_rows, points):
     """A block is constant when no entry has a variable.  At every point the
-    ranks `cliffmod` keeps for constant blocks equal `q_rank` of the block's
-    rows and the ranks of a fresh echelon of two blocks stacked, in either
-    order, and a block with a variable leaves nothing in the memo."""
-    ctx = SimpleNamespace(ranks={})
+    ranks a constant block keeps equal `q_rank` of the block's rows and the
+    ranks of a fresh echelon of two blocks stacked, in either order, and a
+    block with a variable keeps nothing."""
     blocks = []
     for rows in (first_rows, second_rows):
         block = PointRows(ABC, _term_rows(rows))
@@ -284,14 +282,16 @@ def test_memoized_block_ranks_match_a_fresh_elimination(first_rows, second_rows,
     for point in points:
         vals = ABC.point(point)
         for block in blocks:
-            assert cliffmod._rank(ctx, vals, block) == linalg.q_rank(block.at(vals))
+            assert block.rank(vals) == linalg.q_rank(block.at(vals))
         first, second = blocks
         for a, b in ((first, second), (second, first)):
             echelon = linalg.Echelon()
             r_a, r_stack = echelon.extend(a.at(vals)), echelon.extend(b.at(vals))
             expected = r_a, linalg.q_rank(b.at(vals)), r_stack
-            assert cliffmod._stacked_ranks(ctx, vals, a, b) == expected
-    assert all(block.constant for key in ctx.ranks for block in key)
+            assert a.stacked_ranks(vals, b) == expected
+    for block in blocks:
+        assert block.constant or not block._ranks
+        assert all(key is None or key.constant for key in block._ranks)
 
 
 def test_point_rows_rejects_unknown_and_missing_variables():
@@ -385,16 +385,14 @@ def test_constant_rows_are_never_evaluated(monkeypatch):
     """A constant block's `at` evaluates no monomial and returns its stored
     rows at any two points; a mixed block evaluates only its varying rows' monomials
     (here none of degree 0) and passes its constant rows through."""
-    from quadrikit import polyalg
-
     evaluated = []
-    monomial_value = polyalg._monomial_value
+    monomial_value = linalg._monomial_value
 
     def counted(ring, m, vals):
         evaluated.append(m)
         return monomial_value(ring, m, vals)
 
-    monkeypatch.setattr(polyalg, "_monomial_value", counted)
+    monkeypatch.setattr(linalg, "_monomial_value", counted)
     one, a = ABC.const(Fraction(1, 2)), ABC.var("a")
     constant_rows = [{0: one.terms, 2: (one * -4).terms}, {1: (one * 6).terms}]
     block = PointRows(ABC, constant_rows)
