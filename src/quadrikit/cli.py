@@ -155,9 +155,11 @@ def cmd_reduce(args):
 def cmd_clifford(args):
     q = load_qf(args.input)
     ctx = cl.CliffordContext(q)
+    if (args.table is not None) + args.center + bool(args.trace) != 1:
+        raise QuadFormError("choose one of --table, --center, --trace")
     if args.table is not None:
         basis = cl.graded_basis(ctx, args.table)
-        names = [str(ctx.monomial(idx, m)) for idx, m in basis]
+        names = [str(ctx.monomial(*key)) for key in basis]
         payload = {
             "command": "clifford",
             "table": args.table,
@@ -192,13 +194,11 @@ def cmd_clifford(args):
         ]
         _emit(args, payload, lines)
         return 0
-    if args.trace:
-        elem = cl.parse_element(args.trace, ctx)
-        value = cl.trace(elem)
-        payload = {"command": "clifford", "trace": str(value), "element": str(elem)}
-        _emit(args, payload, [str(value)])
-        return 0
-    raise QuadFormError("choose one of --table, --center, --trace")
+    elem = cl.parse_element(args.trace, ctx)
+    value = cl.trace(elem)
+    payload = {"command": "clifford", "trace": str(value), "element": str(elem)}
+    _emit(args, payload, [str(value)])
+    return 0
 
 
 def cmd_ideal(args):

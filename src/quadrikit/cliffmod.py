@@ -27,7 +27,6 @@ note (`_sampled`) or as the ideal's `degenerate_base`.
 """
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from quadrikit.polyalg import (
@@ -114,20 +113,19 @@ def _refuse_degenerate(ctx):
         )
 
 
-@dataclass
 class SampleResult:
-    point: dict
-    ok: bool
-    data: dict = field(default_factory=dict)
+    __slots__ = ("point", "ok", "data")
+
+    def __init__(self, point, ok, data=None):
+        self.point, self.ok, self.data = point, ok, {} if data is None else data
 
 
-@dataclass
 class Report:
-    operation: str
-    configuration: dict
-    samples: list
-    ok: bool
-    notes: list = field(default_factory=list)
+    __slots__ = ("operation", "configuration", "samples", "ok", "notes")
+
+    def __init__(self, operation, configuration, samples, ok, notes=None):
+        self.operation, self.configuration, self.samples = operation, configuration, samples
+        self.ok, self.notes = ok, [] if notes is None else notes
 
     def to_dict(self):
         return {
@@ -293,9 +291,9 @@ def verify_multiplication_iso(ctx, w, m, n, samples=CERT_SAMPLES, seed=DEFAULT_S
     so their rank is never higher: a point that fails with the full basis
     fails with them too."""
     if m % 2:
-        gens = [((i,), (m - 1) // 2) for i in range(1, ctx.rank + 1)]
+        gens = [(1 << i, (m - 1) // 2) for i in range(1, ctx.rank + 1)]
     else:
-        gens = [((), m // 2)]
+        gens = [(0, m // 2)]
     ideal_n = _ideal(ctx, w, n, "left", seed)
     ideal_mn = _ideal(ctx, w, m + n, "left", seed)
     _refuse_degenerate(ctx)
@@ -410,25 +408,19 @@ def _pairing_matrix(ctx, left, right):
     P[r][j] = sum_C g_j[C] T(R_r, C), with C a monomial of the left
     generators and T(R, C) the trace of e_R e_C (a power of l moves no
     coefficient).  Each T is computed once, by applying the indices of R
-    from the largest down to e_C, and only while the indices of a term and
-    those still to apply can cover 1..n: applying e_i inserts i or removes
-    an index, so a term that cannot cover never reaches e_1...e_n."""
+    from the largest down to e_C, and only while the index masks of a term
+    and of the indices still to apply cover 1..n: applying e_i inserts i or
+    removes an index, so a term that cannot cover never reaches e_1...e_n."""
     full = (1 << ctx.rank + 1) - 2
     one = ctx.base.one().terms
-    masks = {}
 
-    def covers(idx, rest):
-        mask = masks.get(idx)
-        if mask is None:
-            mask = masks[idx] = sum(1 << i for i in idx)
-        return mask | rest == full
-
-    def pair_trace(r_idx, rest, c):
+    def pair_trace(rest, c):
         """T(R, C), None when 0; `rest` is the index mask of R."""
         terms = {c: one}
-        for i in reversed(r_idx):
+        while rest:
+            i = rest.bit_length() - 1
             rest ^= 1 << i
-            terms = {key: t for key, t in ctx.act(i, terms).items() if covers(key[0], rest)}
+            terms = {key: t for key, t in ctx.act(i, terms).items() if key[0] | rest == full}
         # with nothing left to apply only e_1...e_n survives, and a
         # homogeneous product has at most one such term
         return next(iter(terms.values()), None)
@@ -438,11 +430,10 @@ def _pairing_matrix(ctx, left, right):
         for c, coeff in g.terms.items():
             by_monomial.setdefault(c, []).append((j, coeff.terms))
     rows = []
-    for r_idx, _ in right.spanning_monomials:
-        rest = sum(1 << i for i in r_idx)
+    for rest, _ in right.spanning_monomials:
         row = {}
         for c, coeffs in by_monomial.items():
-            t = pair_trace(r_idx, rest, c) if covers(c[0], rest) else None
+            t = pair_trace(rest, c) if c[0] | rest == full else None
             if t is not None:
                 for j, coeff in coeffs:
                     _accumulate(row, j, mul_terms(coeff, t), True)
@@ -500,7 +491,7 @@ def spinor_phi(ctx, w, n, seed=DEFAULT_SEED):
     dst = _ideal(ctx, w, n, "left", seed)
     ring = ctx.q.combined_ring()
     d = len(dst.generators)
-    generators = [((i,), 0) for i in range(1, ctx.rank + 1)]
+    generators = [(1 << i, 0) for i in range(1, ctx.rank + 1)]
     images = [
         row for g in src.generators for row in monomial_products(ctx, generators, g, dst.columns)
     ]

@@ -4,10 +4,11 @@ bundle degree 2.
 
 Defining relations: e_i e_i = c_ii l and e_i e_j + e_j e_i = c_ij l for
 i < j, where c is the coefficient table of q, so v v = q(v) l for every
-degree-1 element v.  Elements are finite maps (strictly increasing index
-tuple, Laurent power of l) -> base polynomial.  One generator acts on a
-normal-form monomial in closed form (`CliffordContext.act`), and every
-product is a sequence of such actions: e_I y = e_i1 (e_i2 (... e_ik y)).
+degree-1 element v.  Elements are finite maps (index mask, Laurent power
+of l) -> base polynomial, bit i of the mask of e_I set for each i in I;
+index tuples appear only at the edges (`mask`, `indices`).  One generator
+acts on a normal-form monomial in closed form (`CliffordContext.act`), and
+every product is a sequence of such actions: e_I y = e_i1 (... e_ik y).
 Below the element API (`act`, `monomial_products`, the sums in `cl_mul`)
 coefficients are raw `Poly.terms` maps, wrapped as `Poly` only in elements.
 
@@ -17,7 +18,6 @@ generators e1..en (no other e<i> names one) to the base variables.
 """
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
@@ -31,9 +31,19 @@ class CliffordError(PolyError):
     pass
 
 
+def mask(indices):
+    """The index mask of an index set: bit i set for each i."""
+    return sum(1 << i for i in indices)
+
+
+def indices(mask):
+    """The ascending index tuple of an index mask."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 class CliffordContext:
     """Carrier for the algebra of a fixed quadratic form; `table[i]` lists
-    (j, c_ji) for each nonzero c_ji, j <= i: a term map, or None when c_ji = 1;
+    (1 << j, c_ji) for each nonzero c_ji, j <= i: a term map, or None when c_ji = 1;
     `cliffmod` fills `ideals`, {(subbundle, degree, side, seed): IdealBasis},
     and `points`, {seed: (generator, avoided polynomial, points drawn)}."""
 
@@ -47,7 +57,7 @@ class CliffordContext:
         self.points = {}
         self.table = {i: [] for i in range(1, q.n + 1)}
         for (i, j), c in q.coeff.items():
-            self.table[j].append((i, None if c == 1 else c.terms))
+            self.table[j].append((1 << i, None if c == 1 else c.terms))
 
     def __eq__(self, other):
         return isinstance(other, CliffordContext) and self.q == other.q
@@ -60,18 +70,18 @@ class CliffordContext:
             c = self.base.const(c)
         if c.is_zero():
             return self.zero()
-        return CliffordElement(self, {((), 0): c})
+        return CliffordElement(self, {(0, 0): c})
 
     def one(self):
         return self.scalar(1)
 
     def l_power(self, m):
-        return CliffordElement(self, {((), m): self.base.one()})
+        return CliffordElement(self, {(0, m): self.base.one()})
 
     def generator(self, i):
         if not 1 <= i <= self.rank:
             raise CliffordError(f"generator index {i} out of range")
-        return CliffordElement(self, {((i,), 0): self.base.one()})
+        return CliffordElement(self, {(1 << i, 0): self.base.one()})
 
     def from_vector(self, vec):
         """Degree-1 element sum_i v_i e_i from a coordinate vector."""
@@ -82,14 +92,14 @@ class CliffordContext:
             if not isinstance(entry, Poly):
                 entry = self.base.const(entry)
             if not entry.is_zero():
-                terms[((i,), 0)] = entry
+                terms[(1 << i, 0)] = entry
         return CliffordElement(self, terms)
 
-    def monomial(self, idx, lpow):
-        return CliffordElement(self, {(tuple(idx), lpow): self.base.one()})
+    def monomial(self, mask, lpow):
+        return CliffordElement(self, {(mask, lpow): self.base.one()})
 
     def element(self, raw):
-        """The element of a raw term map {(idx, lpow): coefficient term map}."""
+        """The element of a raw term map {(mask, lpow): coefficient term map}."""
         return CliffordElement(self, {key: Poly(self.base, t) for key, t in raw.items()})
 
     def act(self, i, terms):
@@ -100,17 +110,17 @@ class CliffordContext:
                       + (-1)^p (c_ii l e_{J - i} if i in J, else e_{J + i}),
 
         every term already in normal form: the contractions with each
-        j_t <= i (c_ii too), then e_i inserted when i is not in J."""
+        j_t <= i (c_ii too), then e_i inserted when i is not in J; a count
+        of indices below j is a bit count of J's mask (Dorst et al. 2007)."""
         out = {}
-        for (idx, m), c in terms.items():
-            for j, cji in self.table[i]:  # a unit c_ji needs no product
-                t = bisect_left(idx, j)
-                if t < len(idx) and idx[t] == j:
+        bit = 1 << i
+        for (s, m), c in terms.items():
+            for b, cji in self.table[i]:  # a unit c_ji needs no product
+                if s & b:
                     term = c if cji is None else mul_terms(c, cji)
-                    _accumulate(out, (idx[:t] + idx[t + 1 :], m + 1), term, t % 2 == 0)
-            p = bisect_left(idx, i)
-            if p == len(idx) or idx[p] != i:
-                _accumulate(out, (idx[:p] + (i,) + idx[p:], m), c, p % 2 == 0)
+                    _accumulate(out, (s ^ b, m + 1), term, (s & b - 1).bit_count() % 2 == 0)
+            if not s & bit:
+                _accumulate(out, (s | bit, m), c, (s & bit - 1).bit_count() % 2 == 0)
         return out
 
 
@@ -178,7 +188,7 @@ class CliffordElement:
 
     def degree(self):
         """Common degree of all terms, None for 0, error if inhomogeneous."""
-        degs = {len(idx) + 2 * m for (idx, m) in self.terms}
+        degs = {s.bit_count() + 2 * m for (s, m) in self.terms}
         if not degs:
             return None
         if len(degs) > 1:
@@ -200,8 +210,8 @@ class CliffordElement:
         if not self.terms:
             return "0"
         pieces = []
-        for (idx, m), c in self.sorted_terms():
-            factors = [f"e{i}" for i in idx]
+        for (s, m), c in self.sorted_terms():
+            factors = [f"e{i}" for i in indices(s)]
             if m == 1:
                 factors.append("l")
             elif m:
@@ -228,8 +238,7 @@ class CliffordElement:
 
 
 def _basis_sort_key(key):
-    idx, m = key
-    return (len(idx), idx, m)
+    return (key[0].bit_count(), indices(key[0]), key[1])
 
 
 def cl_mul(x, y):
@@ -246,42 +255,40 @@ def cl_mul(x, y):
 
 def monomial_products(ctx, keys, y, columns=None):
     """[e_I l^m y for (I, m) in keys]: the left products of monomials with
-    one element as raw term maps, keyed by (idx, lpow) or, given `columns`
+    one element as raw term maps, keyed by (mask, lpow) or, given `columns`
     (`basis_columns`), by column.  e_I y = e_i1 (e_(I - i1) y), applying
     the indices of I from the largest down, and each suffix of an I is
     computed once per call."""
     if y.ctx is not ctx and y.ctx != ctx:
         raise CliffordError("context mismatch")
-    memo = {(): {key: c.terms for key, c in y.terms.items()}}
+    memo = {0: {key: c.terms for key, c in y.terms.items()}}
 
-    def product(idx):
+    def product(s):
         # act from the longest suffix already known; a loop, not recursion,
         # so that no closure refers to itself and the memo dies with the call
-        k = 0
-        while idx[k:] not in memo:
-            k += 1
-        terms = memo[idx[k:]]
-        for j in range(k - 1, -1, -1):
-            terms = ctx.act(idx[j], terms)
-            memo[idx[j:]] = terms
+        known = s
+        while known not in memo:
+            known &= known - 1  # drop the lowest index
+        terms = memo[known]
+        while known != s:
+            i = (s ^ known).bit_length() - 1  # the largest index not yet applied
+            known |= 1 << i
+            terms = memo[known] = ctx.act(i, terms)
         return terms
 
     if columns is None:
-        return [{(i2, m2 + m): c for (i2, m2), c in product(idx).items()} for idx, m in keys]
-    return [{columns[i2, m2 + m]: c for (i2, m2), c in product(idx).items()} for idx, m in keys]
+        return [{(s2, m2 + m): c for (s2, m2), c in product(s).items()} for s, m in keys]
+    return [{columns[s2, m2 + m]: c for (s2, m2), c in product(s).items()} for s, m in keys]
 
 
 def graded_basis(ctx, n):
     """Monomial basis of the degree-n component, ordered by index length
     then lexicographically; size 2^(rank-1) for rank >= 1."""
-    out = []
-    for k in range(0, ctx.rank + 1):
-        if (n - k) % 2:
-            continue
-        m = (n - k) // 2
-        for idx in combinations(range(1, ctx.rank + 1), k):
-            out.append((idx, m))
-    return out
+    return [
+        (mask(idx), (n - k) // 2)
+        for k in range(n % 2, ctx.rank + 1, 2)
+        for idx in combinations(range(1, ctx.rank + 1), k)
+    ]
 
 
 def basis_columns(basis):
@@ -298,8 +305,7 @@ def trace(x):
     deg = x.degree()
     if deg not in (None, 0):
         raise CliffordError("trace needs a degree-0 element")
-    m = ctx.rank // 2
-    top = (tuple(range(1, ctx.rank + 1)), -m)
+    top = (mask(range(1, ctx.rank + 1)), -(ctx.rank // 2))
     return x.terms.get(top, ctx.base.zero())
 
 
@@ -371,25 +377,25 @@ def center_element(ctx):
     n = ctx.rank
     base = ctx.base
     pfaffians = {(): base.one()}
-    indices = range(1, n + 1)
+    full = range(1, n + 1)
     terms = {}
     for k in range(2, n + 1, 2):
-        for subset in combinations(indices, k):
-            pf = _pfaffian(ctx.q, tuple(i for i in indices if i not in subset), pfaffians)
+        for subset in combinations(full, k):
+            pf = _pfaffian(ctx.q, tuple(i for i in full if i not in subset), pfaffians)
             if pf.is_zero():
                 continue
             coeff = pf * 2 ** (k // 2)
             sign = (n - k) // 2 + sum(subset) - k * (k + 1) // 2
-            terms[(subset, -(k // 2))] = -coeff if sign % 2 else coeff
+            terms[(mask(subset), -(k // 2))] = -coeff if sign % 2 else coeff
     flat = {(key, m): c for key, p in terms.items() for m, c in p.terms.items()}
     _, num, den = _integer_terms(flat)  # num/den is the content of omega
     scale = Fraction(den, num)
     omega = CliffordElement(ctx, {key: p * scale for key, p in terms.items()})
 
     square = cl_mul(omega, omega)
-    top = (tuple(indices), -(n // 2))
+    top = (mask(full), -(n // 2))
     alpha = square.terms.get(top, base.zero()) / -omega.terms[top].constant_term()
-    beta = -square.terms.get(((), 0), base.zero())
+    beta = -square.terms.get((0, 0), base.zero())
     if not (square + omega.scale(alpha) + ctx.scalar(beta)).is_zero():
         raise CliffordError("center relation does not close in {1, omega}")
     return CenterRelation(ctx, omega, alpha, beta)
@@ -428,8 +434,8 @@ def center_checks(ctx, rel):
     `twisted_degree1` is commutation and the law on e_1..e_n."""
     omega = rel.omega
     conj = rel.conjugate()
-    pairs = [((i, j), -1) for i, j in combinations(range(1, ctx.rank + 1), 2)]
-    gens = [((i,), 0) for i in range(1, ctx.rank + 1)]
+    pairs = [(mask(ij), -1) for ij in combinations(range(1, ctx.rank + 1), 2)]
+    gens = [(1 << i, 0) for i in range(1, ctx.rank + 1)]
     # the e_i omega are suffixes of the e_i e_j omega, computed once
     left = monomial_products(ctx, pairs + gens, omega)
     commutes = all(

@@ -485,6 +485,9 @@ def parse_qf_text(text):
         raise QuadFormError(
             f"fiber_rank must be between 1 and {MAX_FIBER_RANK}, got {n}"
         )
+    shadowed = [v for v in base_vars if v == "l" or v in {f"e{i}" for i in range(1, n + 1)}]
+    if shadowed:  # Clifford elements read l and e1..en as the trivializer and generators
+        raise ParseError(f"base variable {shadowed[0]!r} is reserved for Clifford algebra elements")
     source = fields["q"]
     if source.startswith('"') and source.endswith('"') and len(source) >= 2:
         source = source[1:-1]

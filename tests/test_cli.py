@@ -224,6 +224,29 @@ def test_clifford_trace(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+@pytest.mark.parametrize(
+    "modes",
+    [[], ["--center", "--trace", "e1"], ["--table", "0", "--center"], ["--table", "1", "--trace", "e1"]],
+    ids=["none", "center-trace", "table-center", "table-trace"],
+)
+def test_clifford_needs_exactly_one_mode(modes, capsys):
+    """`clifford` runs one of --table, --center and --trace; none, or more
+    than one, is a failed precondition that prints nothing on stdout."""
+    assert main(["clifford", UNIVERSAL, *modes]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "choose one of --table, --center, --trace" in out.err
+
+
+def test_cli_import_loads_no_dataclasses():
+    """`import quadrikit.cli` loads neither `dataclasses` nor `inspect`:
+    the report classes are plain slotted classes."""
+    code = "import sys, quadrikit.cli; print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
 def test_node_rank_degenerate_message(capsys):
     assert main(["node-rank", "1", "1"]) == 0
     assert capsys.readouterr().out.strip() == "rank 2 (degenerate: 1 - lambda*mu = 0)"
@@ -492,12 +515,14 @@ def test_verify_r6_pinned(suite, monkeypatch, capsys):
         ("universal_reduce", ["reduce", "data/universal.qf", "--v", "1,0,0,0"]),
         ("split_reduce", ["reduce", "data/split.qf", "--v", "1,2,3,-2/3"]),
         ("r10_mf", ["verify", "tests/pinned/r10.qf", "--suite", "matrix-factorization"]),
+        ("r10_duality", ["verify", "tests/pinned/r10.qf", "--suite", "duality"]),
     ],
 )
 def test_fraction_free_paths_pinned(pinned_name, args, monkeypatch, capsys):
     """Outputs built on `fraction_free_rref` and `PolyMatrix` (spinor_phi,
-    the matrix factorization suite and the `reduce` transform), recorded
-    from the dense elimination and dense matrix rows."""
+    the matrix factorization suite, the `reduce` transform and the rank-10
+    duality determinant), recorded from the dense elimination and dense
+    matrix rows, or, for r10_duality, from the tuple-keyed Clifford product."""
     monkeypatch.chdir(DATA.parent)
     assert main(args + ["--json"]) == 0
     pinned = Path(__file__).resolve().parent / "pinned" / f"{pinned_name}.json"

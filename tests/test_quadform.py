@@ -413,6 +413,19 @@ def test_qf_rank_out_of_range(rank):
         parse_qf_text(f'base_vars = []\nfiber_rank = {rank}\nq = "x1*x2"')
 
 
+@pytest.mark.parametrize("name", ["l", "e1", "e4"])
+def test_qf_refuses_base_variables_the_element_grammar_reads(name):
+    """l and e1..en name the trivializer and the generators in Clifford
+    elements, so a base variable of that name is refused, by name."""
+    with pytest.raises(ParseError, match=f"base variable '{name}' is reserved"):
+        parse_qf_text(f'base_vars = [a, {name}]\nfiber_rank = 4\nq = "x1*x2"')
+
+
+def test_qf_keeps_base_variables_that_name_no_generator():
+    q = parse_qf_text('base_vars = [e0, e5, ll]\nfiber_rank = 4\nq = "e5*x1*x2"')
+    assert q.base.variables == ("e0", "e5", "ll")
+
+
 def test_qf_rank_at_cap():
     assert MAX_FIBER_RANK == 12
     q = parse_qf_text(f'base_vars = []\nfiber_rank = {MAX_FIBER_RANK}\nq = "x1*x2"')
