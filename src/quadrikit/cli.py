@@ -206,16 +206,17 @@ def cmd_ideal(args):
     ctx = cl.CliffordContext(q)
     w = _parse_subbundle(args.w, q)
     basis = cliffmod.clifford_ideal(ctx, w, args.n, args.side, seed=args.seed)
+    generators = [str(cl.CliffordElement(ctx, g)) for g in basis.generators]
     payload = {
         "command": "ideal",
         "n": args.n,
         "side": args.side,
         "rank": basis.rank,
-        "generators": [str(g) for g in basis.generators],
+        "generators": generators,
         "certification": basis.certification,
     }
     lines = [f"{args.side} ideal, degree {args.n}: {basis.rank} generators"]
-    lines += [f"  {g}" for g in basis.generators]
+    lines += [f"  {g}" for g in generators]
     _emit(args, payload, lines)
     return 0
 
@@ -225,7 +226,6 @@ def cmd_spinor(args):
     ctx = cl.CliffordContext(q)
     w = _parse_subbundle(args.w, q)
     pres = cliffmod.spinor_phi(ctx, w, args.n, seed=args.seed)
-    ctx.ideals.clear()  # break the context's cycle with its ideals, as `_run_suites` does
     payload = {
         "command": "spinor",
         "n": args.n,
@@ -359,10 +359,6 @@ def _run_suites(q, suite, seed, samples):
         runs = ([(w, [-1, 0, 1, 2])] if w else []) + [(empty, [-1, 0, 1])]
         for sub, degrees in runs:
             reports.append(cliffmod.verify_mf_report(ctx, sub, degrees, seed=seed))
-    # the ideals refer back to the context: clearing them lets reference
-    # counting, not the cyclic collector, free the finished run, its sample
-    # points and row blocks with it
-    ctx.ideals.clear()
     return reports
 
 

@@ -39,8 +39,8 @@ from quadrikit.polyalg import (
 )
 from quadrikit.linalg import Echelon, PointRows
 from quadrikit._kernel import mul_terms
-from quadrikit.clifford import CliffordError, _accumulate, basis_columns, cl_mul, graded_basis
-from quadrikit.clifford import monomial_products
+from quadrikit.clifford import CliffordElement, CliffordError, _accumulate, basis_columns
+from quadrikit.clifford import cl_mul, graded_basis, monomial_products
 from quadrikit.quadform import QuadFormError, is_isotropic
 
 DEFAULT_SEED = 24237
@@ -167,10 +167,12 @@ def _sampled(ctx, seed, samples, worker, operation, configuration, notes=(), ok=
 
 
 class IdealBasis:
-    """Certified generating set of a one-sided Clifford ideal in degree n,
-    with `rows` its coordinates over that degree's graded basis, {column:
-    term map}, `columns` the map from basis key to column, and `point_rows`
-    the rows prepared for sample points."""
+    """Certified generating set of a one-sided Clifford ideal in degree n:
+    `generators` the terms of each generator, {(mask, lpow): term map},
+    `rows` its coordinates over that degree's graded basis, {column: term
+    map}, sharing the generators' term maps, `columns` the map from basis
+    key to column, and `point_rows` the rows prepared for sample points.
+    It refers to no context."""
 
     __slots__ = (
         "generators",
@@ -224,7 +226,7 @@ def clifford_ideal(ctx, w, n, side="left", seed=DEFAULT_SEED):
     target_basis = graded_basis(ctx, n)
     columns = basis_columns(target_basis)
     if side == "left":
-        sparse_rows = monomial_products(ctx, span_basis, omega_w, columns)
+        sparse_rows = monomial_products(ctx, span_basis, omega_w.terms, columns)
     else:
         sparse_rows = [
             cl_mul(omega_w, ctx.monomial(*key)).sparse_coordinates(columns) for key in span_basis
@@ -243,7 +245,7 @@ def clifford_ideal(ctx, w, n, side="left", seed=DEFAULT_SEED):
             f"point {point!r}"
         )
     coords = [sparse_rows[rows.kept[k]] for k in selected]
-    generators = [ctx.element({target_basis[c]: t for c, t in row.items()}) for row in coords]
+    generators = [{target_basis[c]: t for c, t in row.items()} for row in coords]
     monomials = [span_basis[rows.kept[k]] for k in selected]
     certification = {
         "generic_point": point.as_strings(),
@@ -336,14 +338,14 @@ def verify_cokernel_sequence(ctx, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SEED)
     # vector; the composite (b_k w_j) w_top is b_k (w_j w_top)
     vectors = [ctx.from_vector(vec) for vec in w.vectors]
     composite_zero = not any(
-        any(monomial_products(ctx, basis_prev, cl_mul(v, omega_w))) for v in vectors
+        any(monomial_products(ctx, basis_prev, cl_mul(v, omega_w).terms)) for v in vectors
     )
     columns = basis_columns(basis_n)
     image_rows = PointRows(ctx.base, [
-        row for v in vectors for row in monomial_products(ctx, basis_prev, v, columns)
+        row for v in vectors for row in monomial_products(ctx, basis_prev, v.terms, columns)
     ])
     columns = basis_columns(graded_basis(ctx, n + w.r))
-    quotient_rows = PointRows(ctx.base, monomial_products(ctx, basis_n, omega_w, columns))
+    quotient_rows = PointRows(ctx.base, monomial_products(ctx, basis_n, omega_w.terms, columns))
 
     def worker(point):
         r_img = image_rows.rank(point.vals)
@@ -373,9 +375,10 @@ def verify_flag_sequence(ctx, w_sub, w, n, samples=CERT_SAMPLES, seed=DEFAULT_SE
     ideal_next = _ideal(ctx, w, n + 1, "left", seed)
     last = ctx.from_vector(w.vectors[-1])
     columns = ideal_next.columns
-    mult_rows = PointRows(
-        ctx.base, [cl_mul(g, last).sparse_coordinates(columns) for g in ideal_sub.generators]
-    )
+    mult_rows = PointRows(ctx.base, [
+        cl_mul(CliffordElement(ctx, g), last).sparse_coordinates(columns)
+        for g in ideal_sub.generators
+    ])
 
     def worker(point):
         vals = point.vals
@@ -427,8 +430,8 @@ def _pairing_matrix(ctx, left, right):
 
     by_monomial = {}
     for j, g in enumerate(left.generators):
-        for c, coeff in g.terms.items():
-            by_monomial.setdefault(c, []).append((j, coeff.terms))
+        for c, coeff in g.items():
+            by_monomial.setdefault(c, []).append((j, coeff))
     rows = []
     for rest, _ in right.spanning_monomials:
         row = {}

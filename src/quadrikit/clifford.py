@@ -5,12 +5,14 @@ bundle degree 2.
 Defining relations: e_i e_i = c_ii l and e_i e_j + e_j e_i = c_ij l for
 i < j, where c is the coefficient table of q, so v v = q(v) l for every
 degree-1 element v.  Elements are finite maps (index mask, Laurent power
-of l) -> base polynomial, bit i of the mask of e_I set for each i in I;
-index tuples appear only at the edges (`mask`, `indices`).  One generator
-acts on a normal-form monomial in closed form (`CliffordContext.act`), and
-every product is a sequence of such actions: e_I y = e_i1 (... e_ik y).
-Below the element API (`act`, `monomial_products`, the sums in `cl_mul`)
-coefficients are raw `Poly.terms` maps, wrapped as `Poly` only in elements.
+of l) -> coefficient, bit i of the mask of e_I set for each i in I; index
+tuples appear only at the edges (`mask`, `indices`).  Every coefficient is
+the term map of a base polynomial (`_kernel`), in elements and in the
+products alike; a `Poly` is built only where a coefficient leaves the
+algebra: `trace`, the center relation's alpha and beta, and printing.  One
+generator acts on a normal-form monomial in closed form
+(`CliffordContext.act`), and every product is a sequence of such actions:
+e_I y = e_i1 (... e_ik y).
 
 `parse_element` reads elements in the expression grammar of `polyalg`,
 whose one recursive descent it shares: `_ElementGrammar` adds l and the
@@ -45,7 +47,8 @@ class CliffordContext:
     """Carrier for the algebra of a fixed quadratic form; `table[i]` lists
     (1 << j, c_ji) for each nonzero c_ji, j <= i: a term map, or None when c_ji = 1;
     `cliffmod` fills `ideals`, {(subbundle, degree, side, seed): IdealBasis},
-    and `points`, {seed: (generator, avoided polynomial, points drawn)}."""
+    and `points`, {seed: (generator, avoided polynomial, points drawn)}.
+    Neither refers back to the context, so reference counting frees it."""
 
     __slots__ = ("q", "rank", "base", "table", "ideals", "points")
 
@@ -68,20 +71,18 @@ class CliffordContext:
     def scalar(self, c):
         if not isinstance(c, Poly):
             c = self.base.const(c)
-        if c.is_zero():
-            return self.zero()
-        return CliffordElement(self, {(0, 0): c})
+        return CliffordElement(self, {(0, 0): c.terms} if c.terms else {})
 
     def one(self):
         return self.scalar(1)
 
     def l_power(self, m):
-        return CliffordElement(self, {(0, m): self.base.one()})
+        return self.monomial(0, m)
 
     def generator(self, i):
         if not 1 <= i <= self.rank:
             raise CliffordError(f"generator index {i} out of range")
-        return CliffordElement(self, {(1 << i, 0): self.base.one()})
+        return self.monomial(1 << i, 0)
 
     def from_vector(self, vec):
         """Degree-1 element sum_i v_i e_i from a coordinate vector."""
@@ -91,19 +92,15 @@ class CliffordContext:
         for i, entry in enumerate(vec, start=1):
             if not isinstance(entry, Poly):
                 entry = self.base.const(entry)
-            if not entry.is_zero():
-                terms[(1 << i, 0)] = entry
+            if entry.terms:
+                terms[(1 << i, 0)] = entry.terms
         return CliffordElement(self, terms)
 
     def monomial(self, mask, lpow):
-        return CliffordElement(self, {(mask, lpow): self.base.one()})
-
-    def element(self, raw):
-        """The element of a raw term map {(mask, lpow): coefficient term map}."""
-        return CliffordElement(self, {key: Poly(self.base, t) for key, t in raw.items()})
+        return CliffordElement(self, {(mask, lpow): self.base.one().terms})
 
     def act(self, i, terms):
-        """Raw term map of e_i times the element with raw term map `terms`.
+        """The terms of e_i times the element with terms `terms`.
         For J = (j_1 < ... < j_k) with p indices below i,
 
             e_i e_J = sum_{t <= p} (-1)^(t-1) c_{i j_t} l e_{J - j_t}
@@ -158,23 +155,23 @@ class CliffordElement:
 
     def __add__(self, other):
         self._check(other)
-        out = {key: c.terms for key, c in self.terms.items()}
+        out = dict(self.terms)
         for key, c in other.terms.items():
-            _accumulate(out, key, c.terms, True)
-        return self.ctx.element(out)
+            _accumulate(out, key, c, True)
+        return CliffordElement(self.ctx, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return CliffordElement(self.ctx, {k: -c for k, c in self.terms.items()})
+        return CliffordElement(self.ctx, {k: neg_terms(c) for k, c in self.terms.items()})
 
     def scale(self, c):
         if not isinstance(c, Poly):
             c = self.ctx.base.const(c)
         if c.is_zero():
             return self.ctx.zero()
-        return CliffordElement(self.ctx, {k: v * c for k, v in self.terms.items()})
+        return CliffordElement(self.ctx, {k: mul_terms(v, c.terms) for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
@@ -199,7 +196,7 @@ class CliffordElement:
         """The nonzero coefficients as a sparse row {column: term map};
         `columns` maps each key of a basis to its column (`basis_columns`)."""
         try:
-            return {columns[key]: c.terms for key, c in self.terms.items()}
+            return {columns[key]: c for key, c in self.terms.items()}
         except KeyError as e:
             raise CliffordError(f"element has terms outside the basis: {e.args[0]}") from None
 
@@ -210,7 +207,8 @@ class CliffordElement:
         if not self.terms:
             return "0"
         pieces = []
-        for (s, m), c in self.sorted_terms():
+        for (s, m), t in self.sorted_terms():
+            c = Poly(self.ctx.base, t)
             factors = [f"e{i}" for i in indices(s)]
             if m == 1:
                 factors.append("l")
@@ -247,21 +245,19 @@ def cl_mul(x, y):
     left, and the terms of x share their suffixes."""
     x._check(y)
     out = {}
-    for c, p in zip(x.terms.values(), monomial_products(x.ctx, x.terms, y)):
+    for c, p in zip(x.terms.values(), monomial_products(x.ctx, x.terms, y.terms)):
         for key, c2 in p.items():
-            _accumulate(out, key, mul_terms(c.terms, c2), True)
-    return x.ctx.element(out)
+            _accumulate(out, key, mul_terms(c, c2), True)
+    return CliffordElement(x.ctx, out)
 
 
-def monomial_products(ctx, keys, y, columns=None):
+def monomial_products(ctx, keys, terms, columns=None):
     """[e_I l^m y for (I, m) in keys]: the left products of monomials with
-    one element as raw term maps, keyed by (mask, lpow) or, given `columns`
-    (`basis_columns`), by column.  e_I y = e_i1 (e_(I - i1) y), applying
-    the indices of I from the largest down, and each suffix of an I is
-    computed once per call."""
-    if y.ctx is not ctx and y.ctx != ctx:
-        raise CliffordError("context mismatch")
-    memo = {0: {key: c.terms for key, c in y.terms.items()}}
+    the element y whose terms are `terms`, as terms keyed by (mask, lpow)
+    or, given `columns` (`basis_columns`), by column.
+    e_I y = e_i1 (e_(I - i1) y), applying the indices of I from the
+    largest down, and each suffix of an I is computed once per call."""
+    memo = {0: terms}
 
     def product(s):
         # act from the longest suffix already known; a loop, not recursion,
@@ -306,7 +302,7 @@ def trace(x):
     if deg not in (None, 0):
         raise CliffordError("trace needs a degree-0 element")
     top = (mask(range(1, ctx.rank + 1)), -(ctx.rank // 2))
-    return x.terms.get(top, ctx.base.zero())
+    return Poly(ctx.base, x.terms.get(top, {}))
 
 
 class CenterRelation:
@@ -390,12 +386,12 @@ def center_element(ctx):
     flat = {(key, m): c for key, p in terms.items() for m, c in p.terms.items()}
     _, num, den = _integer_terms(flat)  # num/den is the content of omega
     scale = Fraction(den, num)
-    omega = CliffordElement(ctx, {key: p * scale for key, p in terms.items()})
+    omega = CliffordElement(ctx, {key: (p * scale).terms for key, p in terms.items()})
 
     square = cl_mul(omega, omega)
     top = (mask(full), -(n // 2))
-    alpha = square.terms.get(top, base.zero()) / -omega.terms[top].constant_term()
-    beta = -square.terms.get((0, 0), base.zero())
+    alpha = Poly(base, square.terms.get(top, {})) / -(terms[top] * scale).constant_term()
+    beta = -Poly(base, square.terms.get((0, 0), {}))
     if not (square + omega.scale(alpha) + ctx.scalar(beta)).is_zero():
         raise CliffordError("center relation does not close in {1, omega}")
     return CenterRelation(ctx, omega, alpha, beta)
@@ -437,13 +433,12 @@ def center_checks(ctx, rel):
     pairs = [(mask(ij), -1) for ij in combinations(range(1, ctx.rank + 1), 2)]
     gens = [(1 << i, 0) for i in range(1, ctx.rank + 1)]
     # the e_i omega are suffixes of the e_i e_j omega, computed once
-    left = monomial_products(ctx, pairs + gens, omega)
+    left = monomial_products(ctx, pairs + gens, omega.terms)
     commutes = all(
-        cl_mul(omega, ctx.monomial(*key)) == ctx.element(t) for key, t in zip(pairs, left)
+        cl_mul(omega, ctx.monomial(*key)).terms == t for key, t in zip(pairs, left)
     )
     twisted = commutes and all(
-        ctx.element(t) == cl_mul(conj, ctx.monomial(*key))
-        for key, t in zip(gens, left[len(pairs) :])
+        t == cl_mul(conj, ctx.monomial(*key)).terms for key, t in zip(gens, left[len(pairs) :])
     )
     return {"commutes_degree0": commutes, "twisted_degree1": twisted}
 
@@ -458,11 +453,11 @@ def parse_element(source, ctx):
 
 def _coefficient_degree(elem):
     """Largest total degree of a coefficient of `elem`, -1 for 0."""
-    return max((c.total_degree() for c in elem.terms.values()), default=-1)
+    return max((sum(m) for c in elem.terms.values() for m in c), default=-1)
 
 
 def _term_count(elem):
-    return sum(len(c.terms) for c in elem.terms.values())
+    return sum(map(len, elem.terms.values()))
 
 
 def _bounded_mul(a, b):

@@ -592,7 +592,8 @@ class PolyMatrix:
     """Matrix of Poly entries over one ring, kept as its rows' nonzero
     entries: `entries[i]` maps each column j with a nonzero entry to it
     (`fraction_free_rref` takes these rows as their term maps).  `m[i, j]`
-    reads one entry, a zero one as the matrix's shared `zero`; `dense()`
+    reads one entry, a zero one as the matrix's shared `zero`, and refuses
+    an index outside the shape (`IndexError`); `dense()`
     lists every entry, for printing.  A product accumulates each row in
     one map keyed by (column, monomial)."""
 
@@ -618,6 +619,8 @@ class PolyMatrix:
 
     def __getitem__(self, index):
         i, j = index
+        if not 0 <= i < self.rows:
+            raise IndexError(f"matrix row {i} outside 0..{self.rows - 1}")
         if not 0 <= j < self.cols:
             raise IndexError(f"matrix column {j} outside 0..{self.cols - 1}")
         return self.entries[i].get(j, self.zero)

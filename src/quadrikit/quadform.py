@@ -109,11 +109,7 @@ class QuadraticForm:
     def q_poly(self, ring=None):
         """The defining polynomial over base + fiber variables."""
         ring = ring or self.combined_ring()
-        total = ring.zero()
-        for (i, j), c in sorted(self.coeff.items()):
-            term = self.base.embed(c, ring) * ring.var(f"x{i}") * ring.var(f"x{j}")
-            total = total + term
-        return total
+        return self.apply([ring.var(name) for name in fiber_names(self.n)], ring)
 
     def __str__(self):
         return str(self.q_poly())
@@ -436,10 +432,9 @@ def reduction_presentation(split):
         return SchemePresentation(q.base, [], label="hyperbolic reduction (rank 0)")
     names = [f"x{i}" for i in range(3, n_orig + 1)]
     ring = Ring(q.base.variables + tuple(names))
-    total = ring.zero()
-    for (i, j), c in sorted(q.coeff.items()):
-        total = total + q.base.embed(c, ring) * ring.var(names[i - 1]) * ring.var(names[j - 1])
-    return SchemePresentation(ring, [total], label="hyperbolic reduction")
+    return SchemePresentation(
+        ring, [q.apply([ring.var(name) for name in names], ring)], label="hyperbolic reduction"
+    )
 
 
 # -- .qf files -----------------------------------------------------------
@@ -488,6 +483,9 @@ def parse_qf_text(text):
     shadowed = [v for v in base_vars if v == "l" or v in {f"e{i}" for i in range(1, n + 1)}]
     if shadowed:  # Clifford elements read l and e1..en as the trivializer and generators
         raise ParseError(f"base variable {shadowed[0]!r} is reserved for Clifford algebra elements")
+    fiber = [v for v in base_vars if v in {f"x{i}" for i in range(1, n + 1)}]
+    if fiber:
+        raise ParseError(f"base variable {fiber[0]!r} is a fiber variable of rank {n}")
     source = fields["q"]
     if source.startswith('"') and source.endswith('"') and len(source) >= 2:
         source = source[1:-1]

@@ -686,9 +686,9 @@ def test_run_suites_draws_each_point_once(samples, monkeypatch):
 
 def test_run_suites_leaves_no_points_or_ideals():
     """With the cyclic collector off, a finished R6 `--suite all` run leaves
-    no context, ideal, row block or sample point alive: clearing the
-    context's ideals lets reference counting free all of them, and the
-    ranks a constant row block keeps go with the block."""
+    no context, ideal, row block or sample point alive: the ideals and
+    points refer to no context, so reference counting frees all of them
+    with it, and the ranks a constant row block keeps go with the block."""
     import gc
 
     from quadrikit import cli
@@ -716,9 +716,9 @@ def test_run_suites_leaves_no_points_or_ideals():
 
 
 def test_run_suites_leaves_no_context_to_the_cyclic_collector(monkeypatch, capsys):
-    """A context and its ideals refer to each other; a finished run breaks
-    the cycle, so reference counting alone frees the run's context.  So do
-    finished `spinor` and `clifford --center` commands."""
+    """A context refers to its ideals, which hold term maps and refer to no
+    context, so reference counting alone frees a finished run's context.
+    So do finished `spinor` and `clifford --center` commands."""
     import gc
 
     from quadrikit import cli
@@ -871,3 +871,31 @@ def test_json_emitter_refuses_other_types(leaf):
         _json({"a": [leaf]})
     with pytest.raises(TypeError):
         _json({"a": leaf})
+
+
+@pytest.mark.parametrize(
+    "pinned_name, args",
+    [
+        ("universal_ideal_n0_left.txt", ["data/universal.qf", "--w", "1,0,0,0", "--n", "0"]),
+        (
+            "universal_ideal_n0_left.json",
+            ["data/universal.qf", "--w", "1,0,0,0", "--n", "0", "--json"],
+        ),
+        (
+            "universal_ideal_n0_right.txt",
+            ["data/universal.qf", "--w", "1,0,0,0", "--n", "0", "--side", "right"],
+        ),
+        (
+            "universal_ideal_n0_right.json",
+            ["data/universal.qf", "--w", "1,0,0,0", "--n", "0", "--side", "right", "--json"],
+        ),
+        ("r8_ideal_n1.json", ["data/r8.qf", "--n", "1", "--json"]),
+    ],
+)
+def test_ideal_pinned(pinned_name, args, monkeypatch, capsys):
+    """`ideal` generators and certification, text and `--json`, recorded
+    from elements whose coefficients were stored as `Poly` objects."""
+    monkeypatch.chdir(DATA.parent)
+    assert main(["ideal", *args]) == 0
+    pinned = Path(__file__).resolve().parent / "pinned" / pinned_name
+    assert capsys.readouterr().out == pinned.read_text()

@@ -12,6 +12,7 @@ from quadrikit.polyalg import Poly, PolyMatrix, Ring, det, parse_poly
 from quadrikit.quadform import QuadFormError, QuadraticForm, Subbundle, load_qf
 from quadrikit.clifford import (
     CliffordContext,
+    CliffordElement,
     basis_columns,
     center_element,
     cl_mul,
@@ -320,6 +321,35 @@ def test_multiplication_iso_keeps_only_its_ideals_row_blocks():
     assert left == {id(ideal.point_rows) for ideal in ctx.ideals.values()}
 
 
+def test_a_library_context_is_freed_by_reference_counting():
+    """A context refers to its ideals and sample points and none of them
+    refers back, so with the cyclic collector off, deleting a context whose
+    ideals `spinor_phi` and `verify_duality` built frees it and them."""
+    import gc
+
+    from quadrikit.cliffmod import IdealBasis
+
+    def alive():
+        return {id(x) for x in gc.get_objects() if isinstance(x, (CliffordContext, IdealBasis))}
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = alive()  # other tests' objects, held by their modules
+        ctx = universal_ctx()
+        w = span_e1(ctx)
+        pres = spinor_phi(ctx, w, 1)
+        report = verify_duality(ctx, w, 0)
+        built = len(ctx.ideals)
+        del ctx
+        left = alive() - before
+    finally:
+        gc.enable()
+    assert pres.size == 4 and report.ok
+    assert built == 3
+    assert left == set()
+
+
 def test_multiplication_iso_m0_identity_case():
     ctx = universal_ctx()
     report = verify_multiplication_iso(ctx, span_e1(ctx), 0, 0)
@@ -599,7 +629,7 @@ def test_pairing_matrix_is_the_trace_of_the_full_products(path):
         left, right = cliffmod._duality_ideals(ctx, w, k, DEFAULT_SEED)
         full = [monomial_products(ctx, right.spanning_monomials, g) for g in left.generators]
         rows = [
-            {j: trace(ctx.element(p[r])) for j, p in enumerate(full)}
+            {j: trace(CliffordElement(ctx, p[r])) for j, p in enumerate(full)}
             for r in range(len(right.spanning_monomials))
         ]
         expected = PolyMatrix(ctx.base, rows, len(full))
@@ -758,7 +788,7 @@ def test_r6_spinor_phi_and_center_hold_only_ints():
     w = Subbundle([[1, 0, 0, 0, 0, 0]], _R6.base)
     polys = [p for n in (0, 1) for row in spinor_phi(_R6, w, n).phi.entries for p in row.values()]
     rel = center_element(_R6)
-    polys += [*rel.omega.terms.values(), rel.alpha, rel.beta]
+    polys += [*(Poly(_R6.base, t) for t in rel.omega.terms.values()), rel.alpha, rel.beta]
     coeffs = [c for p in polys for c in p.terms.values()]
     assert coeffs and all(type(c) is int for c in coeffs)
 

@@ -267,6 +267,20 @@ def test_matrix_entries_checked_and_zeros_dropped():
         PolyMatrix(XY, [{0: 1}], 1)
 
 
+@pytest.mark.parametrize("index, message", [
+    ((-1, 1), "matrix row -1 outside 0..1"),
+    ((2, 0), "matrix row 2 outside 0..1"),
+    ((0, -1), "matrix column -1 outside 0..2"),
+    ((0, 3), "matrix column 3 outside 0..2"),
+])
+def test_matrix_index_outside_the_shape_refused(index, message):
+    """An entry is read only at a row in 0..rows-1 and a column in
+    0..cols-1; a negative index counts from no end."""
+    m = PolyMatrix(XY, [{0: XY.gens()[0]}, {2: XY.gens()[1]}], 3)
+    with pytest.raises(IndexError, match=message.replace(".", r"\.")):
+        m[index]
+
+
 def test_bareiss_agrees_with_cofactor():
     rng = random.Random(23)
     m = _matrix(XY, [[random_poly(rng, XY, 2, 1, -3, 3) for _ in range(4)] for _ in range(4)])

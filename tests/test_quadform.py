@@ -426,6 +426,19 @@ def test_qf_keeps_base_variables_that_name_no_generator():
     assert q.base.variables == ("e0", "e5", "ll")
 
 
+@pytest.mark.parametrize("name", ["x1", "x4"])
+def test_qf_refuses_base_variables_named_like_fiber_variables(name):
+    """x1..xn are the fiber variables of the declared rank, so a base
+    variable of that name is refused, by name."""
+    with pytest.raises(ParseError, match=f"base variable '{name}' is a fiber variable of rank 4"):
+        parse_qf_text(f'base_vars = [a, {name}]\nfiber_rank = 4\nq = "x1*x2"')
+
+
+def test_qf_keeps_base_variables_past_the_fiber_rank():
+    q = parse_qf_text('base_vars = [x0, x5, xx]\nfiber_rank = 4\nq = "x5*x1*x2"')
+    assert q.base.variables == ("x0", "x5", "xx")
+
+
 def test_qf_rank_at_cap():
     assert MAX_FIBER_RANK == 12
     q = parse_qf_text(f'base_vars = []\nfiber_rank = {MAX_FIBER_RANK}\nq = "x1*x2"')
